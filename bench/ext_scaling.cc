@@ -35,7 +35,6 @@ struct ScaleRun
     long jobIndex = -1;
     bop::RunStats stats;
     std::vector<std::uint64_t> retired;
-    int threads = 1;
     double wall = 0.0;
     double queueWait = 0.0;
 };
@@ -85,7 +84,6 @@ main(int argc, char **argv)
                 slot->wall = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - t0)
                                  .count();
-                slot->threads = sys.threadCount();
                 for (int c = 0; c < sys.coreCount(); ++c)
                     slot->retired.push_back(sys.core(c).retired());
             });
@@ -100,7 +98,7 @@ main(int argc, char **argv)
     for (const ScaleRun &run : slots) {
         const RunStats &s = run.stats;
         RunRecord record{bench, run.cfg.describe(), s,
-                         /*traceSource=*/"", run.threads, run.wall};
+                         /*traceSource=*/"", run.wall};
         record.jobs = opts.jobs < 1 ? 1 : opts.jobs;
         record.jobIndex = run.jobIndex;
         record.queueWaitSeconds = run.queueWait;

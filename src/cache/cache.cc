@@ -21,22 +21,9 @@ isPowerOfTwo(std::uint64_t v)
 SetAssocCache::SetAssocCache(std::string name_, std::uint64_t size_bytes,
                              unsigned ways_,
                              std::unique_ptr<ReplacementPolicy> policy_)
-    : SetAssocCache(std::move(name_),
-                    ways_ ? size_bytes / lineBytes / ways_ : 0, ways_,
-                    std::move(policy_),
-                    SetIndexFold::identity(
-                        ways_ ? size_bytes / lineBytes / ways_ : 1))
-{
-}
-
-SetAssocCache::SetAssocCache(std::string name_, std::size_t num_sets,
-                             unsigned ways_,
-                             std::unique_ptr<ReplacementPolicy> policy_,
-                             const SetIndexFold &fold_)
     : name(std::move(name_)),
-      sets(num_sets),
+      sets(ways_ ? size_bytes / lineBytes / ways_ : 0),
       ways(ways_),
-      fold(fold_),
       policy(std::move(policy_))
 {
     if (!policy)

@@ -76,30 +76,6 @@ struct CacheFill
     bool markDirty = false;    ///< e.g. writeback fills
 };
 
-/**
- * How a cache derives its set index from a line address:
- *
- *     set = (line & lowMask) | ((line >> shift) & highMask)
- *
- * The default (shift 0, masks partitioning sets-1) is the classic
- * `line & (sets-1)`. A channel bank of a larger cache uses shift = k
- * (k = log2 channels) to squeeze out the k line-address bits that the
- * DRAM channel XOR-fold pins once the bank is fixed, giving each bank
- * a dense local set index over its sets/channels share of the array.
- */
-struct SetIndexFold
-{
-    unsigned shift = 0;
-    std::uint64_t lowMask = 0;
-    std::uint64_t highMask = 0;
-
-    /** Identity fold: set = line & (sets-1). */
-    static SetIndexFold identity(std::size_t sets)
-    {
-        return {0, (sets - 1) & 0x3ull, (sets - 1) & ~0x3ull};
-    }
-};
-
 /** Set-associative, write-back, non-inclusive cache tag array. */
 class SetAssocCache
 {
@@ -112,16 +88,6 @@ class SetAssocCache
      */
     SetAssocCache(std::string name, std::uint64_t size_bytes, unsigned ways,
                   std::unique_ptr<ReplacementPolicy> policy);
-
-    /**
-     * Bank constructor: explicit set count plus the index fold mapping
-     * line addresses into this bank's local sets (see SetIndexFold).
-     * The caller guarantees every line routed here folds into
-     * [0, num_sets).
-     */
-    SetAssocCache(std::string name, std::size_t num_sets, unsigned ways,
-                  std::unique_ptr<ReplacementPolicy> policy,
-                  const SetIndexFold &fold);
 
     /**
      * Core-side read/write access.
@@ -156,10 +122,7 @@ class SetAssocCache
 
     std::size_t numSets() const { return sets; }
     unsigned numWays() const { return ways; }
-    std::size_t setOf(LineAddr line) const
-    {
-        return (line & fold.lowMask) | ((line >> fold.shift) & fold.highMask);
-    }
+    std::size_t setOf(LineAddr line) const { return line & (sets - 1); }
     const std::string &cacheName() const { return name; }
 
     /** Access to the replacement policy (tests/config). */
@@ -207,7 +170,6 @@ class SetAssocCache
     std::string name;
     std::size_t sets;
     unsigned ways;
-    SetIndexFold fold;
     std::unique_ptr<ReplacementPolicy> policy;
 
     // Structure-of-arrays line state, all sets * ways, row-major.

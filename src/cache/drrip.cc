@@ -13,14 +13,12 @@ DrripPolicy::reset(std::size_t sets, unsigned ways)
             ((nibbleOnes * rrpvMax) & packedWaysMask()) | ~packedWaysMask();
         words.assign(sets, init);
     }
-    shared->psel = pselMax / 2;
+    psel = pselMax / 2;
     leaderTable.resize(sets);
     for (std::size_t set = 0; set < sets; ++set) {
-        const std::size_t global =
-            globalSetIds.empty() ? set : globalSetIds[set];
-        leaderTable[set] = isSrripLeader(global)   ? srripLeader
-                           : isBrripLeader(global) ? brripLeader
-                                                   : follower;
+        leaderTable[set] = isSrripLeader(set)   ? srripLeader
+                           : isBrripLeader(set) ? brripLeader
+                                                : follower;
     }
 }
 
@@ -46,7 +44,7 @@ DrripPolicy::useBrrip(std::size_t set) const
         return true;
     // PSEL counts SRRIP-leader misses up, BRRIP-leader misses down; a
     // high PSEL therefore means SRRIP is missing more -> use BRRIP.
-    return shared->psel > pselMax / 2;
+    return psel > pselMax / 2;
 }
 
 unsigned
@@ -93,16 +91,15 @@ DrripPolicy::onFill(std::size_t set, unsigned way, const FillInfo &info)
     // Set dueling feedback: count demand misses in leader sets.
     if (info.demand) {
         const std::uint8_t kind = leaderTable[set];
-        if (kind == srripLeader && shared->psel < pselMax)
-            ++shared->psel;
-        else if (kind == brripLeader && shared->psel > 0)
-            --shared->psel;
+        if (kind == srripLeader && psel < pselMax)
+            ++psel;
+        else if (kind == brripLeader && psel > 0)
+            --psel;
     }
 
     const bool brrip = useBrrip(set);
     if (brrip)
-        setRrpv(set, way,
-                (shared->rng.below(32) == 0) ? rrpvMax - 1 : rrpvMax);
+        setRrpv(set, way, (rng.below(32) == 0) ? rrpvMax - 1 : rrpvMax);
     else
         setRrpv(set, way, rrpvMax - 1);
 }

@@ -18,7 +18,6 @@
 #define BOP_CACHE_DRRIP_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cache/replacement.hh"
@@ -26,19 +25,6 @@
 
 namespace bop
 {
-
-/**
- * DRRIP state global to the whole cache: the BRRIP RNG and the duel
- * PSEL counter. Bank instances of a channel-banked LLC share one so
- * the global draw/duel order matches the monolithic cache exactly.
- */
-struct DrripSharedState
-{
-    explicit DrripSharedState(std::uint64_t seed) : rng(seed) {}
-
-    Rng rng;
-    int psel = 0; ///< re-initialised by DrripPolicy::reset()
-};
 
 /** DRRIP: SRRIP/BRRIP set dueling on 2-bit RRPVs. */
 class DrripPolicy final : public ReplacementPolicy
@@ -52,24 +38,8 @@ class DrripPolicy final : public ReplacementPolicy
     explicit DrripPolicy(std::uint64_t seed = 0xdead,
                          std::size_t constituency = 64)
         : ReplacementPolicy(HitUpdate::RrpvClear),
-          shared(std::make_shared<DrripSharedState>(seed)),
+          rng(seed),
           constituencySize(constituency)
-    {
-    }
-
-    /**
-     * Bank constructor: share cache-global state with sibling banks and
-     * translate this bank's dense local set ids back to the monolithic
-     * cache's ids (@p global_sets, one entry per local set) so the
-     * leader-set layout is preserved exactly.
-     */
-    DrripPolicy(std::shared_ptr<DrripSharedState> shared_state,
-                std::vector<std::size_t> global_sets,
-                std::size_t constituency = 64)
-        : ReplacementPolicy(HitUpdate::RrpvClear),
-          shared(std::move(shared_state)),
-          constituencySize(constituency),
-          globalSetIds(std::move(global_sets))
     {
     }
 
@@ -78,22 +48,17 @@ class DrripPolicy final : public ReplacementPolicy
     unsigned victimPeek(std::size_t set) const override;
     void onFill(std::size_t set, unsigned way, const FillInfo &info) override;
 
-    /**
-     * Checkpoint RRPVs plus the cache-global duel state. Banked LLCs
-     * serialize the shared state once per bank; every bank writes (and
-     * restores) identical values, so the round trip is idempotent and
-     * byte-stable in either direction.
-     */
+    /** Checkpoint RRPVs plus the BRRIP RNG and the duel PSEL. */
     void
     serialize(Serializer &s) override
     {
         ReplacementPolicy::serialize(s);
-        shared->rng.serialize(s);
-        s.value(shared->psel);
+        rng.serialize(s);
+        s.value(psel);
     }
 
     /** Exposed for tests: current PSEL value. */
-    int pselValue() const { return shared->psel; }
+    int pselValue() const { return psel; }
     /** Exposed for tests: leader-set classification. */
     bool isSrripLeader(std::size_t set) const;
     bool isBrripLeader(std::size_t set) const;
@@ -131,13 +96,9 @@ class DrripPolicy final : public ReplacementPolicy
             wide[set * numWays + way] = value;
     }
 
-    std::shared_ptr<DrripSharedState> shared;
+    Rng rng;
     std::size_t constituencySize;
-    /**
-     * Local-to-monolithic set-id translation for bank instances (empty
-     * = identity). Only consulted in reset() for the leader table.
-     */
-    std::vector<std::size_t> globalSetIds;
+    int psel = pselMax / 2;
     /**
      * Flat per-set LeaderKind table: onFill consults the leader status
      * on every insertion, and the two modulo reductions were measurable

@@ -7,19 +7,10 @@ namespace bop
 {
 
 FillQueue::FillQueue(std::string name_, std::size_t capacity_)
-    : name(std::move(name_)),
-      ownGroup(std::make_unique<FillQueueGroup>(capacity_)),
-      group(ownGroup.get())
+    : name(std::move(name_)), capacity(capacity_)
 {
-    slots.resize(group->capacity);
-    fifo.reserve(group->capacity);
-}
-
-FillQueue::FillQueue(std::string name_, FillQueueGroup &group_)
-    : name(std::move(name_)), group(&group_)
-{
-    slots.resize(group->capacity);
-    fifo.reserve(group->capacity);
+    slots.resize(capacity);
+    fifo.reserve(capacity);
 }
 
 std::size_t
@@ -47,10 +38,9 @@ FillQueue::allocate(LineAddr line, const ReqMeta &meta, bool is_prefetch)
             slot.readyAt = 0;
             slot.isPrefetch = is_prefetch;
             slot.meta = meta;
-            slot.id = group->nextId++;
+            slot.id = nextId++;
             fifo.push_back(static_cast<std::uint32_t>(s));
             ++liveEntries;
-            ++group->liveEntries;
             return slot.id;
         }
     }
@@ -68,7 +58,6 @@ FillQueue::release(std::uint32_t id)
             slot.valid = false;
             slot.hasData = false;
             --liveEntries;
-            --group->liveEntries;
             // Erase before recomputing the minimum, or the scan would
             // still see the dying entry and pin a stale value.
             fifo.erase(it);
@@ -156,7 +145,6 @@ FillQueue::popReady(Cycle now)
             slot.hasData = false;
             --dataEntries;
             --liveEntries;
-            --group->liveEntries;
             fifo.erase(it);
             if (copy.readyAt == minDataReady)
                 recomputeMinDataReady();

@@ -22,7 +22,6 @@
 #define BOP_CACHE_FILL_QUEUE_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -45,43 +44,15 @@ struct FillQueueEntry
     std::uint32_t id = 0;
 };
 
-/**
- * Occupancy/id bookkeeping shared by the banks of a banked fill queue.
- *
- * A channel-banked L3 splits its fill queue into per-bank FIFOs, but
- * the structure must still behave as ONE queue architecturally: a
- * single capacity (backpressure fires on total occupancy, not per
- * bank) and a single monotonic id sequence (ids define the global
- * drain order the banks' drains are merged in). Banks point at one
- * group; a standalone queue owns a private one.
- */
-struct FillQueueGroup
-{
-    explicit FillQueueGroup(std::size_t capacity_) : capacity(capacity_) {}
-
-    std::size_t capacity;
-    std::size_t liveEntries = 0;
-    std::uint32_t nextId = 1;
-};
-
 /** Fixed-capacity fill queue with FIFO-ish drain and CAM search. */
 class FillQueue
 {
   public:
     FillQueue(std::string name, std::size_t capacity);
 
-    /**
-     * Bank constructor: this queue is one bank of a larger structure
-     * whose capacity/occupancy/id sequence live in @p group_ (which
-     * must outlive the queue). The bank sizes its slot array at the
-     * full group capacity so any skew of entries across banks fits.
-     */
-    FillQueue(std::string name, FillQueueGroup &group_);
-
-    bool full() const { return group->liveEntries >= group->capacity; }
-    /** Live entries in this queue/bank (not the whole group). */
+    bool full() const { return liveEntries >= capacity; }
     std::size_t size() const { return liveEntries; }
-    std::size_t cap() const { return group->capacity; }
+    std::size_t cap() const { return capacity; }
 
     /**
      * Data-less ("waiting") allocations keep a couple of slots in
@@ -92,7 +63,7 @@ class FillQueue
     bool
     canAllocateWaiting() const
     {
-        return group->liveEntries + waitingReserve < group->capacity;
+        return liveEntries + waitingReserve < capacity;
     }
 
     /** Reserve an entry for a miss issued to the next level. */
@@ -144,17 +115,14 @@ class FillQueue
     Cycle minReadyAt() const { return minDataReady; }
 
     /**
-     * Checkpoint this queue/bank's slots and drain order, including
-     * the incrementally maintained occupancy counts and min-ready
-     * gate (pure functions of the slots, serialized rather than
-     * rebuilt so the restored queue is field-identical). A standalone
-     * queue also checkpoints its private group; banks do not — the
-     * hierarchy serializes the shared group exactly once.
+     * Checkpoint the slots and drain order, including the
+     * incrementally maintained occupancy counts and min-ready gate
+     * (pure functions of the slots, serialized rather than rebuilt so
+     * the restored queue is field-identical) and the id sequence.
      */
     void
     serialize(Serializer &s)
     {
-        const std::size_t capacity = slots.size();
         s.seq(slots, [](Serializer &sr, FillQueueEntry &e) {
             sr.value(e.valid);
             sr.value(e.line);
@@ -170,18 +138,7 @@ class FillQueue
         s.value(live64);
         s.value(data64);
         s.value(minDataReady);
-        if (ownGroup) {
-            std::uint64_t group_live = group->liveEntries;
-            s.value(group_live);
-            s.value(group->nextId);
-            if (s.loading()) {
-                if (group_live > group->capacity)
-                    s.fail("fill queue '" + name +
-                           "' group occupancy out of range");
-                group->liveEntries =
-                    static_cast<std::size_t>(group_live);
-            }
-        }
+        s.value(nextId);
         if (s.loading()) {
             if (slots.size() != capacity || fifo.size() > capacity)
                 s.fail("fill queue '" + name + "' capacity mismatch");
@@ -203,11 +160,8 @@ class FillQueue
     static constexpr std::size_t waitingReserve = 2;
 
     std::string name;
-    /** Private group for the standalone (non-banked) constructor. */
-    std::unique_ptr<FillQueueGroup> ownGroup;
-    /** Shared occupancy/id bookkeeping (== ownGroup.get() standalone). */
-    FillQueueGroup *group;
-    std::size_t liveEntries = 0; ///< live entries in THIS queue/bank
+    std::size_t capacity;
+    std::size_t liveEntries = 0;
     /**
      * Live entries whose data has arrived. The ready-drain scans run
      * every cycle and on most cycles no entry carries data yet; this
@@ -215,6 +169,7 @@ class FillQueue
      */
     std::size_t dataEntries = 0;
     Cycle minDataReady = neverCycle; ///< min readyAt over data entries
+    std::uint32_t nextId = 1;
     std::vector<FillQueueEntry> slots;
     /**
      * Live slot indices in allocation order. A flat vector (capacity

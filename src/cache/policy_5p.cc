@@ -9,17 +9,12 @@ void
 Policy5P::reset(std::size_t sets, unsigned ways)
 {
     StackPolicy::reset(sets, ways);
-    shared->policyCounters.reset();
-    shared->coreMissCounters.reset();
-    assert((globalSetIds.empty() || globalSetIds.size() == sets) &&
-           "bank set translation must cover every local set");
+    policyCounters.reset();
+    coreMissCounters.reset();
     leaderTable.resize(sets);
-    for (std::size_t set = 0; set < sets; ++set) {
-        const std::size_t global =
-            globalSetIds.empty() ? set : globalSetIds[set];
+    for (std::size_t set = 0; set < sets; ++set)
         leaderTable[set] =
-            static_cast<std::int8_t>(computeLeaderPolicy(global));
-    }
+            static_cast<std::int8_t>(computeLeaderPolicy(set));
 }
 
 int
@@ -46,14 +41,14 @@ Policy5P::leaderPolicyOf(std::size_t set) const
 InsertionPolicy
 Policy5P::followerPolicy() const
 {
-    return static_cast<InsertionPolicy>(shared->policyCounters.argMin());
+    return static_cast<InsertionPolicy>(policyCounters.argMin());
 }
 
 bool
 Policy5P::coreHasLowMissRate(CoreId core) const
 {
-    const std::uint32_t max_val = shared->coreMissCounters.maxValue();
-    return shared->coreMissCounters.value(static_cast<std::size_t>(core)) <
+    const std::uint32_t max_val = coreMissCounters.maxValue();
+    return coreMissCounters.value(static_cast<std::size_t>(core)) <
            max_val / 4;
 }
 
@@ -67,7 +62,7 @@ Policy5P::applyInsertion(InsertionPolicy ip, std::size_t set, unsigned way,
         mru = true;
         break;
       case InsertionPolicy::IP2_Bip:
-        mru = shared->rng.below(32) == 0;
+        mru = rng.below(32) == 0;
         break;
       case InsertionPolicy::IP3_DemandMru:
         mru = info.demand;
@@ -89,15 +84,14 @@ void
 Policy5P::onFill(std::size_t set, unsigned way, const FillInfo &info)
 {
     // Track per-core pressure on the cache: every insertion counts.
-    shared->coreMissCounters.increment(static_cast<std::size_t>(info.core));
+    coreMissCounters.increment(static_cast<std::size_t>(info.core));
 
     const int leader = leaderPolicyOf(set);
     if (leader >= 0) {
         // Leader sets always apply their dedicated policy, and demand
         // misses in them "vote" against that policy.
         if (info.demand)
-            shared->policyCounters.increment(
-                static_cast<std::size_t>(leader));
+            policyCounters.increment(static_cast<std::size_t>(leader));
         applyInsertion(static_cast<InsertionPolicy>(leader), set, way, info);
     } else {
         applyInsertion(followerPolicy(), set, way, info);

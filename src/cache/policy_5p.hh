@@ -24,7 +24,6 @@
 #define BOP_CACHE_POLICY_5P_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cache/replacement.hh"
@@ -48,28 +47,6 @@ enum class InsertionPolicy : int
 /** Number of insertion policies in 5P. */
 constexpr int numInsertionPolicies = 5;
 
-/**
- * 5P state that is global to the whole LLC, not per-set: the BIP RNG
- * and the proportional counter groups. When the L3 is banked per DRAM
- * channel, every bank's Policy5P instance shares one of these, so the
- * global draw/halving order is identical to the monolithic cache's.
- */
-struct Policy5PSharedState
-{
-    Policy5PSharedState(std::uint64_t seed, int num_cores,
-                        unsigned counter_bits)
-        : rng(seed),
-          policyCounters(numInsertionPolicies, counter_bits),
-          coreMissCounters(static_cast<std::size_t>(num_cores),
-                          counter_bits)
-    {
-    }
-
-    Rng rng;
-    PropCounterGroup policyCounters;
-    PropCounterGroup coreMissCounters;
-};
-
 /** The 5P prefetch- and core-aware replacement policy. */
 class Policy5P final : public StackPolicy
 {
@@ -84,43 +61,25 @@ class Policy5P final : public StackPolicy
     explicit Policy5P(std::uint64_t seed = 0x5105, int num_cores = 4,
                       std::size_t constituency = 128,
                       unsigned counter_bits = 12)
-        : shared(std::make_shared<Policy5PSharedState>(seed, num_cores,
-                                                       counter_bits)),
-          constituencySize(constituency)
-    {
-    }
-
-    /**
-     * Bank constructor: share LLC-global state with sibling banks and
-     * translate this bank's dense local set ids back to the monolithic
-     * cache's set ids (@p global_sets, one entry per local set) so the
-     * leader-set layout is preserved exactly.
-     */
-    Policy5P(std::shared_ptr<Policy5PSharedState> shared_state,
-             std::vector<std::size_t> global_sets,
-             std::size_t constituency = 128)
-        : shared(std::move(shared_state)),
+        : rng(seed),
           constituencySize(constituency),
-          globalSetIds(std::move(global_sets))
+          policyCounters(numInsertionPolicies, counter_bits),
+          coreMissCounters(static_cast<std::size_t>(num_cores),
+                           counter_bits)
     {
     }
 
     void reset(std::size_t sets, unsigned ways) override;
     void onFill(std::size_t set, unsigned way, const FillInfo &info) override;
 
-    /**
-     * Checkpoint recency stacks plus the LLC-global selector state.
-     * Like DRRIP, banked instances serialize the shared state once per
-     * bank — idempotent both directions, so save→restore→save is
-     * byte-identical.
-     */
+    /** Checkpoint recency stacks plus the BIP RNG and the counters. */
     void
     serialize(Serializer &s) override
     {
         ReplacementPolicy::serialize(s);
-        shared->rng.serialize(s);
-        shared->policyCounters.serialize(s);
-        shared->coreMissCounters.serialize(s);
+        rng.serialize(s);
+        policyCounters.serialize(s);
+        coreMissCounters.serialize(s);
     }
 
     /**
@@ -141,7 +100,7 @@ class Policy5P final : public StackPolicy
     /** Counter value for insertion policy @p i (tests/debug). */
     std::uint32_t policyCounter(int i) const
     {
-        return shared->policyCounters.value(static_cast<std::size_t>(i));
+        return policyCounters.value(static_cast<std::size_t>(i));
     }
 
   private:
@@ -152,14 +111,10 @@ class Policy5P final : public StackPolicy
     /** Leader policy of a set from the constituency layout alone. */
     int computeLeaderPolicy(std::size_t set) const;
 
-    std::shared_ptr<Policy5PSharedState> shared;
+    Rng rng;
     std::size_t constituencySize;
-    /**
-     * Local-to-monolithic set-id translation for bank instances (empty
-     * = identity, the monolithic cache). Only consulted in reset() when
-     * building the leader table.
-     */
-    std::vector<std::size_t> globalSetIds;
+    PropCounterGroup policyCounters;
+    PropCounterGroup coreMissCounters;
     /** Per-set leader policy (-1 follower), precomputed in reset(). */
     std::vector<std::int8_t> leaderTable;
 };

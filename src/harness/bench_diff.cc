@@ -141,8 +141,15 @@ class RecordParser
         }
         if (text.empty())
             fail("expected a number");
+        // stod throws its own terse exceptions on "-", "e5" or
+        // "1e999"; report every malformed spelling the same way.
         std::size_t used = 0;
-        const double value = std::stod(text, &used);
+        double value = 0.0;
+        try {
+            value = std::stod(text, &used);
+        } catch (const std::logic_error &) {
+            used = 0;
+        }
         if (used != text.size())
             fail("malformed number '" + text + "'");
         return value;
@@ -469,17 +476,15 @@ diffRunRecords(const std::vector<ParsedRunRecord> &oldRecords,
         compareMetric(oldRecord, newRecord, key, "dram_per_1k_instr",
                       /*relative=*/true, options.dramRelative,
                       result.flagged);
-        // Engine throughput is only comparable between runs ticked on
-        // the same number of worker threads AND scheduled under the
-        // same sweep-farm jobs count — both oversubscribe the host the
-        // same way wall clock notices (records predating either field
+        // Engine throughput is only comparable between runs scheduled
+        // under the same sweep-farm jobs count — it oversubscribes the
+        // host the way wall clock notices (records predating the field
         // read as 1) — AND with the same checkpoint provenance: a
         // warm-restored run skips the warmup, so its wall clock is
         // incommensurable with a cold run's even though the simulated
-        // statistics are bit-identical.
-        if (lookupNumber(oldRecord, "threads", 1.0) ==
-                lookupNumber(newRecord, "threads", 1.0) &&
-            lookupNumber(oldRecord, "jobs", 1.0) ==
+        // statistics are bit-identical. Records written by older
+        // builds may carry a "threads" field; it is ignored.
+        if (lookupNumber(oldRecord, "jobs", 1.0) ==
                 lookupNumber(newRecord, "jobs", 1.0) &&
             checkpointOrDefault(oldRecord) ==
                 checkpointOrDefault(newRecord)) {

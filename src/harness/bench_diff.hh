@@ -17,7 +17,9 @@
 #ifndef BOP_HARNESS_BENCH_DIFF_HH
 #define BOP_HARNESS_BENCH_DIFF_HH
 
+#include <cmath>
 #include <istream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -57,6 +59,29 @@ std::vector<ParsedRunRecord> parseRunRecords(std::istream &in);
  * malformed input or trailing garbage after the object.
  */
 ParsedRunRecord parseFlatRecord(std::istream &in);
+
+/**
+ * Store @p value into @p out when it is a whole number that T can
+ * hold; otherwise return false and leave @p out untouched. Parsed
+ * numbers are doubles, and casting a fractional, negative-into-
+ * unsigned or out-of-range double is lossy or undefined behaviour,
+ * so readers of outside input (serve job lines, journal replay)
+ * convert their integer fields through this.
+ */
+template <typename T>
+bool
+wholeNumber(double value, T &out)
+{
+    // Both bounds are exact doubles (max() + 1 is a power of two), and
+    // NaN fails every comparison.
+    constexpr double lo = static_cast<double>(std::numeric_limits<T>::min());
+    constexpr double hi =
+        static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+    if (!(value >= lo && value < hi) || value != std::floor(value))
+        return false;
+    out = static_cast<T>(value);
+    return true;
+}
 
 /**
  * Parse a records file: either a json_report array artifact or an

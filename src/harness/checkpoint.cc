@@ -189,10 +189,10 @@ std::uint64_t
 checkpointFingerprint(System &sys)
 {
     // splitmix64 chain over the config fingerprint string and the
-    // trace names. numThreads and the fast-forward toggle are
-    // host-side speed knobs under the determinism contract and are
-    // deliberately absent (configFingerprint's describe() excludes
-    // them), so a checkpoint restores across both.
+    // trace names. The fast-forward toggle is a host-side speed knob
+    // under the determinism contract and is deliberately absent
+    // (configFingerprint's describe() excludes it), so a checkpoint
+    // restores across it.
     std::uint64_t h = 0x424f50434b505431ull; // "BOPCKPT1"
     auto mix = [&h](const std::string &str) {
         for (const char c : str)
@@ -338,12 +338,8 @@ System::restoreCheckpointBytes(const std::vector<std::uint8_t> &bytes)
         s.finish("DRAM section");
     }
 
-    // The run-control state belongs to a runUntilRetired() in flight,
-    // never to a checkpoint (saves happen between runs); reset it and
-    // drop every cached horizon for recomputation under the restored
+    // Drop every cached horizon for recomputation under the restored
     // clock.
-    stopTarget = 0;
-    batchTargetAt = neverCycle;
     for (auto &h : coreHorizon)
         h = 0;
     hierHorizon = 0;

@@ -28,9 +28,9 @@
  * corrupted checkpoint can never leave a System partially restored.
  *
  * The topology fingerprint hashes configFingerprint() plus the trace
- * names; it deliberately excludes numThreads and the fast-forward
- * toggle — both are host-side speed knobs under the determinism
- * contract, and a checkpoint must restore across them.
+ * names; it deliberately excludes the fast-forward toggle — a
+ * host-side speed knob under the determinism contract — so a
+ * checkpoint restores across it.
  *
  * The save/restore entry points are System member functions
  * (System::saveCheckpoint / restoreCheckpoint, declared in
@@ -53,7 +53,7 @@ constexpr char checkpointMagic[8] = {'B', 'O', 'P', 'C', 'K', 'P',
                                      'T', '1'};
 
 /** Current checkpoint format version. */
-constexpr std::uint32_t checkpointVersion = 1;
+constexpr std::uint32_t checkpointVersion = 2;
 
 /** Fixed header size: magic + version + fingerprint + section count. */
 constexpr std::size_t checkpointHeaderBytes = 8 + 4 + 8 + 4;

@@ -470,7 +470,7 @@ ExperimentRunner::simulateRecord(const std::string &benchmark,
                                       t0)
             .count();
     RunRecord record{benchmark, cfg.describe(), stats,
-                     /*traceSource=*/"", system.threadCount(), wall};
+                     /*traceSource=*/"", wall};
     if (share_warmup)
         record.checkpoint = "warm-shared";
 

@@ -257,7 +257,7 @@ class ExperimentRunner
     /**
      * Simulate one design point without touching any shared state:
      * the leaf the sweep farm runs on worker threads. Returns a
-     * record with stats, threads and wall clock filled in; memo/
+     * record with stats and wall clock filled in; memo/
      * record bookkeeping is the caller's job (commitJob()).
      */
     RunRecord simulateRecord(const std::string &benchmark,

@@ -61,12 +61,25 @@ needNumber(const ParsedRunRecord &fields, const std::string &key)
     return it->second;
 }
 
-double
-numberOr(const ParsedRunRecord &fields, const std::string &key,
-         double fallback)
+/** A required integer field; throws naming it unless the number is
+ *  whole and fits T. */
+template <typename T>
+T
+needWhole(const ParsedRunRecord &fields, const std::string &key)
 {
-    auto it = fields.numbers.find(key);
-    return it == fields.numbers.end() ? fallback : it->second;
+    T out{};
+    if (!wholeNumber(needNumber(fields, key), out))
+        throw std::runtime_error("numeric field \"" + key +
+                                 "\" is not a whole number in range");
+    return out;
+}
+
+/** needWhole() for an optional field, @p fallback when absent. */
+template <typename T>
+T
+wholeOr(const ParsedRunRecord &fields, const std::string &key, T fallback)
+{
+    return fields.numbers.count(key) ? needWhole<T>(fields, key) : fallback;
 }
 
 } // namespace
@@ -204,9 +217,9 @@ ResultJournal::decodeRecordPayload(const std::string &payload)
         r.errorDetail = needString(fields, "detail");
         r.workload = needString(fields, "workload");
         r.config = needString(fields, "config");
-        r.jobs = static_cast<int>(needNumber(fields, "jobs"));
-        r.jobIndex = static_cast<long>(needNumber(fields, "job_index"));
-        r.attempts = static_cast<int>(numberOr(fields, "attempts", 1.0));
+        r.jobs = needWhole<int>(fields, "jobs");
+        r.jobIndex = needWhole<long>(fields, "job_index");
+        r.attempts = wholeOr(fields, "attempts", 1);
         return entry;
     }
 
@@ -217,10 +230,9 @@ ResultJournal::decodeRecordPayload(const std::string &payload)
     r.traceSource = needString(fields, "trace_source");
     r.checkpoint = needString(fields, "checkpoint");
     r.stats = decodeStatsHex(needString(fields, "journal_stats"));
-    r.threads = static_cast<int>(needNumber(fields, "threads"));
-    r.jobs = static_cast<int>(needNumber(fields, "jobs"));
-    r.jobIndex = static_cast<long>(needNumber(fields, "job_index"));
-    r.attempts = static_cast<int>(numberOr(fields, "attempts", 1.0));
+    r.jobs = needWhole<int>(fields, "jobs");
+    r.jobIndex = needWhole<long>(fields, "job_index");
+    r.attempts = wholeOr(fields, "attempts", 1);
     r.wallSeconds = needNumber(fields, "wall_seconds");
     r.queueWaitSeconds = needNumber(fields, "queue_wait_seconds");
     return entry;

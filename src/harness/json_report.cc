@@ -82,7 +82,6 @@ writeRunRecord(std::ostream &os, const RunRecord &record)
        << "\"dram_per_1k_instr\": " << s.dramPer1kInstr() << ", "
        << "\"l3_channel_stalls\": " << s.l3ChannelStalls << ", "
        << "\"bo_final_offset\": " << s.boFinalOffset << ", "
-       << "\"threads\": " << record.threads << ", "
        << "\"jobs\": " << record.jobs << ", "
        << "\"job_index\": " << record.jobIndex << ", "
        << "\"attempts\": " << record.attempts << ", "

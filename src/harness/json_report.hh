@@ -35,15 +35,6 @@ struct RunRecord
     std::string traceSource;
 
     /**
-     * Worker threads the run ticked on (System::threadCount()). A
-     * host-side speed knob: simulated statistics are identical for
-     * every value, but wall clock is not, so throughput comparisons
-     * are only meaningful between records with equal thread counts
-     * (bench_diff --throughput enforces this).
-     */
-    int threads = 1;
-
-    /**
      * Wall-clock seconds the simulation itself took (0 when not
      * measured, e.g. a hand-assembled record). Serialised together
      * with the derived engine-throughput rates (simulated Mcycles/s,
@@ -54,10 +45,10 @@ struct RunRecord
 
     /**
      * Sweep-farm worker count the run was scheduled under (1 =
-     * serial). Like threads, a host-side knob: simulated statistics
-     * and job_index are identical for every value, but wall clock is
-     * not, so bench_diff only compares throughput between records
-     * with equal jobs counts.
+     * serial). A host-side knob: simulated statistics and job_index
+     * are identical for every value, but wall clock is not, so
+     * bench_diff only compares throughput between records with equal
+     * jobs counts.
      */
     int jobs = 1;
 

@@ -49,16 +49,6 @@ parseL2PrefetcherName(const std::string &name, L2PrefetcherKind &kind)
 namespace
 {
 
-/** One accepted job, ready to simulate. */
-struct ServeJob
-{
-    std::string benchmark;
-    SystemConfig cfg;
-    Budget budget;
-    bool shareSet = false; ///< line carried a "checkpoint" field
-    bool share = false;    ///< ... requesting warmup-prefix sharing
-};
-
 bool
 knownBenchmark(const std::string &name)
 {
@@ -69,14 +59,11 @@ knownBenchmark(const std::string &name)
     return false;
 }
 
-/**
- * Decode one job line into a ServeJob. The field vocabulary mirrors
- * bopsim's CLI options (snake_cased); unknown fields reject the line
- * so a typo never silently simulates the wrong design point.
- */
+} // namespace
+
 bool
-parseJobLine(const std::string &line, const Budget &defaultBudget,
-             ServeJob &job, std::string &error)
+parseServeJobLine(const std::string &line, const Budget &defaultBudget,
+                  ServeJob &job, std::string &error)
 {
     ParsedRunRecord fields;
     try {
@@ -146,38 +133,42 @@ parseJobLine(const std::string &line, const Budget &defaultBudget,
     for (const auto &kv : fields.numbers) {
         const std::string &key = kv.first;
         const double value = kv.second;
-        const auto asInt = static_cast<int>(value);
-        const auto asU64 = static_cast<std::uint64_t>(value);
+        bool fits = true;
         if (key == "offset")
-            job.cfg.fixedOffset = asInt;
+            fits = wholeNumber(value, job.cfg.fixedOffset);
         else if (key == "cores")
-            job.cfg.activeCores = asInt;
+            fits = wholeNumber(value, job.cfg.activeCores);
         else if (key == "num_cores")
-            job.cfg.numCores = asInt;
+            fits = wholeNumber(value, job.cfg.numCores);
         else if (key == "channels")
-            job.cfg.numChannels = asInt;
+            fits = wholeNumber(value, job.cfg.numChannels);
         else if (key == "dl1_stride")
             job.cfg.dl1StridePrefetcher = value != 0.0;
         else if (key == "seed")
-            job.cfg.seed = asU64;
-        else if (key == "threads")
-            job.cfg.numThreads = asInt;
+            fits = wholeNumber(value, job.cfg.seed);
         else if (key == "bo_badscore")
-            job.cfg.bo.badScore = asInt;
+            fits = wholeNumber(value, job.cfg.bo.badScore);
         else if (key == "bo_rr")
-            job.cfg.bo.rrEntries = static_cast<std::size_t>(asU64);
+            fits = wholeNumber(value, job.cfg.bo.rrEntries);
         else if (key == "bo_degree")
-            job.cfg.bo.degree = asInt;
+            fits = wholeNumber(value, job.cfg.bo.degree);
         else if (key == "bo_adaptive")
             job.cfg.bo.adaptiveBadScore = value != 0.0;
         else if (key == "bo_coverage")
-            job.cfg.bo.coverageWeight = asInt;
+            fits = wholeNumber(value, job.cfg.bo.coverageWeight);
         else if (key == "warmup")
-            job.budget.warmup = asU64;
+            fits = wholeNumber(value, job.budget.warmup);
         else if (key == "instr")
-            job.budget.measure = asU64;
+            fits = wholeNumber(value, job.budget.measure);
         else {
             error = "unknown numeric field \"" + key + "\"";
+            return false;
+        }
+        if (!fits) {
+            std::ostringstream oss;
+            oss << "field \"" << key << "\" must be a whole number in "
+                << "range, got " << value;
+            error = oss.str();
             return false;
         }
     }
@@ -192,6 +183,9 @@ parseJobLine(const std::string &line, const Budget &defaultBudget,
     }
     return true;
 }
+
+namespace
+{
 
 bool
 blankLine(const std::string &line)
@@ -264,7 +258,7 @@ serveLoop(std::istream &in, std::ostream &out, ExperimentRunner &runner,
 
         ServeJob job;
         std::string error;
-        if (!parseJobLine(line, options.defaultBudget, job, error)) {
+        if (!parseServeJobLine(line, options.defaultBudget, job, error)) {
             ++rejected;
             reportRejected(out, diag, outMutex, error, lineNo);
             continue;

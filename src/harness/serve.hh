@@ -44,6 +44,27 @@ namespace bop
 bool parseL2PrefetcherName(const std::string &name,
                            L2PrefetcherKind &kind);
 
+/** One accepted job line, ready to simulate. */
+struct ServeJob
+{
+    std::string benchmark;
+    SystemConfig cfg;
+    Budget budget;
+    bool shareSet = false; ///< line carried a "checkpoint" field
+    bool share = false;    ///< ... requesting warmup-prefix sharing
+};
+
+/**
+ * Decode one job line into @p job. The field vocabulary mirrors
+ * bopsim's CLI options (snake_cased). A line that is not a flat JSON
+ * object, names an unknown field or workload, or carries a number
+ * that is not a whole number in its field's range returns false with
+ * a diagnostic in @p error, so a typo never silently simulates the
+ * wrong design point. Never throws.
+ */
+bool parseServeJobLine(const std::string &line, const Budget &defaultBudget,
+                       ServeJob &job, std::string &error);
+
 /** Scheduling knobs for one serve session. */
 struct ServeOptions
 {

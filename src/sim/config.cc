@@ -83,11 +83,6 @@ SystemConfig::validate() const
             << "address bits), got " << numChannels;
         throw std::invalid_argument(oss.str());
     }
-    if (numThreads < 1 || numThreads > 64) {
-        oss << "SystemConfig: numThreads must be in [1, 64], got "
-            << numThreads;
-        throw std::invalid_argument(oss.str());
-    }
 }
 
 SystemConfig

@@ -156,19 +156,6 @@ struct SystemConfig
      */
     bool prewarmL3 = true;
 
-    /**
-     * Worker threads for the barrier-synchronized parallel epochs in
-     * System::step(): cores and channel/bank pairs tick concurrently
-     * on a fixed pool of this many workers, with cross-shard hand-offs
-     * exchanged only at the epoch barriers — simulated statistics and
-     * cycle counts are bit-identical for every value. 1 (the default)
-     * runs today's serial path with no pool at all. The BOP_THREADS
-     * environment variable (a positive integer) overrides this at
-     * System construction. Deliberately NOT part of describe():
-     * thread count is a host-side speed knob, not a configuration.
-     */
-    int numThreads = 1;
-
     /** Topology core count with the numCores=0 default resolved. */
     int
     coreCount() const

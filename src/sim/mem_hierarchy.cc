@@ -90,49 +90,16 @@ MemHierarchy::CoreSide::CoreSide(const SystemConfig &cfg, CoreId id_)
     }
 }
 
-std::vector<std::unique_ptr<ReplacementPolicy>>
-MemHierarchy::makeL3BankPolicies(
-    std::size_t num_banks,
-    const std::vector<std::vector<std::size_t>> &bank_global_sets) const
-{
-    std::vector<std::unique_ptr<ReplacementPolicy>> out;
-    if (num_banks == 1) {
-        out.push_back(makeL3Policy(cfg));
-        return out;
-    }
-    // Multi-bank: per-bank instances carry the per-set state, but the
-    // LLC-global state (proportional counters, PSEL, the BIP RNG) is
-    // one shared object so every draw and halving happens in the same
-    // global order as in the monolithic cache. The leader-set layout
-    // is rebuilt from the monolithic set ids via the translation
-    // tables.
-    switch (cfg.l3Policy) {
-      case L3PolicyKind::P5: {
-        auto shared = std::make_shared<Policy5PSharedState>(
-            cfg.seed ^ 0x5105, cfg.coreCount(), 12u);
-        for (std::size_t b = 0; b < num_banks; ++b)
-            out.push_back(std::make_unique<Policy5P>(
-                shared, bank_global_sets[b]));
-        break;
-      }
-      case L3PolicyKind::Lru:
-        for (std::size_t b = 0; b < num_banks; ++b)
-            out.push_back(std::make_unique<LruPolicy>());
-        break;
-      case L3PolicyKind::Drrip: {
-        auto shared =
-            std::make_shared<DrripSharedState>(cfg.seed ^ 0xd661);
-        for (std::size_t b = 0; b < num_banks; ++b)
-            out.push_back(std::make_unique<DrripPolicy>(
-                shared, bank_global_sets[b]));
-        break;
-      }
-    }
-    return out;
-}
-
 MemHierarchy::MemHierarchy(const SystemConfig &cfg_)
     : cfg(cfg_.resolved()),
+      l3Cache("l3", cfg.caches.l3Bytes, cfg.caches.l3Ways,
+              makeL3Policy(cfg)),
+      // The fill queue bounds all in-flight DRAM reads (every queued
+      // read holds a live entry until its data drains), so it must
+      // grow with the channel count or it, not the channels, caps
+      // memory-level parallelism. The paper's 2-channel chip keeps
+      // the Table 1 capacity exactly.
+      l3Fill("l3fq", cfg.caches.l3FillQueue * channelLanes()),
       toL3(static_cast<std::size_t>(cfg.numChannels)),
       cores(static_cast<std::size_t>(cfg.numCores), nullptr),
       chanStalled(static_cast<std::size_t>(cfg.numChannels), 0)
@@ -144,78 +111,24 @@ MemHierarchy::MemHierarchy(const SystemConfig &cfg_)
                                                          cfg.numCores));
     }
 
-    // The fill queue bounds all in-flight DRAM reads (every queued
-    // read holds a live entry until its data drains), so it must
-    // grow with the channel count or it, not the channels, caps
-    // memory-level parallelism. The paper's 2-channel chip keeps
-    // the Table 1 capacity exactly. Banked or not, capacity and ids
-    // are one shared group: backpressure and drain order are global.
-    l3FillGroup = std::make_unique<FillQueueGroup>(
-        cfg.caches.l3FillQueue * channelLanes());
-
-    // Bank the L3 per channel when the channel XOR-fold (line bits
-    // [2, 2+4k)) lies entirely inside the set index, i.e. the channel
-    // — and hence the bank — is a pure function of the set. Otherwise
-    // (e.g. 8 channels folding above the default 13 set bits) a
-    // single bank keeps the monolithic layout.
-    const std::size_t g_sets =
-        cfg.caches.l3Bytes / lineBytes / cfg.caches.l3Ways;
-    const unsigned set_bits =
-        static_cast<unsigned>(std::countr_zero(g_sets));
-    const unsigned k = static_cast<unsigned>(
-        std::countr_zero(static_cast<unsigned>(cfg.numChannels)));
-    const bool banked = cfg.numChannels > 1 && 2 + 4 * k <= set_bits;
-    const std::size_t num_banks =
-        banked ? static_cast<std::size_t>(cfg.numChannels) : 1;
-    const std::size_t local_sets = g_sets / num_banks;
-
-    // Local-to-monolithic set translation per bank: squeezing the
-    // folded field f1 (line bits [2, 2+k)) out of the set index is a
-    // bijection per bank, because fixing the bank pins f1 from the
-    // other three fields.
-    std::vector<std::vector<std::size_t>> bank_sets(num_banks);
-    SetIndexFold fold = SetIndexFold::identity(g_sets);
-    if (banked) {
-        fold.shift = k;
-        fold.lowMask = 0x3ull;
-        fold.highMask = (local_sets - 1) & ~0x3ull;
-        for (auto &v : bank_sets)
-            v.resize(local_sets);
-        for (std::size_t s = 0; s < g_sets; ++s) {
-            const int b = channelOfLine(static_cast<LineAddr>(s),
-                                        cfg.numChannels);
-            const std::size_t local =
-                (s & fold.lowMask) | ((s >> fold.shift) & fold.highMask);
-            bank_sets[static_cast<std::size_t>(b)][local] = s;
-        }
-    }
-
-    auto policies = makeL3BankPolicies(num_banks, bank_sets);
-    for (std::size_t b = 0; b < num_banks; ++b) {
-        l3Banks.push_back(std::make_unique<L3Bank>(
-            num_banks == 1 ? std::string("l3")
-                           : "l3.b" + std::to_string(b),
-            local_sets, cfg.caches.l3Ways, std::move(policies[b]), fold,
-            *l3FillGroup));
-    }
-
     if (cfg.prewarmL3) {
         // Occupy every L3 way with a clean placeholder line from an
         // address region no workload touches (top of the physical
         // space), attributed round-robin across the active cores so
-        // the core-aware policies start from a neutral state. The
-        // loop walks monolithic set ids in the historical order, so
-        // the (shared) policy counters see the exact same insertion
-        // sequence however many banks there are.
-        for (std::size_t set = 0; set < g_sets; ++set) {
-            for (unsigned w = 0; w < cfg.caches.l3Ways; ++w) {
+        // the core-aware policies start from a neutral state.
+        const std::size_t sets = l3Cache.numSets();
+        const unsigned ways = l3Cache.numWays();
+        const unsigned set_bits =
+            static_cast<unsigned>(std::countr_zero(sets));
+        for (std::size_t set = 0; set < sets; ++set) {
+            for (unsigned w = 0; w < ways; ++w) {
                 const LineAddr junk =
                     (1ull << (VirtualMemory::physBits - lineShift)) +
                     (static_cast<LineAddr>(w + 1) << set_bits) + set;
                 CacheFill fill;
                 fill.core = static_cast<CoreId>(w) % cfg.activeCores;
                 fill.demand = true;
-                bankFor(junk).cache.insert(junk, fill);
+                l3Cache.insert(junk, fill);
             }
         }
     }
@@ -241,7 +154,7 @@ LoadOutcome
 MemHierarchy::coreLoad(CoreId core, Addr vaddr, Addr pc,
                        std::uint32_t rob_tag, Cycle now)
 {
-    horizonStaleFlag.store(true, std::memory_order_relaxed);
+    horizonStaleFlag = true;
     CoreSide &cs = side(core);
     cs.horizonDirty = true;
     const LineAddr line = lineOf(cs.vmem.translate(vaddr));
@@ -298,7 +211,7 @@ MemHierarchy::coreLoad(CoreId core, Addr vaddr, Addr pc,
 StoreOutcome
 MemHierarchy::coreStore(CoreId core, Addr vaddr, Addr pc, Cycle now)
 {
-    horizonStaleFlag.store(true, std::memory_order_relaxed);
+    horizonStaleFlag = true;
     CoreSide &cs = side(core);
     cs.horizonDirty = true;
     const LineAddr line = lineOf(cs.vmem.translate(vaddr));
@@ -398,10 +311,10 @@ void
 MemHierarchy::triggerL2Prefetcher(CoreSide &cs, const L2AccessEvent &ev)
 {
     const bool c0 = cs.id == 0;
-    cs.prefetchScratch.clear();
-    cs.l2pf->onAccess(ev, cs.prefetchScratch);
+    prefetchScratch.clear();
+    cs.l2pf->onAccess(ev, prefetchScratch);
 
-    for (const LineAddr target : cs.prefetchScratch) {
+    for (const LineAddr target : prefetchScratch) {
         // Degree-N prefetchers (SBP) check the L2 tags before issuing.
         if (cs.l2pf->requiresTagCheck() && cs.l2.probe(target)) {
             if (c0)
@@ -481,12 +394,8 @@ MemHierarchy::processToL2(CoreSide &cs, Cycle now)
                 break; // backpressure: miss cannot issue yet
             ReqMeta meta = req.meta;
             meta.l2FillId = cs.l2Fill.allocate(req.line, meta, false);
-            // Staged, not pushed: the global toL3 queues (and the seq
-            // stamp) are shared across cores, so the hand-off happens
-            // at the serial commitIngress barrier, in core order —
-            // which is exactly the order the serial loop produced.
-            cs.stagedToL3.push_back(
-                {req.line, meta, now + cfg.caches.l2TagLatency, 0});
+            toL3[static_cast<std::size_t>(channelOf(req.line))].push_back(
+                {req.line, meta, now + cfg.caches.l2TagLatency, toL3Seq++});
         }
 
         if (!res.hit || res.prefetchedHit) {
@@ -555,12 +464,9 @@ MemHierarchy::processToL3(Cycle now)
             break;
         CoreSide &cs = side(req.meta.core);
         const bool c0 = req.meta.core == 0;
-        L3Bank &bank = bankFor(req.line);
 
         // L3 fill-queue CAM: promote an in-flight prefetch of ours.
-        // An in-flight entry for this line can only live in the
-        // line's own bank, so the CAM probe stays bank-local.
-        if (FillQueueEntry *e = bank.fill.find(req.line)) {
+        if (FillQueueEntry *e = l3Fill.find(req.line)) {
             if (e->isPrefetch && e->meta.core == req.meta.core) {
                 e->isPrefetch = false;
                 e->meta.needL2 = true;
@@ -589,21 +495,21 @@ MemHierarchy::processToL3(Cycle now)
         // need an entry, so the whole stage stops, as it always has. A
         // full per-core read queue is channel-local congestion: only
         // this channel stalls and the others keep draining.
-        const bool will_hit = bank.cache.probe(req.line);
+        const bool will_hit = l3Cache.probe(req.line);
         if (!will_hit) {
-            if (l3FillFull())
+            if (l3Fill.full())
                 break; // retry next cycle
             if (controller(static_cast<int>(best))
                     .readQueueFull(req.meta.core)) {
                 chanStalled[best] = 1; // others continue
-                ++bank.l3ChannelStalls;
+                ++stats.l3ChannelStalls;
                 continue;
             }
         }
 
-        bank.cache.access(req.line, false, false);
+        l3Cache.access(req.line, false, false);
         if (c0)
-            ++bank.l3Accesses;
+            ++stats.l3Accesses;
 
         if (will_hit) {
             cs.horizonDirty = true;
@@ -611,7 +517,7 @@ MemHierarchy::processToL3(Cycle now)
                                now + cfg.caches.l3Latency);
         } else {
             if (c0)
-                ++bank.l3Misses;
+                ++stats.l3Misses;
             // Sec. 5.4: on an L3 miss the L2 fill entry is released and
             // the request becomes an L1/L2/L3 miss.
             cs.horizonDirty = true;
@@ -619,9 +525,9 @@ MemHierarchy::processToL3(Cycle now)
             ReqMeta meta = req.meta;
             meta.l2FillId = invalidMshr;
             meta.needL2 = true;
-            meta.l3FillId = bank.fill.allocate(req.line, meta, false);
+            meta.l3FillId = l3Fill.allocate(req.line, meta, false);
             // Keep the fill-queue entry's own meta in sync with the id.
-            bank.fill.entry(meta.l3FillId).meta = meta;
+            l3Fill.entry(meta.l3FillId).meta = meta;
             controller(static_cast<int>(best))
                 .enqueueRead(req.line, meta,
                              now + cfg.caches.l3TagLatency);
@@ -654,9 +560,8 @@ MemHierarchy::processPrefetchQueues(Cycle now)
             if (!req)
                 continue;
             const bool c0 = c == 0;
-            L3Bank &bank = bankFor(req->line);
 
-            if (bank.fill.find(req->line)) {
+            if (l3Fill.find(req->line)) {
                 // Already being fetched: redundant prefetch.
                 cs.horizonDirty = true;
                 cs.prefetchQueue.popFront(now);
@@ -667,11 +572,11 @@ MemHierarchy::processPrefetchQueues(Cycle now)
             }
 
             // Gate before accessing, so retries have no side effects.
-            const bool will_hit = bank.cache.probe(req->line);
+            const bool will_hit = l3Cache.probe(req->line);
             if (will_hit) {
                 if (cs.l2Fill.full())
                     continue; // leave in queue, retry
-                bank.cache.access(req->line, false, false);
+                l3Cache.access(req->line, false, false);
                 cs.horizonDirty = true;
                 cs.l2Fill.allocateWithData(req->line, req->meta, true,
                                            now + cfg.caches.l3Latency);
@@ -679,11 +584,11 @@ MemHierarchy::processPrefetchQueues(Cycle now)
                 issued = true;
             } else {
                 const int ch = channelOf(req->line);
-                if (l3FillFull() || controller(ch).readQueueFull(c))
+                if (l3Fill.full() || controller(ch).readQueueFull(c))
                     continue; // leave in queue, retry
                 ReqMeta meta = req->meta;
-                meta.l3FillId = bank.fill.allocate(req->line, meta, true);
-                bank.fill.entry(meta.l3FillId).meta = meta;
+                meta.l3FillId = l3Fill.allocate(req->line, meta, true);
+                l3Fill.entry(meta.l3FillId).meta = meta;
                 controller(ch).enqueueRead(req->line, meta,
                                            now + cfg.caches.l3TagLatency);
                 cs.horizonDirty = true;
@@ -709,7 +614,7 @@ MemHierarchy::drainDramCompletions(Cycle now)
             continue;
         for (const CompletedRead &r : mc->popCompleted(now)) {
             assert(r.meta.l3FillId != invalidMshr);
-            bankFor(r.line).fill.fillData(r.meta.l3FillId, now + 1);
+            l3Fill.fillData(r.meta.l3FillId, now + 1);
         }
     }
 }
@@ -717,21 +622,7 @@ MemHierarchy::drainDramCompletions(Cycle now)
 bool
 MemHierarchy::drainOneL3Fill(Cycle now)
 {
-    // The architectural (single) fill queue drains its oldest ready
-    // entry. Banked, that is the minimum-id ready head across banks:
-    // each bank's FIFO order is id order and ids are one global
-    // monotonic sequence, so the merge reproduces the monolithic
-    // drain order exactly. (Circular id compare, immune to wrap.)
-    L3Bank *bank = nullptr;
-    FillQueueEntry *e = nullptr;
-    for (auto &b : l3Banks) {
-        FillQueueEntry *cand = b->fill.peekReady(now);
-        if (cand &&
-            (!e || static_cast<std::int32_t>(cand->id - e->id) < 0)) {
-            e = cand;
-            bank = b.get();
-        }
-    }
+    FillQueueEntry *e = l3Fill.peekReady(now);
     if (!e)
         return false;
 
@@ -741,9 +632,9 @@ MemHierarchy::drainOneL3Fill(Cycle now)
     if (e->meta.needL2 && cs.l2Fill.full())
         return false; // forwarding target full: stall
 
-    const bool will_insert = !bank->cache.probe(line);
+    const bool will_insert = !l3Cache.probe(line);
     if (will_insert) {
-        const CacheVictim victim = bank->cache.peekVictim(line);
+        const CacheVictim victim = l3Cache.peekVictim(line);
         if (victim.valid && victim.dirty &&
             controller(channelOf(victim.line))
                 .writeQueueFull(victim.core)) {
@@ -752,7 +643,7 @@ MemHierarchy::drainOneL3Fill(Cycle now)
     }
 
     const FillQueueEntry entry = *e;
-    bank->fill.removeById(e->id);
+    l3Fill.removeById(e->id);
 
     if (will_insert) {
         CacheFill fill;
@@ -760,10 +651,7 @@ MemHierarchy::drainOneL3Fill(Cycle now)
         fill.demand = !entry.isPrefetch &&
                       entry.meta.type != ReqType::Writeback;
         fill.markDirty = entry.meta.type == ReqType::Writeback;
-        // A victim shares the fill's set, hence its bank — and the
-        // bank's channel, so the dirty writeback sinks into the
-        // bank's own controller.
-        const CacheVictim victim = bank->cache.insert(line, fill);
+        const CacheVictim victim = l3Cache.insert(line, fill);
         if (victim.valid && victim.dirty) {
             controller(channelOf(victim.line))
                 .enqueueWrite(victim.line, victim.core, now);
@@ -782,13 +670,13 @@ void
 MemHierarchy::processWbToL3(Cycle now)
 {
     for (unsigned n = 0; n < wbPerCycle && !wbToL3.empty(); ++n) {
-        if (l3FillFull())
+        if (l3Fill.full())
             break;
         auto [line, core] = wbToL3.front();
         ReqMeta meta;
         meta.core = core;
         meta.type = ReqType::Writeback;
-        bankFor(line).fill.allocateWithData(line, meta, false, now + 1);
+        l3Fill.allocateWithData(line, meta, false, now + 1);
         wbToL3.pop_front();
     }
 }
@@ -826,10 +714,8 @@ MemHierarchy::drainL2Fill(CoreSide &cs, Cycle now)
             fill.markPrefetch = entry.isPrefetch;
             fill.markDirty = entry.meta.type == ReqType::Writeback;
             const CacheVictim victim = cs.l2.insert(entry.line, fill);
-            // Staged: wbToL3 is global, so the hand-off crosses the
-            // shard boundary at the serial commitEgress merge.
             if (victim.valid && victim.dirty)
-                cs.stagedWbToL3.push_back({victim.line, entry.meta.core});
+                wbToL3.push_back({victim.line, entry.meta.core});
             if (victim.valid) {
                 cs.l2pf->onEvict({victim.line, victim.prefetchBit,
                                   entry.isPrefetch, now});
@@ -862,8 +748,7 @@ MemHierarchy::processDl1Deliveries(CoreSide &cs, Cycle now)
         }
         cs.horizonDirty = true;
 
-        // Deliveries are strictly core-local; the completion callback
-        // below must target this side's own core (parallel egress).
+        // A side only ever holds deliveries for its own core.
         assert(d.meta.core == cs.id);
         auto m = cs.mshr.complete(d.line);
         const bool store_intent = m && m->storeIntent;
@@ -900,34 +785,7 @@ MemHierarchy::processDl1Deliveries(CoreSide &cs, Cycle now)
 void
 MemHierarchy::tick(Cycle now)
 {
-    // The serial tick IS the phase sequence: the parallel epochs in
-    // System run exactly these calls with the per-core / per-channel
-    // phases spread over the worker pool, so threads=N and threads=1
-    // execute the same state transitions in the same order.
-    for (auto &sd : sides)
-        tickCoreIngress(sd->id, now);
-    commitIngress(now);
-    for (int ch = 0; ch < channelCount(); ++ch)
-        tickChannel(ch, now);
-    drainUncore(now);
-    for (auto &sd : sides)
-        tickCoreEgress(sd->id, now);
-    commitEgress(now);
-}
-
-void
-MemHierarchy::tickCoreIngress(CoreId core, Cycle now)
-{
-    CoreSide &cs = side(core);
-    processWbToL2(cs, now);
-    processToL2(cs, now);
-}
-
-void
-MemHierarchy::commitIngress(Cycle now)
-{
-    horizonStaleFlag.store(true, std::memory_order_relaxed);
-
+    horizonStaleFlag = true;
     // Jump-safety for the one piece of per-tick state that advances
     // even when the uncore is idle: processPrefetchQueues moves the
     // round-robin pointer by exactly one on every tick that issues
@@ -938,42 +796,21 @@ MemHierarchy::commitIngress(Cycle now)
     if (now > lastTicked + 1) {
         const Cycle gap = now - lastTicked - 1;
         const unsigned active = static_cast<unsigned>(cfg.activeCores);
-        prefetchRr = static_cast<unsigned>(
-            (prefetchRr + gap) % active);
+        prefetchRr = static_cast<unsigned>((prefetchRr + gap) % active);
     }
     lastTicked = now;
 
-    // Merge the staged L2 misses into the global sharded queues in
-    // core order — exactly the order the serial per-side loop used to
-    // push them — stamping the global arrival seq at the merge point.
     for (auto &sd : sides) {
-        for (PendingReq &req : sd->stagedToL3) {
-            req.seq = toL3Seq++;
-            toL3[static_cast<std::size_t>(channelOf(req.line))]
-                .push_back(req);
-        }
-        sd->stagedToL3.clear();
+        processWbToL2(*sd, now);
+        processToL2(*sd, now);
     }
-
     processToL3(now);
     processPrefetchQueues(now);
 
-    // Latched for the channel phase, which must not read the (shared)
-    // fill-queue group while its siblings tick concurrently.
-    l3FillWasFull = l3FillFull();
-}
-
-void
-MemHierarchy::tickChannel(int channel, Cycle now)
-{
-    MemoryController &mc = controller(channel);
-    mc.setL3FillQueueFull(l3FillWasFull);
-    mc.tick(now);
-}
-
-void
-MemHierarchy::drainUncore(Cycle now)
-{
+    for (auto &mc : mcs) {
+        mc->setL3FillQueueFull(l3Fill.full());
+        mc->tick(now);
+    }
     drainDramCompletions(now);
 
     for (unsigned n = 0; n < l3FillsPerCycle; ++n) {
@@ -981,29 +818,10 @@ MemHierarchy::drainUncore(Cycle now)
             break;
     }
     processWbToL3(now);
-}
 
-void
-MemHierarchy::tickCoreEgress(CoreId core, Cycle now)
-{
-    CoreSide &cs = side(core);
-    drainL2Fill(cs, now);
-    processDl1Deliveries(cs, now);
-}
-
-void
-MemHierarchy::commitEgress(Cycle now)
-{
-    (void)now;
-    // Merge the staged L2 victims in core order. The serial loop
-    // pushed them directly, but nothing reads wbToL3 between the
-    // egress stages and the end of the tick, so deferring the pushes
-    // to the barrier leaves next cycle's processWbToL3 input
-    // identical.
     for (auto &sd : sides) {
-        for (const auto &wb : sd->stagedWbToL3)
-            wbToL3.push_back(wb);
-        sd->stagedWbToL3.clear();
+        drainL2Fill(*sd, now);
+        processDl1Deliveries(*sd, now);
     }
 }
 
@@ -1026,9 +844,8 @@ MemHierarchy::nextEventAt(Cycle now) const
     // neverCycle = idle) so it stays valid as `now` advances. A side
     // recomputes only when some stage actually mutated it
     // (horizonDirty); untouched sides fold the cached value and skip
-    // their queue scans entirely. Single-threaded by contract (the
-    // fast-forward decision point), hence the plain mutation of the
-    // cache fields through the const interface.
+    // their queue scans entirely. (The sides are held by pointer, so
+    // this const query may refresh the cache fields.)
     for (const auto &sd : sides) {
         if (sd->horizonDirty) {
             Cycle raw = neverCycle;
@@ -1065,11 +882,9 @@ MemHierarchy::nextEventAt(Cycle now) const
     }
     if (!wbToL3.empty())
         return next;
-    for (const auto &b : l3Banks) {
-        fold(b->fill.minReadyAt());
-        if (ev == next)
-            return next;
-    }
+    fold(l3Fill.minReadyAt());
+    if (ev == next)
+        return next;
 
     for (const auto &mc : mcs) {
         fold(mc->nextEventAt(now));
@@ -1083,14 +898,6 @@ RunStats
 MemHierarchy::collectStats() const
 {
     RunStats out = stats;
-    // L3 stats live in per-bank shards so the (serial, but
-    // bank-routed) L3 stages never share a counter cache line;
-    // the sums are order-independent, merged bank 0..N-1.
-    for (const auto &b : l3Banks) {
-        out.l3Accesses += b->l3Accesses;
-        out.l3Misses += b->l3Misses;
-        out.l3ChannelStalls += b->l3ChannelStalls;
-    }
     for (const auto &mc : mcs) {
         const DramChannelStats &s = mc->stats();
         out.dramReads += s.reads;
@@ -1121,7 +928,7 @@ MemHierarchy::anyToL3() const
 bool
 MemHierarchy::quiescent() const
 {
-    if (anyToL3() || !wbToL3.empty() || l3FillSize() > 0)
+    if (anyToL3() || !wbToL3.empty() || l3Fill.size() > 0)
         return false;
     for (const auto &side : sides) {
         if (!side->toL2.empty() || !side->wbToL2.empty() ||
@@ -1149,9 +956,6 @@ MemHierarchy::serialize(Serializer &s)
 
     for (auto &sp : sides) {
         CoreSide &cs = *sp;
-        // The staging buffers and prefetch scratch only carry state
-        // *inside* one tick; a checkpoint is taken between ticks.
-        assert(cs.stagedToL3.empty() && cs.stagedWbToL3.empty());
         cs.dl1.serialize(s);
         cs.l2.serialize(s);
         cs.mshr.serialize(s);
@@ -1174,24 +978,8 @@ MemHierarchy::serialize(Serializer &s)
             cs.horizonDirty = true;
     }
 
-    // The shared fill-queue group exactly once, before the banks (whose
-    // FillQueue::serialize skips it — they don't own it).
-    std::uint64_t group_live = l3FillGroup->liveEntries;
-    s.value(group_live);
-    s.value(l3FillGroup->nextId);
-    if (s.loading()) {
-        if (group_live > l3FillGroup->capacity)
-            s.fail("L3 fill-queue group occupancy out of range");
-        l3FillGroup->liveEntries = static_cast<std::size_t>(group_live);
-    }
-    for (auto &bp : l3Banks) {
-        L3Bank &b = *bp;
-        b.cache.serialize(s);
-        b.fill.serialize(s);
-        s.value(b.l3Accesses);
-        s.value(b.l3Misses);
-        s.value(b.l3ChannelStalls);
-    }
+    l3Cache.serialize(s);
+    l3Fill.serialize(s);
 
     const std::size_t channels = toL3.size();
     for (auto &q : toL3)
@@ -1203,12 +991,11 @@ MemHierarchy::serialize(Serializer &s)
     });
     s.value(prefetchRr);
     s.value(lastTicked);
-    s.value(l3FillWasFull);
     stats.serialize(s);
     if (s.loading()) {
         if (toL3.size() != channels)
             s.fail("L3 demand shard count mismatch");
-        horizonStaleFlag.store(true, std::memory_order_relaxed);
+        horizonStaleFlag = true;
     }
 }
 

@@ -20,30 +20,10 @@
  * the cycle (counted in RunStats::l3ChannelStalls), so imbalanced
  * traffic on wide chips no longer serializes the other channels.
  *
- * The L3 tag array itself is banked per DRAM channel whenever the
- * channel XOR-fold is a pure function of the set index (4 k-bit fields
- * at line bits [2, 2+4k) all inside the set index — true for the
- * default 8 MB cache up to 4 channels; wider chips fall back to one
- * bank). Each bank pairs with its channel's demand shard and memory
- * controller and owns its slice of the tag array, its replacement-
- * policy instance, its bank of the (architecturally single) fill
- * queue, victim-writeback routing to its own controller, and a stats
- * shard; the shards merge deterministically in collectStats(). State
- * that is architecturally global to the LLC — the 5P/DRRIP counters
- * and BIP RNG, fill-queue capacity/ids — stays shared across banks,
- * so a banked cache is bit-identical to the monolithic one.
- *
- * tick() is decomposed into barrier-friendly phases so System can run
- * the per-core and per-channel phases on a worker pool: tickCoreIngress
- * (core c only touches side c; L2 misses are staged per side),
- * commitIngress (serial: merge staged misses in core order, stamp
- * global seqs, L3 demand/prefetch arbitration), tickChannel (each
- * controller independent), drainUncore (serial: completions, L3 fill
- * drain in global id order, L2 writebacks), tickCoreEgress (L2/DL1
- * fills, per-side; L2 victims staged), commitEgress (serial merge).
- * Cross-shard hand-offs therefore move only at the serial commit
- * points, in global arrival order, which is what keeps the parallel
- * schedule bit-identical to the serial one.
+ * One tick() runs the stages in a fixed order: per core the DL1
+ * writebacks and misses into the L2, then the L3 demand and prefetch
+ * arbitration, the DRAM controllers, the L3 fill drain and L2
+ * writebacks into the L3, and last per core the L2 and DL1 fills.
  *
  * The fill-queue protocol is the paper's MSHR-free design (Sec. 5.4):
  * entries are allocated when a miss issues to the next level, released
@@ -62,7 +42,6 @@
 #ifndef BOP_SIM_MEM_HIERARCHY_HH
 #define BOP_SIM_MEM_HIERARCHY_HH
 
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -110,21 +89,6 @@ class MemHierarchy : public CoreMemInterface
     /** Advance the uncore one core cycle. */
     void tick(Cycle now);
 
-    // -- parallel-epoch phases (System's worker pool) ------------------------
-    // tick(now) == for all cores: tickCoreIngress; commitIngress;
-    //              for all channels: tickChannel; drainUncore;
-    //              for all cores: tickCoreEgress; commitEgress.
-    // The per-core and per-channel phases touch only that core's /
-    // channel's state (plus read-only probes of quiescent controllers
-    // and thread-confined core-0 stats), so System may run them
-    // concurrently between the serial commit phases.
-    void tickCoreIngress(CoreId core, Cycle now);
-    void commitIngress(Cycle now);
-    void tickChannel(int channel, Cycle now);
-    void drainUncore(Cycle now);
-    void tickCoreEgress(CoreId core, Cycle now);
-    void commitEgress(Cycle now);
-
     /**
      * Earliest cycle > @p now at which any uncore component can act
      * (event-horizon fast-forward); neverCycle when every queue is
@@ -139,31 +103,9 @@ class MemHierarchy : public CoreMemInterface
     Cycle nextEventAt(Cycle now) const;
 
     /** True when uncore state changed since clearHorizonStale() (own
-     *  tick, or a core-side entry point pushed work in). Atomic only
-     *  because concurrently ticking cores may all set it; reads happen
-     *  on the serial path. */
-    bool horizonStale() const
-    {
-        return horizonStaleFlag.load(std::memory_order_relaxed);
-    }
-    void clearHorizonStale()
-    {
-        horizonStaleFlag.store(false, std::memory_order_relaxed);
-    }
-
-    /**
-     * Requests queued from @p core into the uncore (its toL2 FIFO
-     * depth). Every core-tick entry point that hands the hierarchy
-     * work (coreLoad, coreStore, the DL1 prefetcher) lands here, so a
-     * depth change is exactly "this core's tick produced uncore work"
-     * — the stop condition of System's batched fast-forward epochs.
-     * Reads only the caller's own side, so concurrent per-core ticks
-     * may poll it race-free.
-     */
-    std::size_t pendingCoreRequests(CoreId core) const
-    {
-        return sides[static_cast<std::size_t>(core)]->toL2.size();
-    }
+     *  tick, or a core-side entry point pushed work in). */
+    bool horizonStale() const { return horizonStaleFlag; }
+    void clearHorizonStale() { horizonStaleFlag = false; }
 
     /** Cumulative counters (take deltas across windows for results). */
     RunStats collectStats() const;
@@ -173,10 +115,9 @@ class MemHierarchy : public CoreMemInterface
 
     /**
      * Checkpoint every core side (caches, MSHRs, queues, prefetchers,
-     * TLBs), the L3 banks with their shared fill-queue group and
-     * policy-global state, the inter-level queues and the cumulative
-     * stats. The per-phase staging buffers are empty between ticks and
-     * are not saved; the cached horizons are marked stale on restore.
+     * TLBs), the L3 with its fill queue and replacement state, the
+     * inter-level queues and the cumulative stats. The cached horizons
+     * are marked stale on restore.
      * DRAM controller state is a separate section: serializeDram().
      */
     void serialize(Serializer &s);
@@ -187,20 +128,6 @@ class MemHierarchy : public CoreMemInterface
     // -- component access (tests, examples) ---------------------------------
     SetAssocCache &dl1(CoreId core) { return side(core).dl1; }
     SetAssocCache &l2(CoreId core) { return side(core).l2; }
-    /** The L3 bank holding @p line (the only bank when un-banked). */
-    SetAssocCache &l3(LineAddr line = 0) { return bankFor(line).cache; }
-    /** Number of L3 banks (numChannels when banked, else 1). */
-    int l3BankCount() const { return static_cast<int>(l3Banks.size()); }
-    /** Direct bank access (tests). */
-    SetAssocCache &l3BankCache(int b)
-    {
-        return l3Banks[static_cast<std::size_t>(b)]->cache;
-    }
-    /** Bank index of @p line (0 when un-banked). */
-    int l3BankOf(LineAddr line) const
-    {
-        return l3Banks.size() > 1 ? channelOf(line) : 0;
-    }
     L2Prefetcher &l2Prefetcher(CoreId core) { return *side(core).l2pf; }
     MemoryController &controller(int channel)
     {
@@ -248,18 +175,6 @@ class MemHierarchy : public CoreMemInterface
         std::deque<Dl1Delivery> dl1Due;  ///< blocks headed into the DL1
 
         /**
-         * Cross-shard hand-offs produced by this side's parallel
-         * phases, merged into the global queues (seq-stamped, core
-         * order) at the next serial commit phase.
-         */
-        std::vector<PendingReq> stagedToL3;
-        std::vector<std::pair<LineAddr, CoreId>> stagedWbToL3;
-
-        /** Per-side scratch for the L2 prefetcher's proposals (must
-         *  not be shared: sides tick concurrently). */
-        std::vector<LineAddr> prefetchScratch;
-
-        /**
          * Horizon sub-cache: min over this side's time-gated sources
          * (0 = due now, neverCycle = none), recomputed by nextEventAt
          * only when a stage actually mutated the side. Saves the
@@ -268,30 +183,6 @@ class MemHierarchy : public CoreMemInterface
          */
         Cycle rawHorizon = 0;
         bool horizonDirty = true;
-    };
-
-    /**
-     * One L3 bank: a slice of the tag array paired with one DRAM
-     * channel, its own replacement-policy instance (sharing LLC-global
-     * counter/RNG state with its siblings), its bank of the fill queue
-     * (sharing capacity/ids via FillQueueGroup), and a stats shard.
-     */
-    struct L3Bank
-    {
-        L3Bank(std::string name, std::size_t sets, unsigned ways,
-               std::unique_ptr<ReplacementPolicy> policy,
-               const SetIndexFold &fold, FillQueueGroup &group)
-            : cache(std::move(name), sets, ways, std::move(policy), fold),
-              fill(cache.cacheName() + ".fq", group)
-        {
-        }
-
-        SetAssocCache cache;
-        FillQueue fill;
-        // Core-0-attributed counters (merged in collectStats).
-        std::uint64_t l3Accesses = 0;
-        std::uint64_t l3Misses = 0;
-        std::uint64_t l3ChannelStalls = 0; ///< all-cores, like RunStats
     };
 
     // -- per-cycle stages ---------------------------------------------------
@@ -317,32 +208,10 @@ class MemHierarchy : public CoreMemInterface
         return *sides[static_cast<std::size_t>(core)];
     }
 
-    L3Bank &bankFor(LineAddr line)
-    {
-        return *l3Banks[static_cast<std::size_t>(l3BankOf(line))];
-    }
-
-    /** True when any bank's (i.e. the group's) fill queue is full. */
-    bool l3FillFull() const
-    {
-        return l3FillGroup->liveEntries >= l3FillGroup->capacity;
-    }
-
-    /** Live entries across all fill-queue banks. */
-    std::size_t l3FillSize() const { return l3FillGroup->liveEntries; }
-
-    /** Build the per-bank replacement policies (shared global state). */
-    std::vector<std::unique_ptr<ReplacementPolicy>>
-    makeL3BankPolicies(std::size_t num_banks,
-                       const std::vector<std::vector<std::size_t>>
-                           &bank_global_sets) const;
-
     SystemConfig cfg;          ///< resolved topology (numCores concrete)
     std::vector<std::unique_ptr<CoreSide>> sides;
-    /** Shared capacity/occupancy/ids of the banked L3 fill queue. */
-    std::unique_ptr<FillQueueGroup> l3FillGroup;
-    /** The L3, banked per channel when the channel map allows it. */
-    std::vector<std::unique_ptr<L3Bank>> l3Banks;
+    SetAssocCache l3Cache;
+    FillQueue l3Fill;
     std::vector<std::unique_ptr<MemoryController>> mcs;
 
     /** Demand L2 misses, sharded per DRAM channel. */
@@ -353,11 +222,11 @@ class MemHierarchy : public CoreMemInterface
     std::vector<CoreModel *> cores;
     unsigned prefetchRr = 0;   ///< round-robin over cores' prefetch queues
     Cycle lastTicked = 0;      ///< gap detection (fast-forward catch-up)
-    std::atomic<bool> horizonStaleFlag = true; ///< see horizonStale()
-    /** l3FillFull() latched by commitIngress for the channel phase. */
-    bool l3FillWasFull = false;
+    bool horizonStaleFlag = true; ///< see horizonStale()
     RunStats stats;            ///< cumulative core-0 + chip counters
     std::vector<char> chanStalled; ///< per-channel scratch (processToL3)
+    /** Scratch for the L2 prefetchers' proposals (triggerL2Prefetcher). */
+    std::vector<LineAddr> prefetchScratch;
 
     // per-cycle processing budgets; the L3-stage budgets are per
     // channel pair, so the paper's 2-channel chip gets exactly the

@@ -7,122 +7,6 @@
 namespace bop
 {
 
-WorkerPool::WorkerPool(unsigned workers_) : workers(workers_ ? workers_ : 1)
-{
-    for (unsigned w = 1; w < workers; ++w)
-        helpers.emplace_back([this, w] { helperLoop(w); });
-}
-
-WorkerPool::~WorkerPool()
-{
-    {
-        std::lock_guard<std::mutex> lk(m);
-        stopping = true;
-    }
-    cvStart.notify_all();
-    for (std::thread &t : helpers)
-        t.join();
-}
-
-void
-WorkerPool::recordFailure(std::size_t item)
-{
-    std::lock_guard<std::mutex> lk(m);
-    if (!failure || item < failureItem) {
-        failure = std::current_exception();
-        failureItem = item;
-    }
-}
-
-void
-WorkerPool::runImpl(std::size_t items, Trampoline call, void *ctx)
-{
-    if (workers == 1 || items <= 1) {
-        for (std::size_t i = 0; i < items; ++i)
-            call(ctx, i);
-        return;
-    }
-
-    {
-        std::lock_guard<std::mutex> lk(m);
-        job = call;
-        jobCtx = ctx;
-        jobItems = items;
-        pending = workers - 1;
-        failure = nullptr;
-        failureItem = 0;
-        ++epoch;
-    }
-    cvStart.notify_all();
-
-    // The caller is worker 0: it takes its own item stripe instead of
-    // blocking, so a 1-item phase never pays a thread hand-off. A
-    // throwing item must not abandon the epoch — the helpers still
-    // expect the barrier — so the exception is parked and rethrown
-    // after everyone arrives.
-    for (std::size_t i = 0; i < items; i += workers) {
-        try {
-            call(ctx, i);
-        } catch (...) {
-            recordFailure(i);
-            break;
-        }
-    }
-
-    std::unique_lock<std::mutex> lk(m);
-    cvDone.wait(lk, [this] { return pending == 0; });
-    job = nullptr;
-    jobCtx = nullptr;
-    if (failure) {
-        std::exception_ptr e = failure;
-        failure = nullptr;
-        lk.unlock();
-        std::rethrow_exception(e);
-    }
-}
-
-void
-WorkerPool::helperLoop(unsigned self)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        Trampoline call = nullptr;
-        void *ctx = nullptr;
-        std::size_t items = 0;
-        {
-            std::unique_lock<std::mutex> lk(m);
-            cvStart.wait(lk, [this, seen] {
-                return stopping || epoch != seen;
-            });
-            if (stopping)
-                return;
-            seen = epoch;
-            call = job;
-            ctx = jobCtx;
-            items = jobItems;
-        }
-
-        // As in runImpl: park the exception, finish the barrier. The
-        // helper drops the rest of its stripe — with one item already
-        // failed the epoch's result is void anyway — but it must still
-        // report done or the caller would wait forever.
-        for (std::size_t i = self; i < items; i += workers) {
-            try {
-                call(ctx, i);
-            } catch (...) {
-                recordFailure(i);
-                break;
-            }
-        }
-
-        {
-            std::lock_guard<std::mutex> lk(m);
-            if (--pending == 0)
-                cvDone.notify_one();
-        }
-    }
-}
-
 TaskPool::TaskPool(unsigned workers_, std::size_t maxBacklog_)
     : workers(workers_ ? workers_ : 1),
       maxBacklog(maxBacklog_ ? maxBacklog_ : 4 * (workers_ ? workers_ : 1))

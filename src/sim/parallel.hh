@@ -1,19 +1,9 @@
 /**
  * @file
- * Fixed-size worker pool for System's barrier-synchronized parallel
- * epochs. The pool owns T-1 persistent helper threads; the calling
- * thread participates as worker 0, so run() costs no hand-off when
- * T == 1 and the main thread is never parked while helpers work.
- *
- * Work assignment is static and deterministic: item i runs on worker
- * i mod T. The items of one run() must be mutually independent (they
- * execute concurrently with no ordering); run() returns only after
- * every item completed, which is the epoch barrier.
- *
- * Helpers block on a condition variable between epochs rather than
- * spinning: the simulator often runs on machines (and CI containers)
- * with fewer hardware threads than workers, where a spinning helper
- * would steal the very CPU the active worker needs.
+ * Coarse-grain task executor for whole simulations (sweep farm,
+ * --serve), and the JobError record that surfaces a task that escaped
+ * with an exception. One simulation always runs on one thread; sweeps
+ * get their parallelism by running independent jobs here.
  */
 
 #ifndef BOP_SIM_PARALLEL_HH
@@ -23,12 +13,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace bop
@@ -48,87 +36,11 @@ struct JobError
     std::string what;
 };
 
-/** T-worker pool with a blocking all-items-done barrier per run(). */
-class WorkerPool
-{
-  public:
-    /** @param workers total worker count including the caller (>= 1). */
-    explicit WorkerPool(unsigned workers);
-    ~WorkerPool();
-
-    WorkerPool(const WorkerPool &) = delete;
-    WorkerPool &operator=(const WorkerPool &) = delete;
-
-    unsigned workerCount() const { return workers; }
-
-    /**
-     * Execute fn(i) for every i in [0, items), item i on worker
-     * i mod workerCount(), and return once all completed. The functor
-     * is invoked by multiple threads concurrently and must only touch
-     * state disjoint between items (or read-only).
-     *
-     * If any item throws, the epoch still runs to its barrier (a
-     * worker that catches stops executing its remaining stripe items,
-     * but no worker leaves the epoch early, so the pool stays sound),
-     * and run() rethrows the exception of the smallest-indexed failed
-     * item on the calling thread. The pool remains usable for further
-     * run() calls afterwards.
-     */
-    template <typename F>
-    void
-    run(std::size_t items, F &&fn)
-    {
-        using Fn = std::remove_reference_t<F>;
-        runImpl(items,
-                [](void *ctx, std::size_t i) {
-                    (*static_cast<Fn *>(ctx))(i);
-                },
-                &fn);
-    }
-
-  private:
-    using Trampoline = void (*)(void *, std::size_t);
-
-    void runImpl(std::size_t items, Trampoline call, void *ctx);
-    void helperLoop(unsigned self);
-
-    /**
-     * Total workers including the caller. A plain member fixed before
-     * any helper spawns: helpers derive their item stride from it, and
-     * deriving it from helpers.size() instead would let an early
-     * helper observe the vector mid-construction and stride over
-     * other workers' items.
-     */
-    const unsigned workers;
-    std::vector<std::thread> helpers;
-
-    std::mutex m;
-    std::condition_variable cvStart; ///< epoch published
-    std::condition_variable cvDone;  ///< all helpers finished
-    Trampoline job = nullptr;
-    void *jobCtx = nullptr;
-    std::size_t jobItems = 0;
-    std::uint64_t epoch = 0; ///< bumped per runImpl; helpers track it
-    unsigned pending = 0;    ///< helpers still working this epoch
-    bool stopping = false;
-
-    /**
-     * Exception of the smallest-indexed item that threw this epoch
-     * (deterministic when several items fail concurrently); rethrown
-     * by runImpl after the barrier. Guarded by m.
-     */
-    std::exception_ptr failure;
-    std::size_t failureItem = 0;
-
-    void recordFailure(std::size_t item);
-};
-
 /**
- * Dynamic task executor for coarse-grain jobs (whole simulations),
- * complementing WorkerPool's static per-epoch striping. N dedicated
- * worker threads pull tasks from a FIFO queue; the caller does NOT
- * participate — it keeps submitting while workers run, which is what
- * lets a sweep overlap job generation with simulation.
+ * Dynamic task executor for coarse-grain jobs (whole simulations). N
+ * dedicated worker threads pull tasks from a FIFO queue; the caller
+ * does NOT participate — it keeps submitting while workers run, which
+ * is what lets a sweep overlap job generation with simulation.
  *
  * submit() applies backpressure: it blocks while the queue already
  * holds maxBacklog tasks, bounding memory for arbitrarily long job

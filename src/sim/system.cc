@@ -23,18 +23,6 @@ fastForwardDisabledByEnv()
     return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
 }
 
-/** BOP_THREADS set to a positive integer overrides cfg.numThreads
- *  (host-side speed knob; simulated results are identical). */
-int
-threadsFromEnv(int cfg_threads)
-{
-    const char *v = std::getenv("BOP_THREADS");
-    if (v == nullptr || v[0] == '\0')
-        return cfg_threads;
-    const int n = std::atoi(v);
-    return n >= 1 ? n : cfg_threads;
-}
-
 } // namespace
 
 RunStats
@@ -74,8 +62,7 @@ deltaStats(const RunStats &end, const RunStats &begin)
 System::System(const SystemConfig &cfg_,
                std::vector<std::unique_ptr<TraceSource>> traces_)
     : cfg(cfg_.resolved()), traces(std::move(traces_)), hier(cfg),
-      fastForward(cfg.fastForward && !fastForwardDisabledByEnv()),
-      threads(std::min(threadsFromEnv(cfg.numThreads), 64))
+      fastForward(cfg.fastForward && !fastForwardDisabledByEnv())
 {
     if (static_cast<int>(traces.size()) != cfg.activeCores) {
         throw std::invalid_argument(
@@ -89,12 +76,6 @@ System::System(const SystemConfig &cfg_,
     // Every component starts with its staleness flag set, so these
     // placeholders are refreshed before they are ever consulted.
     coreHorizon.assign(cores.size(), 0);
-
-    if (threads > 1) {
-        pool = std::make_unique<WorkerPool>(
-            static_cast<unsigned>(threads));
-        coreDue.assign(cores.size(), 1);
-    }
 }
 
 Cycle
@@ -132,164 +113,23 @@ System::step()
     if (!fastForward) {
         // Reference semantics: tick everything, every cycle.
         ++now;
-        if (pool) {
-            std::fill(coreDue.begin(), coreDue.end(), 1);
-            stepParallel(true);
-            return;
-        }
         for (auto &core : cores)
             core->tick(now);
         hier.tick(now);
         return;
     }
 
-    const Cycle at = nextEventCycle();
-    // When only cores are due for a while (the uncore is idle until
-    // hierHorizon) and a retire target bounds the run, batch many core
-    // events into one pool epoch instead of paying the epoch barrier
-    // per event.
-    if (pool && stopTarget != 0 && hierHorizon > at) {
-        stepBatchedCores(at);
-        return;
-    }
-    stepAt(at);
-}
-
-void
-System::stepAt(Cycle at)
-{
-    now = at;
+    now = nextEventCycle();
     // Tick only the components whose horizon is due. Skipped ticks are
     // exactly the ones the horizon contract proves are no-ops; ticking
     // anyway would be correct but wasted (the reference loop does, and
     // the equivalence tests pin the two modes against each other).
-    if (pool) {
-        for (std::size_t c = 0; c < cores.size(); ++c)
-            coreDue[c] = coreHorizon[c] <= now ? 1 : 0;
-        stepParallel(hierHorizon <= now);
-        return;
-    }
     for (std::size_t c = 0; c < cores.size(); ++c) {
         if (coreHorizon[c] <= now)
             cores[c]->tick(now);
     }
     if (hierHorizon <= now)
         hier.tick(now);
-}
-
-void
-System::stepBatchedCores(Cycle at)
-{
-    // The uncore is quiescent until hierHorizon, so until a core tick
-    // pushes it new work, every core's event schedule is independent:
-    // a core only observes other cores through the shared uncore, and
-    // its pre-batch in-flight requests complete at >= hierHorizon.
-    // Each worker therefore advances its cores event-by-event at their
-    // own horizons and stops the moment its core hands the uncore work
-    // (toL2 depth change) or core 0 hits the retire target. Ticks a
-    // core runs beyond the earliest stop are exactly the ticks the
-    // serial schedule would run later, unchanged — no input can reach
-    // the core in between. The cap keeps runUntilRetired's per-core
-    // deadlock watchdog live when the uncore is idle forever.
-    const Cycle limit = std::min(hierHorizon, at + watchdogCycles);
-    batchStopAt.assign(cores.size(), neverCycle);
-    batchTargetAt = neverCycle;
-
-    pool->run(cores.size(), [&](std::size_t c) {
-        CoreModel &core = *cores[c];
-        const CoreId id = static_cast<CoreId>(c);
-        const std::size_t work0 = hier.pendingCoreRequests(id);
-        Cycle h = coreHorizon[c];
-        while (h < limit) {
-            core.tick(h);
-            const Cycle ticked = h;
-            h = core.nextEventAt(ticked);
-            core.clearHorizonStale();
-            // Both stop conditions are checked on every tick: the tick
-            // that pushes uncore work may be the one that retires the
-            // target instruction, and the final clock must honor both.
-            bool stop = false;
-            if (hier.pendingCoreRequests(id) != work0) {
-                batchStopAt[c] = ticked;
-                stop = true;
-            }
-            if (c == 0 && core.retired() >= stopTarget) {
-                batchTargetAt = ticked; // item 0 runs on the caller
-                stop = true;
-            }
-            if (stop)
-                break;
-        }
-        coreHorizon[c] = h; // loop-final horizon; stale flag is clear
-    });
-
-    Cycle stale_min = neverCycle;
-    for (const Cycle s : batchStopAt)
-        stale_min = std::min(stale_min, s);
-
-    if (batchTargetAt != neverCycle) {
-        // Core 0 hit the target at t0. Another core may have handed
-        // the uncore work before t0; the serial schedule would have
-        // ticked the hierarchy (and the cores it feeds) in between, so
-        // rewind to the earliest stop and replay per-event up to t0.
-        // Stopped cores resume at their stored horizons; cores that
-        // ran past t0 have horizons beyond it and are not re-ticked.
-        const Cycle t0 = batchTargetAt;
-        now = std::min(stale_min, t0);
-        for (;;) {
-            const Cycle next = nextEventCycle();
-            if (next > t0)
-                break;
-            stepAt(next);
-        }
-        now = t0; // the cycle the run window ends on, exactly serial
-        return;
-    }
-
-    // No target hit: resume per-event stepping at the earliest cycle a
-    // core handed the uncore work (its reaction is due at >= that + 1),
-    // or just short of the limit when no core did.
-    now = stale_min != neverCycle ? stale_min : limit - 1;
-}
-
-void
-System::stepParallel(bool hier_due)
-{
-    const Cycle at = now;
-
-    // Epoch 1: due cores tick, and (hierarchy due) each core's ingress
-    // stages run — both touch only that core's side of the hierarchy,
-    // plus read-only probes of the quiescent controllers; L2 misses
-    // are staged per side instead of crossing into the shared queues.
-    pool->run(cores.size(), [&](std::size_t c) {
-        if (coreDue[c])
-            cores[c]->tick(at);
-        if (hier_due)
-            hier.tickCoreIngress(static_cast<CoreId>(c), at);
-    });
-    if (!hier_due)
-        return;
-
-    // Serial: merge staged misses in core order, L3 arbitration.
-    hier.commitIngress(at);
-
-    // Epoch 2: the channel/bank pairs are mutually independent.
-    pool->run(static_cast<std::size_t>(hier.channelCount()),
-              [&](std::size_t ch) {
-                  hier.tickChannel(static_cast<int>(ch), at);
-              });
-
-    // Serial: DRAM completions, L3 fill drain in global id order.
-    hier.drainUncore(at);
-
-    // Epoch 3: per-core egress (L2/DL1 fills, completion callbacks —
-    // strictly core-local; L2 victims staged per side).
-    pool->run(cores.size(), [&](std::size_t c) {
-        hier.tickCoreEgress(static_cast<CoreId>(c), at);
-    });
-
-    // Serial: merge staged L2 victims in core order.
-    hier.commitEgress(at);
 }
 
 void
@@ -305,51 +145,40 @@ System::runUntilRetired(std::uint64_t target)
     for (std::size_t c = 0; c < n; ++c)
         last_retired[c] = cores[c]->retired();
 
-    // Arm the batched-epoch stop condition for the loop's duration
-    // (cleared again on every exit path: step() must never batch past
-    // a retire boundary armed by a previous window).
-    stopTarget = target;
     const bool deadlineArmed =
         jobDeadline != std::chrono::steady_clock::time_point{};
     std::uint64_t deadlineChecks = 0;
-    try {
-        while (cores[0]->retired() < target) {
-            step();
-            // The deadline check is time-based, so sample the clock
-            // only every 256 steps — cheap enough to leave armed on
-            // every farm job without skewing throughput numbers.
-            if (deadlineArmed && (++deadlineChecks & 255) == 0 &&
-                std::chrono::steady_clock::now() >= jobDeadline) {
+    while (cores[0]->retired() < target) {
+        step();
+        // The deadline check is time-based, so sample the clock only
+        // every 256 steps — cheap enough to leave armed on every farm
+        // job without skewing throughput numbers.
+        if (deadlineArmed && (++deadlineChecks & 255) == 0 &&
+            std::chrono::steady_clock::now() >= jobDeadline) {
+            std::ostringstream oss;
+            oss << "System: job exceeded its " << jobDeadlineSeconds
+                << "s wall-clock deadline at cycle " << now
+                << " (core 0 retired " << cores[0]->retired() << "/"
+                << target << ")";
+            throw JobTimeout(oss.str());
+        }
+        for (std::size_t c = 0; c < n; ++c) {
+            const std::uint64_t retired = cores[c]->retired();
+            if (retired != last_retired[c]) {
+                last_retired[c] = retired;
+                last_progress[c] = now;
+            } else if (now - last_progress[c] > watchdogCycles) {
                 std::ostringstream oss;
-                oss << "System: job exceeded its " << jobDeadlineSeconds
-                    << "s wall-clock deadline at cycle " << now
-                    << " (core 0 retired " << cores[0]->retired() << "/"
-                    << target << ")";
-                throw JobTimeout(oss.str());
-            }
-            for (std::size_t c = 0; c < n; ++c) {
-                const std::uint64_t retired = cores[c]->retired();
-                if (retired != last_retired[c]) {
-                    last_retired[c] = retired;
-                    last_progress[c] = now;
-                } else if (now - last_progress[c] > watchdogCycles) {
-                    std::ostringstream oss;
-                    oss << "System: core " << c
-                        << " made no progress for "
-                        << "1M cycles at cycle " << now << " (retired "
-                        << retired;
-                    if (c == 0)
-                        oss << ", target " << target;
-                    oss << ") — deadlock?";
-                    throw std::runtime_error(oss.str());
-                }
+                oss << "System: core " << c << " made no progress for "
+                    << "1M cycles at cycle " << now << " (retired "
+                    << retired;
+                if (c == 0)
+                    oss << ", target " << target;
+                oss << ") — deadlock?";
+                throw std::runtime_error(oss.str());
             }
         }
-    } catch (...) {
-        stopTarget = 0;
-        throw;
     }
-    stopTarget = 0;
 }
 
 void

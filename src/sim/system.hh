@@ -19,7 +19,6 @@
 #include "sim/config.hh"
 #include "sim/core_model.hh"
 #include "sim/mem_hierarchy.hh"
-#include "sim/parallel.hh"
 #include "trace/trace.hh"
 
 namespace bop
@@ -117,12 +116,6 @@ class System
     /** True when event-horizon fast-forward is active for this run. */
     bool fastForwardEnabled() const { return fastForward; }
 
-    /**
-     * Worker threads this System ticks on (cfg.numThreads, possibly
-     * overridden by BOP_THREADS). 1 = the serial path, no pool.
-     */
-    int threadCount() const { return threads; }
-
     /** Progress window of the per-core deadlock watchdog. */
     static constexpr Cycle watchdogCycles = 1000000;
 
@@ -144,51 +137,12 @@ class System
     /** Run until core 0 has retired @p target instructions in total. */
     void runUntilRetired(std::uint64_t target);
 
-    /**
-     * Set the clock to @p at and tick every component whose horizon is
-     * due (the single-event core of the fast-forward step, shared by
-     * step() and the batched-epoch replay drain).
-     */
-    void stepAt(Cycle at);
-
-    /**
-     * Batched fast-forward core epochs: when the pool is active, a
-     * retire target is set and the uncore is provably idle until
-     * hierHorizon, one pool epoch advances every core through many
-     * successive events instead of paying the two-condition-variable
-     * epoch barrier per event. Each worker ticks its cores at their
-     * own horizons while (a) the core hands the uncore no new work
-     * (its toL2 depth is unchanged — cross-core timing stays exact)
-     * and (b) core 0 has not hit the retire target. Afterwards the
-     * clock rewinds to the earliest stop and the normal per-event path
-     * replays from there, so simulated state and statistics are
-     * bit-identical to the serial schedule. @p at is the entry event
-     * cycle (== nextEventCycle()); requires hierHorizon > at.
-     */
-    void stepBatchedCores(Cycle at);
-
-    /**
-     * One clock tick as a barrier-synchronized parallel epoch on the
-     * worker pool. Due cores and — when the hierarchy is due — the
-     * per-core ingress phases tick concurrently, then the serial
-     * ingress commit, then the channel/bank pairs in parallel, the
-     * serial uncore drain, the per-core egress phases in parallel and
-     * the serial egress commit. Bit-identical to the serial tick: the
-     * parallel phases touch disjoint per-core/per-channel state and
-     * every cross-shard hand-off moves at a serial commit point in
-     * global arrival order.
-     */
-    void stepParallel(bool hier_due);
-
     SystemConfig cfg;
     std::vector<std::unique_ptr<TraceSource>> traces;
     MemHierarchy hier;
     std::vector<std::unique_ptr<CoreModel>> cores;
     Cycle now = 0;
     bool fastForward = true; ///< cfg.fastForward minus the env override
-    int threads = 1;         ///< cfg.numThreads with BOP_THREADS applied
-    std::unique_ptr<WorkerPool> pool; ///< null when threads == 1
-    std::vector<char> coreDue; ///< per-core due flags for stepParallel
 
     /**
      * Cached per-component horizons (fast-forward only). A component's
@@ -202,17 +156,6 @@ class System
      */
     std::vector<Cycle> coreHorizon;
     Cycle hierHorizon = 0;
-
-    /**
-     * Core-0 retire target of the runUntilRetired() in progress (0 =
-     * none). Batched epochs only fire while a target is set, so tests
-     * driving step() directly keep the one-event-per-step contract.
-     */
-    std::uint64_t stopTarget = 0;
-    /** Per-core batch stop cycles (neverCycle = ran to the limit). */
-    std::vector<Cycle> batchStopAt;
-    /** Cycle core 0 hit stopTarget within the batch, or neverCycle. */
-    Cycle batchTargetAt = neverCycle;
 
     /** Wall-clock deadline armed by setJobDeadline() (unarmed: zero). */
     std::chrono::steady_clock::time_point jobDeadline{};

@@ -219,6 +219,42 @@ TEST(BenchDiff, FlagsEngineThroughputDropsOneSided)
     EXPECT_TRUE(diffRunRecords(before, slower, off).clean());
 }
 
+TEST(BenchDiff, LegacyThreadsFieldDoesNotSplitTheComparison)
+{
+    // Records written before the intra-run thread knob was removed
+    // carry "threads"; a new record has none. The pair still matches
+    // on workload+config+trace_source, and the throughput gate still
+    // compares it (the field used to exempt unequal thread counts).
+    auto rec = [](const std::string &extra, double ipc, double mcps) {
+        std::ostringstream os;
+        os << "{\"workload\": \"a\", \"config\": \"baseline\", "
+           << "\"trace_source\": \"generator\", \"ipc\": " << ipc
+           << ", " << extra << "\"jobs\": 1, "
+           << "\"sim_mcycles_per_s\": " << mcps << "}";
+        return os.str();
+    };
+    const auto legacy = parse(artifact({rec("\"threads\": 4, ", 1.0, 10.0)}));
+    const auto same = parse(artifact({rec("", 1.0, 10.0)}));
+    const auto slower = parse(artifact({rec("", 1.0, 4.0)}));
+    const auto lowerIpc = parse(artifact({rec("", 0.5, 10.0)}));
+
+    const BenchDiffResult clean =
+        diffRunRecords(legacy, same, BenchDiffOptions{});
+    EXPECT_EQ(clean.compared, 1u);
+    EXPECT_TRUE(clean.clean());
+    EXPECT_TRUE(clean.onlyOld.empty());
+
+    const BenchDiffResult drop =
+        diffRunRecords(legacy, slower, BenchDiffOptions{});
+    ASSERT_EQ(drop.flagged.size(), 1u);
+    EXPECT_EQ(drop.flagged[0].metric, "sim_mcycles_per_s");
+
+    const BenchDiffResult ipc =
+        diffRunRecords(legacy, lowerIpc, BenchDiffOptions{});
+    ASSERT_EQ(ipc.flagged.size(), 1u);
+    EXPECT_EQ(ipc.flagged[0].metric, "ipc");
+}
+
 TEST(BenchDiff, ReportsAddedAndRemovedRuns)
 {
     const auto before = parse(

@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -31,7 +30,6 @@
 #include "common/fault.hh"
 #include "harness/experiment.hh"
 #include "harness/serve.hh"
-#include "sim/parallel.hh"
 #include "sim/system.hh"
 #include "trace/trace_reader.hh"
 
@@ -154,29 +152,6 @@ TEST(FaultKind, ClassifiesTheErrorRecordGrammar)
 {
     EXPECT_EQ(faultKindOf(JobTimeout("late")), "timeout");
     EXPECT_EQ(faultKindOf(std::runtime_error("boom")), "simulation");
-}
-
-// -- pool containment ---------------------------------------------------------
-
-TEST(WorkerPool, RethrowsSmallestIndexedFailureAndStaysUsable)
-{
-    WorkerPool pool(4);
-    try {
-        pool.run(8, [](std::size_t i) {
-            if (i == 3 || i == 5)
-                throw std::runtime_error("item " +
-                                         std::to_string(i));
-        });
-        FAIL() << "run() swallowed the failures";
-    } catch (const std::runtime_error &e) {
-        // Deterministic under concurrent failures: the smallest-
-        // indexed item wins.
-        EXPECT_STREQ(e.what(), "item 3");
-    }
-    // The epoch ran to its barrier, so the pool is still sound.
-    std::atomic<int> done{0};
-    pool.run(16, [&done](std::size_t) { ++done; });
-    EXPECT_EQ(done.load(), 16);
 }
 
 // -- deadlines ----------------------------------------------------------------

@@ -8,10 +8,10 @@
  * uninterrupted run's exactly. The tests here are differential proofs
  * of that contract across the pinned golden topology grid (the 18
  * bench x cores x page combinations of tests/test_topology.cc), the
- * prefetcher zoo, fast-forward on/off, worker thread counts, and
- * save points taken mid-burst (non-quiescent uncore), plus the two
- * latent serialization hazards (BufferedRng refill-buffer position,
- * cached fast-forward horizons) pinned by focused regressions.
+ * prefetcher zoo, fast-forward on/off, and save points taken
+ * mid-burst (non-quiescent uncore), plus the two latent serialization
+ * hazards (BufferedRng refill-buffer position, cached fast-forward
+ * horizons) pinned by focused regressions.
  *
  * The container-level rejection paths (truncation, corruption,
  * version skew) live in tests/test_checkpoint_format.cc.
@@ -126,8 +126,8 @@ TEST(CheckpointEquivalence, GoldenTopologiesBitIdentical)
 
 TEST(CheckpointEquivalence, RestoreAcrossFastForwardToggle)
 {
-    // numThreads and fastForward are host-side speed knobs excluded
-    // from the topology fingerprint: a checkpoint saved under one
+    // fastForward is a host-side speed knob excluded from the
+    // topology fingerprint: a checkpoint saved under one
     // fast-forward setting restores under the other, bit-identically.
     SystemConfig on = baselineConfig(2, PageSize::FourKB);
     on.l2Prefetcher = L2PrefetcherKind::BestOffset;
@@ -140,29 +140,6 @@ TEST(CheckpointEquivalence, RestoreAcrossFastForwardToggle)
                         "saved ff-on, restored ff-off");
     expectOutcomesEqual(cold, checkpointedRun("429.mcf", off, on),
                         "saved ff-off, restored ff-on");
-}
-
-TEST(CheckpointEquivalence, RestoreAcrossThreadCounts)
-{
-    SystemConfig cfg = baselineConfig(4, PageSize::FourKB);
-    cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
-    const RunOutcome cold = coldRun("462.libquantum", cfg);
-
-    for (const int save_threads : {1, 4}) {
-        for (const int restore_threads : {1, 2, 4}) {
-            SystemConfig save_cfg = cfg;
-            save_cfg.numThreads = save_threads;
-            SystemConfig restore_cfg = cfg;
-            restore_cfg.numThreads = restore_threads;
-            expectOutcomesEqual(
-                cold,
-                checkpointedRun("462.libquantum", save_cfg,
-                                restore_cfg),
-                "saved threads=" + std::to_string(save_threads) +
-                    ", restored threads=" +
-                    std::to_string(restore_threads));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -189,7 +166,7 @@ TEST(CheckpointEquivalence, PrefetcherZooBitIdentical)
 TEST(CheckpointEquivalence, L3PolicySweepBitIdentical)
 {
     // DRRIP's PSEL/BRRIP rng and 5P's proportional counters are
-    // policy-global state shared across the banked L3.
+    // policy-global state outside the per-set arrays.
     for (const auto policy :
          {L3PolicyKind::P5, L3PolicyKind::Lru, L3PolicyKind::Drrip}) {
         SystemConfig cfg = baselineConfig(2, PageSize::FourKB);
@@ -416,14 +393,9 @@ TEST(CheckpointFingerprint, SpeedKnobsExcludedTopologyIncluded)
     System base(cfg, makeTraces("429.mcf", cfg));
     const std::uint64_t fp = checkpointFingerprint(base);
 
-    SystemConfig threads_cfg = cfg;
-    threads_cfg.numThreads = 4;
     SystemConfig ff_cfg = cfg;
     ff_cfg.fastForward = false;
-    System threads_sys(threads_cfg, makeTraces("429.mcf", threads_cfg));
     System ff_sys(ff_cfg, makeTraces("429.mcf", ff_cfg));
-    EXPECT_EQ(checkpointFingerprint(threads_sys), fp)
-        << "numThreads is a host-side knob";
     EXPECT_EQ(checkpointFingerprint(ff_sys), fp)
         << "fastForward is a host-side knob";
 

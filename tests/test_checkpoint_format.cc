@@ -146,6 +146,20 @@ TEST(CheckpointFormat, HeaderFieldsRejectedAtTheirOffsets)
                 << e.what();
         }
     }
+    { // version-1 file (banked L3 in HIER) -> offset 8
+        std::vector<std::uint8_t> bad = good;
+        bad[8] = 1;
+        bad[9] = bad[10] = bad[11] = 0;
+        try {
+            target.restoreCheckpointBytes(bad);
+            FAIL() << "version-1 checkpoint restored silently";
+        } catch (const CheckpointError &e) {
+            EXPECT_EQ(e.byteOffset(), 8u);
+            EXPECT_NE(std::string(e.what()).find("version 1"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     { // flipped topology fingerprint -> offset 12
         std::vector<std::uint8_t> bad = good;
         bad[12] ^= 0x01;

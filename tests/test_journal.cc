@@ -25,6 +25,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -147,7 +148,6 @@ sampleRecord()
     record.stats.l2PrefIssued = 654;
     record.stats.dramReads = 321;
     record.stats.dramWrites = 123;
-    record.threads = 2;
     record.jobs = 4;
     record.jobIndex = 7;
     // Exactly representable in %.6f so the pinned-grammar round trip
@@ -421,6 +421,54 @@ TEST(JournalResume, CompletedSweepReplaysWithoutSimulating)
     // journaled bytes, not fresh measurements. Only the derived
     // throughput rates may differ in final digits (recomputed from
     // the 6-decimal wall_seconds).
+    EXPECT_EQ(maskRates(recordsText(resumed)), maskRates(originalText));
+}
+
+TEST(JournalResume, JournalWithLegacyThreadsFieldStillResumes)
+{
+    // Journals written before the intra-run thread knob was removed
+    // carry a "threads" field in every record line. Replay ignores it
+    // and reproduces the same records.
+    TempFile file("resume_threads_field");
+    std::string originalText;
+    {
+        ExperimentRunner runner(tinyBudget());
+        runner.attachJournal(file.path());
+        SweepFarm farm(runner, 1);
+        runSweep(farm, 2);
+        originalText = recordsText(runner);
+    }
+
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(file.path());
+        for (std::string line; std::getline(in, line);)
+            lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 3u); // header + one line per job
+    {
+        std::ofstream out(file.path(), std::ios::trunc);
+        out << lines[0] << "\n";
+        for (std::size_t i = 1; i < lines.size(); ++i) {
+            std::string payload, error;
+            ASSERT_TRUE(ResultJournal::unframe(lines[i], payload, error))
+                << error;
+            const std::size_t at = payload.find("\"jobs\": ");
+            ASSERT_NE(at, std::string::npos) << payload;
+            payload.insert(at, "\"threads\": 4, ");
+            out << ResultJournal::frame(payload) << "\n";
+        }
+    }
+
+    ExperimentRunner resumed(tinyBudget());
+    std::ostringstream diag;
+    EXPECT_EQ(resumed.resumeFromJournal(file.path(), diag), 2u)
+        << diag.str();
+    SweepFarm farm(resumed, 1);
+    runSweep(farm, 2);
+    ASSERT_EQ(resumed.records().size(), 2u);
+    for (const RunRecord &record : resumed.records())
+        EXPECT_TRUE(record.journalReplayed);
     EXPECT_EQ(maskRates(recordsText(resumed)), maskRates(originalText));
 }
 
@@ -721,6 +769,40 @@ TEST(CheckpointCache, CorruptEntryIsRefusedAndFallsBackCold)
     const RunStats &reloaded = third.run("429.mcf", cfg);
     EXPECT_EQ(third.prefixSimulations(), 0u);
     EXPECT_EQ(reloaded.cycles, cold.cycles);
+}
+
+TEST(CheckpointCache, OlderFormatVersionEntryFallsBackCold)
+{
+    // An entry saved under checkpoint format version 1 (the banked-L3
+    // HIER layout) is refused at its version field, and the warmup
+    // simulates cold, exactly as for a corrupt entry.
+    TempCacheDir dir("old_version");
+    const SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
+
+    ExperimentRunner first(tinyBudget());
+    first.setCheckpointSharing(true);
+    first.setCheckpointDir(dir.path());
+    const RunStats &cold = first.run("429.mcf", cfg);
+
+    std::size_t entries = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir.path())) {
+        std::fstream f(entry.path(),
+                       std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(f) << entry.path();
+        const char version1[4] = {1, 0, 0, 0};
+        f.seekp(8);
+        f.write(version1, sizeof(version1));
+        ASSERT_TRUE(f.good()) << entry.path();
+        ++entries;
+    }
+    ASSERT_EQ(entries, 1u);
+
+    ExperimentRunner second(tinyBudget());
+    second.setCheckpointSharing(true);
+    second.setCheckpointDir(dir.path());
+    const RunStats &warm = second.run("429.mcf", cfg);
+    EXPECT_EQ(second.prefixSimulations(), 1u);
+    EXPECT_TRUE(warm == cold);
 }
 
 TEST(CheckpointCache, DisabledDirectoryKeepsTheOldBehaviour)

@@ -466,6 +466,15 @@ TEST(Serve, MalformedLinesRejectedWithDiagnostics)
         "{\"workload\": \"429.mcf\", \"bogus_knob\": 3}\n"
         "{\"workload\": \"not-a-benchmark\"}\n"
         "{\"prefetcher\": \"bo\"}\n"
+        // Numbers that are not whole or do not fit the field's type
+        // are rejected at parse time, naming the field, instead of
+        // being truncated, wrapped or cast with undefined behaviour.
+        "{\"workload\": \"429.mcf\", \"cores\": 1.9}\n"
+        "{\"workload\": \"429.mcf\", \"instr\": -5}\n"
+        "{\"workload\": \"429.mcf\", \"cores\": 1e30}\n"
+        "{\"workload\": \"429.mcf\", \"seed\": 1e30}\n"
+        // The intra-run thread count is no longer a knob.
+        "{\"workload\": \"429.mcf\", \"threads\": 4}\n"
         "\n"
         "{\"workload\": \"429.mcf\"}\n");
     std::ostringstream out, diag;
@@ -475,11 +484,11 @@ TEST(Serve, MalformedLinesRejectedWithDiagnostics)
     options.defaultBudget = testBudget();
 
     const int failures = serveLoop(in, out, runner, options, diag);
-    EXPECT_EQ(failures, 4);
+    EXPECT_EQ(failures, 9);
 
     // One {"error", "line"} object per bad line, pointing at it.
     const std::string response = out.str();
-    for (const int line : {1, 2, 3, 4}) {
+    for (const int line : {1, 2, 3, 4, 5, 6, 7, 8, 9}) {
         EXPECT_NE(response.find("\"line\": " + std::to_string(line)),
                   std::string::npos)
             << response;
@@ -487,7 +496,16 @@ TEST(Serve, MalformedLinesRejectedWithDiagnostics)
                   std::string::npos)
             << diag.str();
     }
-    // The good line (6, after the blank) still simulated.
+    // Rejected as lines (kind "parse"), not failed as simulations.
+    EXPECT_EQ(response.find("job failed"), std::string::npos) << response;
+    for (const char *field : {"\"cores\" must be a whole number",
+                              "\"instr\" must be a whole number",
+                              "\"seed\" must be a whole number",
+                              "unknown numeric field \"threads\""}) {
+        EXPECT_NE(diag.str().find(field), std::string::npos)
+            << field << " in " << diag.str();
+    }
+    // The good line (11, after the blank) still simulated.
     EXPECT_NE(response.find("\"job_index\": 0"), std::string::npos);
     EXPECT_EQ(runner.records().size(), 1u);
 }

@@ -118,10 +118,6 @@ usage(const char *argv0)
         "  --no-fast-forward   tick every cycle (reference engine; the\n"
         "                      simulated stats are bit-identical either\n"
         "                      way — also BOP_DISABLE_FASTFORWARD=1)\n"
-        "  --threads N         worker threads for the tick engine\n"
-        "                      (default 1 = serial; stats are\n"
-        "                      bit-identical for every N — also\n"
-        "                      BOP_THREADS=N)\n"
         "  --json PATH         write a machine-readable run record\n",
         argv0);
 }
@@ -265,8 +261,6 @@ main(int argc, char **argv)
             instr = std::strtoull(next_arg(i).c_str(), nullptr, 10);
         } else if (arg == "--seed") {
             cfg.seed = std::strtoull(next_arg(i).c_str(), nullptr, 10);
-        } else if (arg == "--threads") {
-            cfg.numThreads = std::atoi(next_arg(i).c_str());
         } else if (arg == "--save-checkpoint") {
             save_ckpt = next_arg(i);
         } else if (arg == "--restore-checkpoint") {
@@ -452,8 +446,7 @@ main(int argc, char **argv)
             std::printf("BO offset    : %d (best score %d)\n",
                         s.boFinalOffset, s.boFinalScore);
         }
-        RunRecord record{label, cfg.describe(), s, trace_source,
-                         sys.threadCount(), wall};
+        RunRecord record{label, cfg.describe(), s, trace_source, wall};
         if (!restore_ckpt.empty())
             record.checkpoint = "restored";
         else if (!save_ckpt.empty())
