@@ -3,8 +3,9 @@
  * Shared helpers for the figure-regeneration benches.
  *
  * Every bench prints the same rows/series the paper's figure reports,
- * using the instruction budgets from BOP_WARMUP / BOP_INSTR (defaults:
- * 100K warm-up, 400K measured — the paper uses 1B-instruction traces;
+ * using the instruction budgets from BOP_WARMUP / BOP_INSTR or
+ * --warmup / --instr (defaults: 100K warm-up, 400K measured — the
+ * paper uses 1B-instruction traces;
  * shapes are stable at these budgets because the generators are
  * steady-state). BOP_VERBOSE=1 streams per-run progress to stderr.
  */
@@ -14,6 +15,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,138 +23,104 @@
 #include "common/table.hh"
 #include "harness/experiment.hh"
 #include "harness/json_report.hh"
+#include "harness/options.hh"
 #include "harness/sweep_farm.hh"
 #include "trace/workloads.hh"
 
 namespace bop
 {
 
-/** Default sweep-farm worker count: BOP_JOBS, else 1 (serial). */
-inline int
-jobsFromEnv()
-{
-    if (const char *j = std::getenv("BOP_JOBS")) {
-        const int jobs = std::atoi(j);
-        if (jobs >= 1)
-            return jobs;
-    }
-    return 1;
-}
-
-/** Command-line options shared by the figure benches. */
-struct BenchOptions
-{
-    std::string jsonPath; ///< --json PATH: machine-readable run records
-    int jobs = 1;         ///< --jobs N / BOP_JOBS: sweep-farm workers
-    std::string journalPath; ///< --journal FILE: write-ahead journal
-    std::string resumePath;  ///< --resume FILE: replay a journal
-    int retries = -1; ///< --retries N (-1: runner default, BOP_RETRIES)
-};
-
 /**
- * Parse the standard bench arguments. Exits with usage on stderr when
- * an unknown option is seen, so a typo cannot silently run the full
- * (expensive) figure. When @p positional is non-null, one bare
- * argument is accepted and stored there (e.g. a benchmark name).
+ * One bench run: the runner options read from the environment and
+ * then argv (plus --json PATH), the runner built from them with its
+ * journals open (resume first, then attach), and a sweep farm on it.
+ * An unknown flag, a bad value or a refused journal (budget mismatch,
+ * corruption) exits with a message on stderr, so a typo cannot
+ * silently run the full (expensive) figure and a sweep never proceeds
+ * past a journal it could not honour. When @p positional is non-null,
+ * one bare argument is accepted and stored there (e.g. a benchmark
+ * name); @p adjust may change the options before the runner is built.
  */
-inline BenchOptions
-parseBenchOptions(int argc, char **argv, std::string *positional = nullptr)
+class BenchSession
 {
-    BenchOptions opts;
-    opts.jobs = jobsFromEnv();
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--json" && i + 1 < argc) {
-            opts.jsonPath = argv[++i];
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = std::atoi(argv[++i]);
-            if (opts.jobs < 1)
-                opts.jobs = 1;
-        } else if (arg == "--journal" && i + 1 < argc) {
-            opts.journalPath = argv[++i];
-        } else if (arg == "--resume" && i + 1 < argc) {
-            opts.resumePath = argv[++i];
-        } else if (arg == "--retries" && i + 1 < argc) {
-            opts.retries = std::atoi(argv[++i]);
-            if (opts.retries < 0)
-                opts.retries = 0;
-        } else if (positional && !arg.empty() && arg[0] != '-') {
-            *positional = arg;
-        } else {
-            std::cerr << "usage: " << argv[0] << " [--json PATH]"
-                      << " [--jobs N] [--journal FILE] [--resume FILE]"
-                      << " [--retries N]"
-                      << (positional ? " [benchmark]" : "") << "\n"
-                      << "  --json PATH     write one JSON record per "
-                         "simulation run to PATH\n"
-                      << "  --jobs N        sweep-farm worker threads "
-                         "(default BOP_JOBS or 1; records are\n"
-                      << "                  byte-identical for every N, "
-                         "timing fields aside)\n"
-                      << "  --journal FILE  append every committed "
-                         "record to a crash-durable write-ahead\n"
-                      << "                  journal "
-                         "(fsync-on-commit; docs/ROBUSTNESS.md)\n"
-                      << "  --resume FILE   replay a journal before "
-                         "sweeping: journaled jobs commit\n"
-                      << "                  verbatim, only the rest "
-                         "simulate\n"
-                      << "  --retries N     re-enqueue transient (kind "
-                         "\"io\") failures up to N times\n"
-                      << "                  with exponential backoff "
-                         "(default BOP_RETRIES or 0)\n";
-            std::exit(arg == "--help" || arg == "-h" ? 0 : 2);
+  public:
+    BenchSession(int argc, char **argv, std::string *positional = nullptr,
+                 void (*adjust)(RunnerOptions &) = nullptr)
+        : runner(parse(argc, argv, positional, adjust)), farm(runner)
+    {
+        try {
+            runner.openJournals(std::cerr);
+        } catch (const std::exception &e) {
+            std::cerr << e.what() << "\n";
+            std::exit(2);
         }
     }
-    return opts;
-}
 
-/**
- * Apply the durability options to a runner: resume first (replaying
- * an existing journal), then attach the write-ahead journal for this
- * session's commits. Refusals (budget mismatch, corrupt journal) are
- * fatal with the named mismatch on stderr — a sweep must never
- * silently proceed past a journal it could not honour.
- */
-inline void
-configureBenchRunner(ExperimentRunner &runner, const BenchOptions &opts)
-{
-    if (opts.retries >= 0)
-        runner.setRetries(opts.retries);
-    try {
-        if (!opts.resumePath.empty())
-            runner.resumeFromJournal(opts.resumePath, std::cerr);
-        if (!opts.journalPath.empty())
-            runner.attachJournal(opts.journalPath);
-    } catch (const std::exception &e) {
-        std::cerr << e.what() << "\n";
-        std::exit(2);
+    /** Print the standard bench header. */
+    void
+    header(const std::string &what) const
+    {
+        const Budget &b = runner.options().budget;
+        std::cout << "=== " << what << " ===\n"
+                  << "(budgets: " << b.warmup << " warm-up + " << b.measure
+                  << " measured instructions; override with BOP_WARMUP / "
+                     "BOP_INSTR)\n\n";
     }
-}
 
-/** Write the runner's records when --json was given; false on error. */
-inline bool
-finishBench(const ExperimentRunner &runner, const BenchOptions &opts)
-{
-    if (opts.jsonPath.empty())
-        return true;
-    if (!runner.writeJson(opts.jsonPath))
-        return false;
-    std::cout << "\n[" << runner.records().size() << " run records -> "
-              << opts.jsonPath << "]\n";
-    return true;
-}
+    /** Write the records when --json was given; the exit status. */
+    int
+    finish() const
+    {
+        if (jsonPath.empty())
+            return 0;
+        if (!runner.writeJson(jsonPath))
+            return 1;
+        std::cout << "\n[" << runner.records().size() << " run records -> "
+                  << jsonPath << "]\n";
+        return 0;
+    }
 
-/** Print the standard bench header. */
-inline void
-benchHeader(const std::string &what, const ExperimentRunner &runner)
-{
-    std::cout << "=== " << what << " ===\n"
-              << "(budgets: " << runner.budgets().warmup << " warm-up + "
-              << runner.budgets().measure
-              << " measured instructions; override with BOP_WARMUP / "
-                 "BOP_INSTR)\n\n";
-}
+  private:
+    std::string jsonPath; ///< before runner: parse() sets it
+
+    RunnerOptions
+    parse(int argc, char **argv, std::string *positional,
+          void (*adjust)(RunnerOptions &))
+    {
+        RunnerOptions opts;
+        try {
+            opts = RunnerOptions::fromEnv();
+            for (int i = 1; i < argc; ++i) {
+                if (opts.parseFlag(argc, argv, i))
+                    continue;
+                const std::string arg = argv[i];
+                if (arg == "--json" && i + 1 < argc) {
+                    jsonPath = argv[++i];
+                } else if (positional && !arg.empty() && arg[0] != '-') {
+                    *positional = arg;
+                } else {
+                    std::cerr << "usage: " << argv[0]
+                              << " [--json PATH] [runner options]"
+                              << (positional ? " [benchmark]" : "")
+                              << "\n  --json PATH         write one JSON "
+                                 "record per simulation run to PATH\n";
+                    printRunnerOptionsUsage(std::cerr);
+                    std::exit(arg == "--help" || arg == "-h" ? 0 : 2);
+                }
+            }
+        } catch (const std::invalid_argument &e) {
+            std::cerr << argv[0] << ": " << e.what() << "\n";
+            std::exit(2);
+        }
+        if (adjust)
+            adjust(opts);
+        return opts;
+    }
+
+  public:
+    ExperimentRunner runner;
+    SweepFarm farm;
+};
 
 /**
  * The paper's standard per-benchmark speedup figure: one row per

@@ -20,33 +20,29 @@ int
 main(int argc, char **argv)
 {
     using namespace bop;
-    const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
-    SweepFarm farm(runner, opts.jobs);
-    benchHeader("Extension ablations: BO variants + stream prefetcher",
-                runner);
+    BenchSession session(argc, argv);
+    session.header("Extension ablations: BO variants + stream prefetcher");
 
     GeomeanFigure fig;
-    fig.addVariant(farm, "BO (paper)", [](SystemConfig &cfg) {
+    fig.addVariant(session.farm, "BO (paper)", [](SystemConfig &cfg) {
         cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
     });
-    fig.addVariant(farm, "BO degree-2", [](SystemConfig &cfg) {
+    fig.addVariant(session.farm, "BO degree-2", [](SystemConfig &cfg) {
         cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
         cfg.bo.degree = 2;
     });
-    fig.addVariant(farm, "BO +negative", [](SystemConfig &cfg) {
+    fig.addVariant(session.farm, "BO +negative", [](SystemConfig &cfg) {
         cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
         cfg.bo.includeNegative = true;
     });
-    fig.addVariant(farm, "BO maxoff=63", [](SystemConfig &cfg) {
+    fig.addVariant(session.farm, "BO maxoff=63", [](SystemConfig &cfg) {
         // Offset list capped at one 4KB page worth of lines.
         cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
         cfg.bo.maxOffset = 63;
     });
-    fig.addVariant(farm, "stream pf", [](SystemConfig &cfg) {
+    fig.addVariant(session.farm, "stream pf", [](SystemConfig &cfg) {
         cfg.l2Prefetcher = L2PrefetcherKind::Stream;
     });
     fig.print();
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

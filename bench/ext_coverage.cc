@@ -42,13 +42,9 @@ int
 main(int argc, char **argv)
 {
     using namespace bop;
-    const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
-    SweepFarm farm(runner, opts.jobs);
-    benchHeader("Extension: coverage / accuracy / timeliness "
-                "(1-core, 4KB pages)",
-                runner);
+    BenchSession session(argc, argv);
+    session.header("Extension: coverage / accuracy / timeliness "
+                   "(1-core, 4KB pages)");
 
     const SystemConfig base = baselineConfig(1, PageSize::FourKB);
     const L2PrefetcherKind kinds[] = {L2PrefetcherKind::NextLine,
@@ -60,10 +56,10 @@ main(int argc, char **argv)
         for (const auto kind : kinds) {
             SystemConfig cfg = base;
             cfg.l2Prefetcher = kind;
-            farm.submit(bench, cfg);
+            session.farm.submit(bench, cfg);
         }
     }
-    farm.drain();
+    session.farm.drain();
 
     TextTable table;
     {
@@ -82,7 +78,7 @@ main(int argc, char **argv)
         for (const auto kind : kinds) {
             SystemConfig cfg = base;
             cfg.l2Prefetcher = kind;
-            const RunStats &s = runner.run(bench, cfg);
+            const RunStats &s = session.runner.run(bench, cfg);
             row.push_back(TextTable::fmt(s.prefetchCoverage()));
             row.push_back(TextTable::fmt(s.prefetchAccuracy()));
             row.push_back(TextTable::fmt(s.prefetchTimeliness()));
@@ -102,5 +98,5 @@ main(int argc, char **argv)
                  "touch neighbouring lines);\nthe offset-response "
                  "peaks of Fig. 8, which is what these generators\n"
                  "are shaped for, are unaffected.\n";
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

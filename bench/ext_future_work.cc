@@ -22,13 +22,9 @@ int
 main(int argc, char **argv)
 {
     using namespace bop;
-    const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
-    SweepFarm farm(runner, opts.jobs);
-    benchHeader("Extension: Sec. 7 future-work variants (GM speedup vs "
-                "next-line baseline)",
-                runner);
+    BenchSession session(argc, argv);
+    session.header("Extension: Sec. 7 future-work variants (GM speedup vs "
+                   "next-line baseline)");
 
     const auto bo = [](SystemConfig &cfg) {
         cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
@@ -47,10 +43,10 @@ main(int argc, char **argv)
     };
 
     GeomeanFigure fig;
-    fig.addVariant(farm, "BO (paper)", bo);
-    fig.addVariant(farm, "BO adaptive-BS", bo_adaptive);
-    fig.addVariant(farm, "BO cov-half", bo_cov1);
-    fig.addVariant(farm, "BO cov-equal", bo_cov2);
+    fig.addVariant(session.farm, "BO (paper)", bo);
+    fig.addVariant(session.farm, "BO adaptive-BS", bo_adaptive);
+    fig.addVariant(session.farm, "BO cov-half", bo_cov1);
+    fig.addVariant(session.farm, "BO cov-equal", bo_cov2);
     fig.print();
 
     // The benchmarks the paper's Sec. 6 discussion singles out:
@@ -69,7 +65,7 @@ main(int argc, char **argv)
             SystemConfig cfg = base;
             variant(cfg);
             row.push_back(
-                TextTable::fmt(runner.speedup(bench, cfg, base)));
+                TextTable::fmt(session.runner.speedup(bench, cfg, base)));
         }
         table.addRow(row);
     }
@@ -81,5 +77,5 @@ main(int argc, char **argv)
                  "tracks the paper's observation that BADSCORE wants "
                  "to be\nsmall on CPU2006 (so it should sit near the "
                  "static optimum).\n";
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

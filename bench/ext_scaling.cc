@@ -47,13 +47,9 @@ main(int argc, char **argv)
     using namespace bop;
 
     std::string bench = "462.libquantum";
-    const BenchOptions opts = parseBenchOptions(argc, argv, &bench);
-
-    ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
-    benchHeader("Scaling study: BO under contention at 1-16 cores "
-                "(benchmark " + bench + " on core 0, thrashers elsewhere)",
-                runner);
+    BenchSession session(argc, argv, &bench);
+    session.header("Scaling study: BO under contention at 1-16 cores "
+                   "(benchmark " + bench + " on core 0, thrashers elsewhere)");
 
     // Every design point here needs per-core retire counts, which the
     // sweep farm's RunRecords cannot carry — so farm the Systems out
@@ -61,8 +57,7 @@ main(int argc, char **argv)
     // determinism contract: job_index at submit, output after drain).
     std::deque<ScaleRun> slots;
     {
-        TaskPool pool(
-            static_cast<unsigned>(opts.jobs < 1 ? 1 : opts.jobs));
+        TaskPool pool(static_cast<unsigned>(session.runner.options().jobs));
         for (const int cores : scalingCoreCounts()) {
             SystemConfig cfg = baselineConfig(cores, PageSize::FourKB);
             cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
@@ -70,9 +65,9 @@ main(int argc, char **argv)
             ScaleRun *slot = &slots.back();
             slot->cfg = cfg;
             slot->cores = cores;
-            slot->jobIndex = runner.reserveJobIndex();
+            slot->jobIndex = session.runner.reserveJobIndex();
             const auto submitted = std::chrono::steady_clock::now();
-            const Budget budget = runner.budgets();
+            const Budget budget = session.runner.options().budget;
             pool.submit([slot, bench, budget, submitted] {
                 slot->queueWait =
                     std::chrono::duration<double>(
@@ -99,10 +94,10 @@ main(int argc, char **argv)
         const RunStats &s = run.stats;
         RunRecord record{bench, run.cfg.describe(), s,
                          /*traceSource=*/"", run.wall};
-        record.jobs = opts.jobs < 1 ? 1 : opts.jobs;
+        record.jobs = session.runner.options().jobs;
         record.jobIndex = run.jobIndex;
         record.queueWaitSeconds = run.queueWait;
-        runner.addRecord(std::move(record));
+        session.runner.addRecord(std::move(record));
 
         std::uint64_t lo = 0, hi = 0;
         for (std::size_t c = 0; c < run.retired.size(); ++c) {
@@ -125,5 +120,5 @@ main(int argc, char **argv)
                  "join; the fairness-aware\ncontrollers keep every "
                  "thrasher progressing (no zero columns); DRAM traffic\n"
                  "per 1k core-0 instructions grows with contention.\n";
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

@@ -50,21 +50,17 @@ int
 main(int argc, char **argv)
 {
     using namespace bop;
-    const BenchOptions opts = parseBenchOptions(argc, argv);
     // Learning-based prefetchers (BO's ROUNDMAX=100 phases, SBP's
     // 52-candidate evaluation sweep) need ~150K+ instructions before
     // their steady state on the low-APKI benchmarks; a zoo comparison
     // at the default figure budgets would freeze them mid-training
     // (D=1). Tripling the warm-up leaves the measured window and every
     // other bench untouched.
-    Budget budget = Budget::fromEnv();
-    budget.warmup *= 3;
-    ExperimentRunner runner(budget);
-    configureBenchRunner(runner, opts);
-    SweepFarm farm(runner, opts.jobs);
-    benchHeader("Extension: prefetcher zoo (GM speedup vs no-prefetch, "
-                "3x warm-up)",
-                runner);
+    BenchSession session(argc, argv, nullptr, [](RunnerOptions &opts) {
+        opts.budget.warmup *= 3;
+    });
+    session.header("Extension: prefetcher zoo (GM speedup vs no-prefetch, "
+                   "3x warm-up)");
 
     struct Variant
     {
@@ -92,12 +88,12 @@ main(int argc, char **argv)
                 SystemConfig cfg = ref;
                 cfg.l2Prefetcher = v.kind;
                 for (const auto &bench : set) {
-                    farm.submit(bench, cfg);
-                    farm.submit(bench, ref);
+                    session.farm.submit(bench, cfg);
+                    session.farm.submit(bench, ref);
                 }
             }
         }
-        farm.drain();
+        session.farm.drain();
     };
 
     const auto make_table = [&](const std::vector<std::string> &set) {
@@ -114,7 +110,7 @@ main(int argc, char **argv)
                 SystemConfig cfg = ref;
                 cfg.l2Prefetcher = v.kind;
                 row.push_back(TextTable::fmt(
-                    runner.geomeanSpeedup(set, cfg, ref)));
+                    session.runner.geomeanSpeedup(set, cfg, ref)));
             }
             table.addRow(row);
         }
@@ -143,5 +139,5 @@ main(int argc, char **argv)
                  "(cf. AMPM ~ SBP in Pugsley et al.); Jouppi stream "
                  "buffers are\nunit-stride devices, negative on the "
                  "stride generators by design.\n";
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

@@ -12,18 +12,14 @@ int
 main(int argc, char **argv)
 {
     using namespace bop;
-    const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
-    SweepFarm farm(runner, opts.jobs);
-    benchHeader("Figure 2: baseline IPC (next-line L2 prefetch, 5P L3)",
-                runner);
+    BenchSession session(argc, argv);
+    session.header("Figure 2: baseline IPC (next-line L2 prefetch, 5P L3)");
 
     // Prefetch pass: farm the grid out in serial-sweep order.
     for (const auto &bench : benchmarkNames())
         for (const auto &[cores, page] : baselineGrid())
-            farm.submit(bench, baselineConfig(cores, page));
-    farm.drain();
+            session.farm.submit(bench, baselineConfig(cores, page));
+    session.farm.drain();
 
     TextTable table;
     std::vector<std::string> header = {"benchmark"};
@@ -35,11 +31,11 @@ main(int argc, char **argv)
         std::vector<std::string> row = {bench};
         for (const auto &[cores, page] : baselineGrid()) {
             const RunStats &s =
-                runner.run(bench, baselineConfig(cores, page));
+                session.runner.run(bench, baselineConfig(cores, page));
             row.push_back(TextTable::fmt(s.ipc()));
         }
         table.addRow(row);
     }
     table.print(std::cout);
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

@@ -14,12 +14,8 @@ int
 main(int argc, char **argv)
 {
     using namespace bop;
-    const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
-    SweepFarm farm(runner, opts.jobs);
-    benchHeader("Figure 3: LRU and DRRIP vs the 5P baseline (4KB pages)",
-                runner);
+    BenchSession session(argc, argv);
+    session.header("Figure 3: LRU and DRRIP vs the 5P baseline (4KB pages)");
 
     const std::vector<std::pair<std::string, L3PolicyKind>> policies = {
         {"LRU", L3PolicyKind::Lru}, {"DRRIP", L3PolicyKind::Drrip}};
@@ -32,12 +28,12 @@ main(int argc, char **argv)
                     baselineConfig(cores, PageSize::FourKB);
                 SystemConfig cfg = base;
                 cfg.l3Policy = policy;
-                farm.submit(bench, cfg);
-                farm.submit(bench, base);
+                session.farm.submit(bench, cfg);
+                session.farm.submit(bench, base);
             }
         }
     }
-    farm.drain();
+    session.farm.drain();
 
     for (const auto &[pname, policy] : policies) {
         std::cout << "--- " << pname << " relative to 5P ---\n";
@@ -52,7 +48,7 @@ main(int argc, char **argv)
                     baselineConfig(cores, PageSize::FourKB);
                 SystemConfig cfg = base;
                 cfg.l3Policy = policy;
-                const double s = runner.speedup(bench, cfg, base);
+                const double s = session.runner.speedup(bench, cfg, base);
                 gms[g++].push_back(s);
                 row.push_back(TextTable::fmt(s));
             }
@@ -62,5 +58,5 @@ main(int argc, char **argv)
         table.print(std::cout);
         std::cout << "\n";
     }
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

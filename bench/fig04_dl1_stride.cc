@@ -13,13 +13,10 @@ int
 main(int argc, char **argv)
 {
     using namespace bop;
-    const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
-    SweepFarm farm(runner, opts.jobs);
-    benchHeader("Figure 4: disabling the DL1 stride prefetcher", runner);
-    printSpeedupFigure(farm, [](SystemConfig &cfg) {
+    BenchSession session(argc, argv);
+    session.header("Figure 4: disabling the DL1 stride prefetcher");
+    printSpeedupFigure(session.farm, [](SystemConfig &cfg) {
         cfg.dl1StridePrefetcher = false;
     });
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

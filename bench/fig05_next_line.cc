@@ -12,14 +12,10 @@ int
 main(int argc, char **argv)
 {
     using namespace bop;
-    const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
-    SweepFarm farm(runner, opts.jobs);
-    benchHeader("Figure 5: disabling the L2 next-line prefetcher",
-                runner);
-    printSpeedupFigure(farm, [](SystemConfig &cfg) {
+    BenchSession session(argc, argv);
+    session.header("Figure 5: disabling the L2 next-line prefetcher");
+    printSpeedupFigure(session.farm, [](SystemConfig &cfg) {
         cfg.l2Prefetcher = L2PrefetcherKind::None;
     });
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

@@ -13,14 +13,10 @@ int
 main(int argc, char **argv)
 {
     using namespace bop;
-    const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
-    SweepFarm farm(runner, opts.jobs);
-    benchHeader("Figure 6: BO speedup over the next-line baselines",
-                runner);
-    printSpeedupFigure(farm, [](SystemConfig &cfg) {
+    BenchSession session(argc, argv);
+    session.header("Figure 6: BO speedup over the next-line baselines");
+    printSpeedupFigure(session.farm, [](SystemConfig &cfg) {
         cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
     });
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

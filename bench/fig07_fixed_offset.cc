@@ -12,24 +12,20 @@ int
 main(int argc, char **argv)
 {
     using namespace bop;
-    const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
-    SweepFarm farm(runner, opts.jobs);
-    benchHeader("Figure 7: BO vs fixed offsets 2..7 (geomean speedups)",
-                runner);
+    BenchSession session(argc, argv);
+    session.header("Figure 7: BO vs fixed offsets 2..7 (geomean speedups)");
 
     GeomeanFigure fig;
-    fig.addVariant(farm, "BO", [](SystemConfig &cfg) {
+    fig.addVariant(session.farm, "BO", [](SystemConfig &cfg) {
         cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
     });
     for (int d = 2; d <= 7; ++d) {
-        fig.addVariant(farm, "D=" + std::to_string(d),
+        fig.addVariant(session.farm, "D=" + std::to_string(d),
                        [d](SystemConfig &cfg) {
                            cfg.l2Prefetcher = L2PrefetcherKind::FixedOffset;
                            cfg.fixedOffset = d;
                        });
     }
     fig.print();
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

@@ -22,12 +22,8 @@ int
 main(int argc, char **argv)
 {
     using namespace bop;
-    const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
-    SweepFarm farm(runner, opts.jobs);
-    benchHeader("Figure 8: fixed-offset sweep (4MB pages, 1 core)",
-                runner);
+    BenchSession session(argc, argv);
+    session.header("Figure 8: fixed-offset sweep (4MB pages, 1 core)");
 
     int step = 2;
     if (const char *s = std::getenv("BOP_SWEEP_STEP"))
@@ -41,21 +37,21 @@ main(int argc, char **argv)
     for (const auto &bench : benches) {
         SystemConfig bo = base;
         bo.l2Prefetcher = L2PrefetcherKind::BestOffset;
-        farm.submit(bench, bo);
-        farm.submit(bench, base);
+        session.farm.submit(bench, bo);
+        session.farm.submit(bench, base);
         for (int d = 2; d <= 256; d += step) {
             SystemConfig cfg = base;
             cfg.l2Prefetcher = L2PrefetcherKind::FixedOffset;
             cfg.fixedOffset = d;
-            farm.submit(bench, cfg);
+            session.farm.submit(bench, cfg);
         }
     }
-    farm.drain();
+    session.farm.drain();
 
     for (const auto &bench : benches) {
         SystemConfig bo = base;
         bo.l2Prefetcher = L2PrefetcherKind::BestOffset;
-        const double bo_speedup = runner.speedup(bench, bo, base);
+        const double bo_speedup = session.runner.speedup(bench, bo, base);
         std::cout << "--- " << bench << " (BO reference: "
                   << TextTable::fmt(bo_speedup) << ") ---\n";
 
@@ -65,10 +61,10 @@ main(int argc, char **argv)
             SystemConfig cfg = base;
             cfg.l2Prefetcher = L2PrefetcherKind::FixedOffset;
             cfg.fixedOffset = d;
-            table.row(d, runner.speedup(bench, cfg, base));
+            table.row(d, session.runner.speedup(bench, cfg, base));
         }
         table.print(std::cout);
         std::cout << "\n";
     }
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

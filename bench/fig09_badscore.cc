@@ -12,20 +12,17 @@ int
 main(int argc, char **argv)
 {
     using namespace bop;
-    const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
-    SweepFarm farm(runner, opts.jobs);
-    benchHeader("Figure 9: BADSCORE sweep (geomean BO speedups)", runner);
+    BenchSession session(argc, argv);
+    session.header("Figure 9: BADSCORE sweep (geomean BO speedups)");
 
     GeomeanFigure fig;
     for (const int bad : {0, 1, 2, 5, 10}) {
-        fig.addVariant(farm, "BADSCORE=" + std::to_string(bad),
+        fig.addVariant(session.farm, "BADSCORE=" + std::to_string(bad),
                        [bad](SystemConfig &cfg) {
                            cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
                            cfg.bo.badScore = bad;
                        });
     }
     fig.print();
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

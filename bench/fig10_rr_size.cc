@@ -12,21 +12,17 @@ int
 main(int argc, char **argv)
 {
     using namespace bop;
-    const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
-    SweepFarm farm(runner, opts.jobs);
-    benchHeader("Figure 10: RR table size sweep (geomean BO speedups)",
-                runner);
+    BenchSession session(argc, argv);
+    session.header("Figure 10: RR table size sweep (geomean BO speedups)");
 
     GeomeanFigure fig;
     for (const std::size_t entries : {32u, 64u, 128u, 256u, 512u}) {
-        fig.addVariant(farm, "RR=" + std::to_string(entries),
+        fig.addVariant(session.farm, "RR=" + std::to_string(entries),
                        [entries](SystemConfig &cfg) {
                            cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
                            cfg.bo.rrEntries = entries;
                        });
     }
     fig.print();
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

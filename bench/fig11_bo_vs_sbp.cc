@@ -11,19 +11,16 @@ int
 main(int argc, char **argv)
 {
     using namespace bop;
-    const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
-    SweepFarm farm(runner, opts.jobs);
-    benchHeader("Figure 11: BO vs SBP (geomean speedups)", runner);
+    BenchSession session(argc, argv);
+    session.header("Figure 11: BO vs SBP (geomean speedups)");
 
     GeomeanFigure fig;
-    fig.addVariant(farm, "BO", [](SystemConfig &cfg) {
+    fig.addVariant(session.farm, "BO", [](SystemConfig &cfg) {
         cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
     });
-    fig.addVariant(farm, "SBP", [](SystemConfig &cfg) {
+    fig.addVariant(session.farm, "SBP", [](SystemConfig &cfg) {
         cfg.l2Prefetcher = L2PrefetcherKind::Sandbox;
     });
     fig.print();
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

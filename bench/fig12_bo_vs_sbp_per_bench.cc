@@ -12,11 +12,8 @@ int
 main(int argc, char **argv)
 {
     using namespace bop;
-    const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
-    SweepFarm farm(runner, opts.jobs);
-    benchHeader("Figure 12: BO speedup relative to SBP", runner);
+    BenchSession session(argc, argv);
+    session.header("Figure 12: BO speedup relative to SBP");
 
     // Prefetch pass in serial-sweep order.
     for (const auto &bench : benchmarkNames()) {
@@ -26,11 +23,11 @@ main(int argc, char **argv)
             bo.l2Prefetcher = L2PrefetcherKind::BestOffset;
             SystemConfig sbp = base;
             sbp.l2Prefetcher = L2PrefetcherKind::Sandbox;
-            farm.submit(bench, bo);
-            farm.submit(bench, sbp);
+            session.farm.submit(bench, bo);
+            session.farm.submit(bench, sbp);
         }
     }
-    farm.drain();
+    session.farm.drain();
 
     TextTable table;
     std::vector<std::string> header = {"benchmark"};
@@ -48,8 +45,8 @@ main(int argc, char **argv)
             bo.l2Prefetcher = L2PrefetcherKind::BestOffset;
             SystemConfig sbp = base;
             sbp.l2Prefetcher = L2PrefetcherKind::Sandbox;
-            const double r = runner.run(bench, bo).ipc() /
-                             runner.run(bench, sbp).ipc();
+            const double r = session.runner.run(bench, bo).ipc() /
+                             session.runner.run(bench, sbp).ipc();
             ratios[g++].push_back(r);
             row.push_back(TextTable::fmt(r));
         }
@@ -60,5 +57,5 @@ main(int argc, char **argv)
         gm.push_back(TextTable::fmt(geomean(per_grid)));
     table.addRow(gm);
     table.print(std::cout);
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

@@ -14,13 +14,9 @@ int
 main(int argc, char **argv)
 {
     using namespace bop;
-    const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
-    SweepFarm farm(runner, opts.jobs);
-    benchHeader("Figure 13: DRAM accesses per 1000 instructions "
-                "(4KB pages, 1 core)",
-                runner);
+    BenchSession session(argc, argv);
+    session.header("Figure 13: DRAM accesses per 1000 instructions "
+                   "(4KB pages, 1 core)");
 
     // Prefetch pass in serial-sweep order.
     {
@@ -32,10 +28,10 @@ main(int argc, char **argv)
                   L2PrefetcherKind::Sandbox}) {
                 SystemConfig cfg = baseCfg;
                 cfg.l2Prefetcher = kind;
-                farm.submit(bench, cfg);
+                session.farm.submit(bench, cfg);
             }
         }
-        farm.drain();
+        session.farm.drain();
     }
 
     TextTable table;
@@ -50,11 +46,11 @@ main(int argc, char **argv)
             SystemConfig cfg = base;
             cfg.l2Prefetcher = kind;
             row.push_back(
-                TextTable::fmt(runner.run(bench, cfg).dramPer1kInstr(),
+                TextTable::fmt(session.runner.run(bench, cfg).dramPer1kInstr(),
                                1));
         }
         table.addRow(row);
     }
     table.print(std::cout);
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

@@ -19,9 +19,7 @@ main(int argc, char **argv)
 
     // No simulations here, but the CLI stays uniform with the other
     // benches (an empty record array is still a valid artifact).
-    const BenchOptions opts = parseBenchOptions(argc, argv);
-    ExperimentRunner runner;
-    configureBenchRunner(runner, opts);
+    BenchSession session(argc, argv);
 
     std::cout << "=== Table 1: baseline microarchitecture ===\n\n";
     const SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
@@ -73,5 +71,5 @@ main(int argc, char **argv)
     t2.row("scores", std::to_string(makeOffsetList(bo.maxOffset).size()));
     t2.row("offset list", "1..256, prime factors <= 5 (Sec. 4.2)");
     t2.print(std::cout);
-    return finishBench(runner, opts) ? 0 : 1;
+    return session.finish();
 }

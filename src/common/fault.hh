@@ -44,8 +44,8 @@ namespace bop
 {
 
 /**
- * A job exceeded its wall-clock deadline (BOP_JOB_TIMEOUT /
- * --job-timeout). Its own exception type so the harness layers can
+ * A job exceeded its wall-clock deadline (RunnerOptions::jobTimeout:
+ * --job-timeout or BOP_JOB_TIMEOUT). Its own exception type so the harness layers can
  * classify the resulting error record as kind "timeout".
  */
 class JobTimeout : public std::runtime_error
@@ -61,8 +61,8 @@ class JobTimeout : public std::runtime_error
  * A transient host-I/O failure (`trace_read_eio`-class: a flaky read
  * from a decompressor pipe, a recoverable EIO). Its own exception type
  * so the harness layers classify the error record as kind "io" — the
- * one kind the bounded-retry machinery (`--retries`, docs/ROBUSTNESS.md
- * decision table) is allowed to re-enqueue.
+ * one kind the bounded-retry loop (`--retries`, docs/ROBUSTNESS.md
+ * decision table) is allowed to retry.
  */
 class TransientIoError : public std::runtime_error
 {
@@ -84,7 +84,7 @@ std::string faultKindOf(const std::exception &e);
 
 /**
  * True for error-record kinds that represent weather, not bugs — the
- * only kinds bounded retry may re-enqueue. Currently just "io":
+ * only kinds bounded retry may retry. Currently just "io":
  * timeouts and checkpoint/simulation failures are deterministic and
  * would fail identically on every attempt.
  */

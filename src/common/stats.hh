@@ -23,61 +23,63 @@ double geomean(const std::vector<double> &values);
 double mean(const std::vector<double> &values);
 
 /**
+ * The RunStats counter table: one X(type, name, cumulative) row per
+ * counter, in declaration order, which is also the checkpoint byte
+ * order of RunStats::serialize(). `cumulative` rows are running counts
+ * that deltaStats() subtracts; the others are end-of-run state it
+ * keeps. The struct, its serialisation and deltaStats() all expand
+ * this one list, so a counter cannot be added to one and missed by
+ * another.
+ */
+#define BOP_RUN_STATS_COUNTERS(X)                                          \
+    /* progress */                                                        \
+    X(std::uint64_t, cycles, true)       /* measured cycles */             \
+    X(std::uint64_t, instructions, true) /* retired on core 0 */           \
+    /* DL1 */                                                             \
+    X(std::uint64_t, dl1Accesses, true)                                    \
+    X(std::uint64_t, dl1Misses, true)                                      \
+    X(std::uint64_t, dl1PrefIssued, true)  /* L1 stride prefetches */      \
+    X(std::uint64_t, dl1PrefDropTlb, true) /* dropped on TLB2 miss */      \
+    /* L2 */                                                              \
+    X(std::uint64_t, l2Accesses, true) /* core-side read accesses */       \
+    X(std::uint64_t, l2Misses, true)                                       \
+    X(std::uint64_t, l2PrefetchedHits, true) /* hits, prefetch bit set */  \
+    X(std::uint64_t, l2PrefIssued, true)     /* L2 prefetches issued */    \
+    X(std::uint64_t, l2PrefDropped, true)    /* cancelled / filtered */    \
+    X(std::uint64_t, l2PrefFills, true)      /* prefetched lines filled */ \
+    X(std::uint64_t, l2LatePromotions, true) /* hits on in-flight pf */    \
+    X(std::uint64_t, l2PrefUselessEvicted, true) /* evicted unused */      \
+    /* L3; l3ChannelStalls: cycles a demand waited on one channel's     \
+       read-queue congestion, zero on <= 2-channel topologies */          \
+    X(std::uint64_t, l3Accesses, true)                                     \
+    X(std::uint64_t, l3Misses, true)                                       \
+    X(std::uint64_t, l3ChannelStalls, true)                                \
+    /* TLB */                                                             \
+    X(std::uint64_t, dtlb1Misses, true)                                    \
+    X(std::uint64_t, tlb2Misses, true)                                     \
+    /* branches */                                                        \
+    X(std::uint64_t, branches, true)                                       \
+    X(std::uint64_t, branchMispredicts, true)                              \
+    /* DRAM (whole chip, all cores) */                                    \
+    X(std::uint64_t, dramReads, true)                                      \
+    X(std::uint64_t, dramWrites, true)                                     \
+    X(std::uint64_t, dramRowHits, true)                                    \
+    X(std::uint64_t, dramRowMisses, true)                                  \
+    /* BO on core 0: end-of-run state of the learner */                   \
+    X(std::uint64_t, boLearningPhases, false)                              \
+    X(std::uint64_t, boPrefetchOffPhases, false)                           \
+    X(int, boFinalOffset, false)                                           \
+    X(int, boFinalScore, false)
+
+/**
  * Counters gathered during one simulation run, from the point of view of
  * core 0 (the paper reports all numbers for core 0 only).
  */
 struct RunStats
 {
-    // -- progress -------------------------------------------------------
-    std::uint64_t cycles = 0;          ///< measured cycles
-    std::uint64_t instructions = 0;    ///< instructions retired on core 0
-
-    // -- DL1 ------------------------------------------------------------
-    std::uint64_t dl1Accesses = 0;
-    std::uint64_t dl1Misses = 0;
-    std::uint64_t dl1PrefIssued = 0;   ///< L1 stride prefetches issued
-    std::uint64_t dl1PrefDropTlb = 0;  ///< dropped on TLB2 miss
-
-    // -- L2 -------------------------------------------------------------
-    std::uint64_t l2Accesses = 0;      ///< core-side read accesses
-    std::uint64_t l2Misses = 0;
-    std::uint64_t l2PrefetchedHits = 0;///< hits with prefetch bit set
-    std::uint64_t l2PrefIssued = 0;    ///< L2 prefetch requests issued
-    std::uint64_t l2PrefDropped = 0;   ///< cancelled / filtered
-    std::uint64_t l2PrefFills = 0;     ///< prefetched lines filled into L2
-    std::uint64_t l2LatePromotions = 0;///< demand hits on in-flight prefetch
-    std::uint64_t l2PrefUselessEvicted = 0; ///< evicted, prefetch bit set
-
-    // -- L3 -------------------------------------------------------------
-    std::uint64_t l3Accesses = 0;
-    std::uint64_t l3Misses = 0;
-    /**
-     * Cycles a sharded L3 demand shard was parked on channel-local
-     * read-queue congestion while other channels kept draining
-     * (chip-wide). Structurally zero on <= 2-channel topologies, where
-     * the shared L3 fill queue saturates first.
-     */
-    std::uint64_t l3ChannelStalls = 0;
-
-    // -- TLB -------------------------------------------------------------
-    std::uint64_t dtlb1Misses = 0;
-    std::uint64_t tlb2Misses = 0;
-
-    // -- branches --------------------------------------------------------
-    std::uint64_t branches = 0;
-    std::uint64_t branchMispredicts = 0;
-
-    // -- DRAM (whole chip, all cores) ------------------------------------
-    std::uint64_t dramReads = 0;
-    std::uint64_t dramWrites = 0;
-    std::uint64_t dramRowHits = 0;
-    std::uint64_t dramRowMisses = 0;
-
-    // -- BO-specific (when the BO prefetcher is active on core 0) --------
-    std::uint64_t boLearningPhases = 0;
-    std::uint64_t boPrefetchOffPhases = 0;
-    int boFinalOffset = 0;
-    int boFinalScore = 0;
+#define BOP_DECLARE_COUNTER(type, name, cumulative) type name = 0;
+    BOP_RUN_STATS_COUNTERS(BOP_DECLARE_COUNTER)
+#undef BOP_DECLARE_COUNTER
 
     /** Field-wise equality (the fast-forward equivalence gate compares
      *  whole runs; every counter above participates). */
@@ -87,35 +89,9 @@ struct RunStats
     void
     serialize(Serializer &s)
     {
-        s.value(cycles);
-        s.value(instructions);
-        s.value(dl1Accesses);
-        s.value(dl1Misses);
-        s.value(dl1PrefIssued);
-        s.value(dl1PrefDropTlb);
-        s.value(l2Accesses);
-        s.value(l2Misses);
-        s.value(l2PrefetchedHits);
-        s.value(l2PrefIssued);
-        s.value(l2PrefDropped);
-        s.value(l2PrefFills);
-        s.value(l2LatePromotions);
-        s.value(l2PrefUselessEvicted);
-        s.value(l3Accesses);
-        s.value(l3Misses);
-        s.value(l3ChannelStalls);
-        s.value(dtlb1Misses);
-        s.value(tlb2Misses);
-        s.value(branches);
-        s.value(branchMispredicts);
-        s.value(dramReads);
-        s.value(dramWrites);
-        s.value(dramRowHits);
-        s.value(dramRowMisses);
-        s.value(boLearningPhases);
-        s.value(boPrefetchOffPhases);
-        s.value(boFinalOffset);
-        s.value(boFinalScore);
+#define BOP_SERIALIZE_COUNTER(type, name, cumulative) s.value(name);
+        BOP_RUN_STATS_COUNTERS(BOP_SERIALIZE_COUNTER)
+#undef BOP_SERIALIZE_COUNTER
     }
 
     /** Instructions per cycle for the measured window. */

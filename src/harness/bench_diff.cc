@@ -1,9 +1,11 @@
 #include "harness/bench_diff.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -504,6 +506,67 @@ diffRunRecords(const std::vector<ParsedRunRecord> &oldRecords,
 
     diffErrorRecords(oldErrors, newErrors, result);
     return result;
+}
+
+bool
+numberText(const std::string &text, double &out)
+{
+    // strtod alone would skip leading space and read hex, inf and nan.
+    if (text.empty() ||
+        text.find_first_not_of("0123456789+-.eE") != std::string::npos)
+        return false;
+    char *end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (end != text.c_str() + text.size() || !std::isfinite(value))
+        return false;
+    out = value;
+    return true;
+}
+
+std::vector<std::string>
+exactDiff(const std::vector<ParsedRunRecord> &oldRecords,
+          const std::vector<ParsedRunRecord> &newRecords)
+{
+    std::vector<std::string> diffs;
+    if (oldRecords.size() != newRecords.size())
+        diffs.push_back("record count " + std::to_string(oldRecords.size()) +
+                        " -> " + std::to_string(newRecords.size()));
+
+    // Walk the union of both records' fields; a field present on one
+    // side only is a difference like any changed value.
+    auto compare = [&diffs](std::size_t i, const auto &oldFields,
+                            const auto &newFields) {
+        auto show = [](const auto &fields, const std::string &name) {
+            const auto it = fields.find(name);
+            if (it == fields.end())
+                return std::string("(absent)");
+            std::ostringstream oss;
+            oss.precision(17);
+            oss << it->second;
+            return oss.str();
+        };
+        std::set<std::string> names;
+        for (const auto &kv : oldFields)
+            names.insert(kv.first);
+        for (const auto &kv : newFields)
+            names.insert(kv.first);
+        const std::vector<std::string> &host = hostTimingFields();
+        for (const std::string &name : names) {
+            if (std::find(host.begin(), host.end(), name) != host.end())
+                continue;
+            const std::string before = show(oldFields, name);
+            const std::string after = show(newFields, name);
+            if (before != after)
+                diffs.push_back("record " + std::to_string(i) + " \"" +
+                                name + "\": " + before + " -> " + after);
+        }
+    };
+    const std::size_t common = std::min(oldRecords.size(), newRecords.size());
+    for (std::size_t i = 0; i < common; ++i) {
+        compare(i, oldRecords[i].strings, newRecords[i].strings);
+        compare(i, oldRecords[i].numbers, newRecords[i].numbers);
+    }
+    return diffs;
 }
 
 } // namespace bop

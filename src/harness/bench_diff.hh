@@ -17,6 +17,7 @@
 #ifndef BOP_HARNESS_BENCH_DIFF_HH
 #define BOP_HARNESS_BENCH_DIFF_HH
 
+#include <charconv>
 #include <cmath>
 #include <istream>
 #include <limits>
@@ -82,6 +83,60 @@ wholeNumber(double value, T &out)
     out = static_cast<T>(value);
     return true;
 }
+
+/**
+ * Parse @p text as one finite number in its entirety: "1k", "abc",
+ * "0x10", " 5" and "" all fail, so a mistyped flag or environment
+ * value is refused instead of read as its leading digits.
+ */
+bool numberText(const std::string &text, double &out);
+
+/**
+ * Text form of the check above, for command-line flags and BOP_*
+ * environment values. Integer spellings convert exactly (seeds use all
+ * 64 bits); any other spelling must pass numberText() and then
+ * wholeNumber(), so "1e3" reads as 1000 exactly as in a serve job line
+ * while "1.5" and "1k" fail.
+ */
+template <typename T>
+bool
+wholeNumber(const std::string &text, T &out)
+{
+    const char *last = text.data() + text.size();
+    T value{};
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    if (ec == std::errc() && end == last) {
+        out = value;
+        return true;
+    }
+    double number = 0.0;
+    return numberText(text, number) && wholeNumber(number, out);
+}
+
+/**
+ * Host-side fields of a run record: wall clock and scheduling, which
+ * differ between any two runs of the same sweep (`jobs` by
+ * construction when the worker count changes). Simulated fields,
+ * job_index and attempts are not among them.
+ */
+inline const std::vector<std::string> &
+hostTimingFields()
+{
+    static const std::vector<std::string> fields = {
+        "jobs", "wall_seconds", "queue_wait_seconds", "sim_mcycles_per_s",
+        "retired_minstr_per_s"};
+    return fields;
+}
+
+/**
+ * Exact comparison (`bench_diff --exact`): the two artifacts must hold
+ * the same number of records in the same order, equal in every field
+ * except hostTimingFields(). Returns one line per difference; empty
+ * means identical.
+ */
+std::vector<std::string>
+exactDiff(const std::vector<ParsedRunRecord> &oldRecords,
+          const std::vector<ParsedRunRecord> &newRecords);
 
 /**
  * Parse a records file: either a json_report array artifact or an

@@ -19,17 +19,6 @@
 namespace bop
 {
 
-Budget
-Budget::fromEnv()
-{
-    Budget b;
-    if (const char *w = std::getenv("BOP_WARMUP"))
-        b.warmup = std::strtoull(w, nullptr, 10);
-    if (const char *m = std::getenv("BOP_INSTR"))
-        b.measure = std::strtoull(m, nullptr, 10);
-    return b;
-}
-
 SystemConfig
 baselineConfig(int cores, PageSize page)
 {
@@ -103,62 +92,26 @@ makeTraces(const std::string &benchmark, const SystemConfig &cfg)
 }
 
 std::string
-ExperimentRunner::runKey(const std::string &benchmark,
-                         const SystemConfig &cfg, const Budget &b)
+ExperimentRunner::runKey(const JobSpec &job)
 {
     // Budgets are part of the design point: the --serve front end can
     // carry a different budget per job line, and memo hits must never
     // conflate a short run with a long one.
-    return benchmark + "##" + configFingerprint(cfg) + "##" +
-           std::to_string(b.warmup) + "+" + std::to_string(b.measure);
+    return job.benchmark + "##" + configFingerprint(job.cfg) + "##" +
+           std::to_string(job.budget.warmup) + "+" +
+           std::to_string(job.budget.measure) +
+           (job.share ? "##ckpt-share" : "");
 }
 
 std::string
-ExperimentRunner::prefixKey(const std::string &benchmark,
-                            const SystemConfig &cfg, const Budget &b)
+ExperimentRunner::prefixKey(const JobSpec &job)
 {
     // The warm state depends on everything the config fingerprint
     // covers (prefetcher choice included) plus the warmup length —
     // but NOT the measure budget, which is exactly what makes the
     // prefix shareable across jobs that differ only in it.
-    return benchmark + "##" + configFingerprint(cfg) + "##warm" +
-           std::to_string(b.warmup);
-}
-
-bool
-ExperimentRunner::sharingFromEnv()
-{
-    const char *v = std::getenv("BOP_CKPT_SHARE");
-    return v != nullptr && *v != '\0' && std::string(v) != "0";
-}
-
-double
-ExperimentRunner::timeoutFromEnv()
-{
-    const char *v = std::getenv("BOP_JOB_TIMEOUT");
-    return v != nullptr ? std::strtod(v, nullptr) : 0.0;
-}
-
-int
-ExperimentRunner::retriesFromEnv()
-{
-    const char *v = std::getenv("BOP_RETRIES");
-    const int n = v != nullptr ? std::atoi(v) : 0;
-    return n < 0 ? 0 : n;
-}
-
-double
-ExperimentRunner::backoffFromEnv()
-{
-    const char *v = std::getenv("BOP_RETRY_BACKOFF");
-    return v != nullptr ? std::strtod(v, nullptr) : 0.05;
-}
-
-std::string
-ExperimentRunner::ckptDirFromEnv()
-{
-    const char *v = std::getenv("BOP_CKPT_DIR");
-    return v != nullptr ? v : "";
+    return job.benchmark + "##" + configFingerprint(job.cfg) + "##warm" +
+           std::to_string(job.budget.warmup);
 }
 
 std::string
@@ -175,7 +128,7 @@ ExperimentRunner::cacheEntryPath(const std::string &pkey) const
     char name[32];
     std::snprintf(name, sizeof name, "%016llx.bopckpt",
                   static_cast<unsigned long long>(h));
-    return ckptDir + "/" + name;
+    return opts.checkpointDir + "/" + name;
 }
 
 namespace
@@ -240,7 +193,7 @@ ExperimentRunner::saveCacheEntry(
     const std::string &pkey,
     const std::vector<std::uint8_t> &container) const
 {
-    ::mkdir(ckptDir.c_str(), 0777); // best effort; EEXIST is fine
+    ::mkdir(opts.checkpointDir.c_str(), 0777); // best effort; EEXIST is fine
     const std::string path = cacheEntryPath(pkey);
     const std::string tmp =
         path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
@@ -276,26 +229,34 @@ ExperimentRunner::saveCacheEntry(
 }
 
 std::size_t
-ExperimentRunner::resumeFromJournal(const std::string &path,
-                                    std::ostream &diag)
+ExperimentRunner::openJournals(std::ostream &diag)
 {
-    std::vector<JournalEntry> entries =
-        ResultJournal::load(path, budget.warmup, budget.measure, diag);
-    std::lock_guard<std::mutex> lk(m);
-    for (JournalEntry &entry : entries) {
-        entry.record.journalReplayed = true;
-        if (!entry.record.errored())
-            cache[entry.key] = entry.record; // memo hit for run()
-        // Success and error records both land in the pending-replay
-        // map (last entry wins) so the farm re-emits a crashed
-        // sweep's record stream — errors included — verbatim.
-        replayed[entry.key] = std::move(entry.record);
+    std::vector<JournalEntry> entries;
+    if (!opts.resumePath.empty()) {
+        entries = ResultJournal::load(opts.resumePath, opts.budget.warmup,
+                                      opts.budget.measure, diag);
+        diag << "journal: replayed " << entries.size() << " record"
+             << (entries.size() == 1 ? "" : "s") << " from '"
+             << opts.resumePath << "'\n";
     }
-    replayCount += entries.size();
-    diag << "journal: replayed " << entries.size() << " record"
-         << (entries.size() == 1 ? "" : "s") << " from '" << path
-         << "'\n";
-    return entries.size();
+    const std::size_t count = entries.size();
+    {
+        std::lock_guard<std::mutex> lk(m);
+        for (JournalEntry &entry : entries) {
+            entry.record.journalReplayed = true;
+            if (!entry.record.errored())
+                cache[entry.key] = entry.record; // memo hit for run()
+            // Success and error records both land in the pending-
+            // replay map (last entry wins) so the farm re-emits a
+            // crashed sweep's record stream — errors included —
+            // verbatim.
+            replayed[entry.key] = std::move(entry.record);
+        }
+    }
+    if (!opts.journalPath.empty())
+        journal.open(opts.journalPath, opts.budget.warmup,
+                     opts.budget.measure);
+    return count;
 }
 
 bool
@@ -326,11 +287,10 @@ ExperimentRunner::reserveJobIndex()
 }
 
 RunRecord
-ExperimentRunner::simulateRecord(const std::string &benchmark,
-                                 const SystemConfig &cfg,
-                                 const Budget &b,
-                                 bool share_warmup) const
+ExperimentRunner::simulateRecord(const JobSpec &job) const
 {
+    const SystemConfig &cfg = job.cfg;
+    const Budget &b = job.budget;
     // Fault injection (docs/ROBUSTNESS.md): job_wedge and job_throw
     // target the job by its deterministic farm/serve index, carried
     // by the FaultScope the submitting layer opened on this thread.
@@ -342,7 +302,7 @@ ExperimentRunner::simulateRecord(const std::string &benchmark,
         // plan can never hang the process even when no deadline is
         // configured — past the limit the wedge reports itself as the
         // timeout the deadline would have produced.
-        const double limit = jobTimeout > 0.0 ? jobTimeout : 2.0;
+        const double limit = opts.jobTimeout > 0.0 ? opts.jobTimeout : 2.0;
         const auto until =
             std::chrono::steady_clock::now() +
             std::chrono::duration<double>(limit);
@@ -370,21 +330,16 @@ ExperimentRunner::simulateRecord(const std::string &benchmark,
         }
     };
 
-    System system(cfg, makeTraces(benchmark, cfg));
-    system.setJobDeadline(jobTimeout);
+    System system(cfg, makeTraces(job.benchmark, cfg));
+    system.setJobDeadline(opts.jobTimeout);
     const auto t0 = std::chrono::steady_clock::now();
 
     RunStats stats;
-    if (!share_warmup) {
+    if (!job.share) {
         throwInjected();
         stats = system.run(b.warmup, b.measure);
     } else {
-        // Shared warmup prefix: the first arrival for this (benchmark,
-        // config, warmup) prefix simulates the warmup and publishes
-        // the warm state as an in-memory checkpoint; later arrivals
-        // restore it and pay only the measurement window. Restore
-        // bit-identity makes both paths produce identical stats.
-        const std::string pkey = prefixKey(benchmark, cfg, b);
+        const std::string pkey = prefixKey(job);
         const std::vector<std::uint8_t> *bytes = nullptr;
         bool producer = false;
         {
@@ -413,7 +368,7 @@ ExperimentRunner::simulateRecord(const std::string &benchmark,
                 throwInjected();
                 bool fromDisk = false;
                 std::vector<std::uint8_t> warm;
-                if (!ckptDir.empty()) {
+                if (!opts.checkpointDir.empty()) {
                     // Disk-backed prefix cache (BOP_CKPT_DIR): another
                     // process may have paid this warmup already.
                     // Validate-before-apply: a refused entry leaves
@@ -438,7 +393,7 @@ ExperimentRunner::simulateRecord(const std::string &benchmark,
                 if (!fromDisk) {
                     system.warmup(b.warmup);
                     warm = system.saveCheckpointBytes();
-                    if (!ckptDir.empty())
+                    if (!opts.checkpointDir.empty())
                         saveCacheEntry(pkey, warm); // overwrites a
                                                     // refused entry
                 }
@@ -469,21 +424,21 @@ ExperimentRunner::simulateRecord(const std::string &benchmark,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
             .count();
-    RunRecord record{benchmark, cfg.describe(), stats,
+    RunRecord record{job.benchmark, cfg.describe(), stats,
                      /*traceSource=*/"", wall};
-    if (share_warmup)
+    if (job.share)
         record.checkpoint = "warm-shared";
 
     if (std::getenv("BOP_VERBOSE")) {
         std::fprintf(stderr, "  [run] %-16s %-44s IPC=%.3f\n",
-                     benchmark.c_str(), cfg.describe().c_str(),
+                     job.benchmark.c_str(), cfg.describe().c_str(),
                      stats.ipc());
     }
     return record;
 }
 
 void
-ExperimentRunner::commitJob(const std::string &key, RunRecord record)
+ExperimentRunner::commit(const std::string &key, RunRecord record)
 {
     // Write-ahead: the journal line is durable before the record is
     // acknowledged in memory, so a crash after this point loses
@@ -491,35 +446,20 @@ ExperimentRunner::commitJob(const std::string &key, RunRecord record)
     journalCommit(key, record);
     std::lock_guard<std::mutex> lk(m);
     runRecords.push_back(record);
-    cache.emplace(key, std::move(record));
-}
-
-void
-ExperimentRunner::commitError(const std::string &key, RunRecord record)
-{
-    journalCommit(key, record);
-    std::lock_guard<std::mutex> lk(m);
-    runRecords.push_back(std::move(record));
+    if (!record.errored())
+        cache.emplace(key, std::move(record));
 }
 
 const RunStats &
 ExperimentRunner::run(const std::string &benchmark, const SystemConfig &cfg)
 {
-    return run(benchmark, cfg, budget).stats;
+    return run(jobFor(benchmark, cfg)).stats;
 }
 
 const RunRecord &
-ExperimentRunner::run(const std::string &benchmark, const SystemConfig &cfg,
-                      const Budget &b)
+ExperimentRunner::run(const JobSpec &job)
 {
-    return run(benchmark, cfg, b, shareWarmup);
-}
-
-const RunRecord &
-ExperimentRunner::run(const std::string &benchmark, const SystemConfig &cfg,
-                      const Budget &b, bool share_warmup)
-{
-    const std::string key = jobKey(benchmark, cfg, b, share_warmup);
+    const std::string key = runKey(job);
 
     std::unique_lock<std::mutex> lk(m);
     for (;;) {
@@ -536,22 +476,12 @@ ExperimentRunner::run(const std::string &benchmark, const SystemConfig &cfg,
 
     RunRecord record;
     try {
-        record = simulateRecord(benchmark, cfg, b, share_warmup);
+        record = simulateRecord(job);
+        // Write-ahead, still outside the memo lock.
+        journalCommit(key, record);
     } catch (...) {
         // Release the latch so waiters retry (and likely rethrow the
         // same error themselves) instead of blocking forever.
-        lk.lock();
-        inflight.erase(key);
-        cv.notify_all();
-        throw;
-    }
-
-    try {
-        // Write-ahead, still outside the memo lock; a failed journal
-        // append must release the in-flight latch like any other
-        // failure so waiters do not hang on a dead commit.
-        journalCommit(key, record);
-    } catch (...) {
         lk.lock();
         inflight.erase(key);
         cv.notify_all();
@@ -563,6 +493,62 @@ ExperimentRunner::run(const std::string &benchmark, const SystemConfig &cfg,
     inflight.erase(key);
     cv.notify_all();
     return committed->second;
+}
+
+namespace
+{
+
+/** Backoff before retry attempt @p attempt (2 = first retry): 50 ms,
+ *  doubling per further attempt. */
+double
+retryBackoffSeconds(int attempt)
+{
+    double backoff = 0.05;
+    for (int i = 2; i < attempt; ++i)
+        backoff *= 2.0;
+    return backoff;
+}
+
+} // namespace
+
+RunRecord
+ExperimentRunner::runJob(const JobSpec &job, long jobIndex,
+                         std::chrono::steady_clock::time_point submitted,
+                         bool memoise)
+{
+    const double queueWait =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      submitted)
+            .count();
+    // job_wedge/job_throw/job_io target the job by this index.
+    FaultScope scope(jobIndex);
+    RunRecord record;
+    for (int attempt = 1;; ++attempt) {
+        try {
+            // A replayed journal record is a memo hit here, and keeps
+            // its journalReplayed flag for the caller to count.
+            record = memoise ? run(job) : simulateRecord(job);
+            record.queueWaitSeconds = queueWait;
+        } catch (const std::exception &e) {
+            // The runner released its latch on throw and never
+            // memoises a failure, so a retry simulates afresh.
+            if (transientFaultKind(faultKindOf(e)) &&
+                attempt <= opts.retries) {
+                std::this_thread::sleep_for(std::chrono::duration<double>(
+                    retryBackoffSeconds(attempt + 1)));
+                continue;
+            }
+            record = RunRecord{};
+            record.workload = job.benchmark;
+            record.config = job.cfg.describe();
+            record.errorKind = faultKindOf(e);
+            record.errorDetail = e.what();
+        }
+        record.jobs = opts.jobs;
+        record.jobIndex = jobIndex;
+        record.attempts = attempt;
+        return record;
+    }
 }
 
 double

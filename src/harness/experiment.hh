@@ -5,9 +5,14 @@
  * Provides the paper's six baseline configurations (1/2/4 active cores
  * x 4KB/4MB pages, Sec. 5.1), workload/trace assembly (core 0 runs the
  * benchmark; other active cores run the cache-thrashing
- * micro-benchmark), instruction budgets (overridable through the
- * BOP_WARMUP / BOP_INSTR environment variables), and a memoising runner
- * so figures that share baselines do not re-simulate them.
+ * micro-benchmark), and a memoising runner so figures that share
+ * baselines do not re-simulate them.
+ *
+ * One job path: a JobSpec (benchmark, config, budget, warm-up sharing)
+ * goes through run(JobSpec) or, for the farm and serve layers,
+ * runJob(), which owns bounded retry and error-record construction.
+ * The runner is built from RunnerOptions (options.hh), parsed once
+ * from the environment and flags by the binaries that drive it.
  *
  * The runner is thread-safe: the sweep farm (sweep_farm.hh) and the
  * `bopsim --serve` front end call it from worker threads. A single
@@ -20,10 +25,12 @@
 #ifndef BOP_HARNESS_EXPERIMENT_HH
 #define BOP_HARNESS_EXPERIMENT_HH
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -31,21 +38,12 @@
 #include "common/stats.hh"
 #include "harness/journal.hh"
 #include "harness/json_report.hh"
+#include "harness/options.hh"
 #include "sim/config.hh"
 #include "sim/system.hh"
 
 namespace bop
 {
-
-/** Instruction budgets for one simulation run. */
-struct Budget
-{
-    std::uint64_t warmup = 100000;
-    std::uint64_t measure = 400000;
-
-    /** Defaults overridden by BOP_WARMUP / BOP_INSTR. */
-    static Budget fromEnv();
-};
 
 /**
  * The paper's baseline: next-line L2 prefetcher, 5P L3 policy, DL1
@@ -75,35 +73,47 @@ std::string configFingerprint(const SystemConfig &cfg);
 std::vector<std::unique_ptr<TraceSource>>
 makeTraces(const std::string &benchmark, const SystemConfig &cfg);
 
+/** One design point: what one job simulates. */
+struct JobSpec
+{
+    std::string benchmark;
+    SystemConfig cfg;
+    Budget budget;
+    /** Warm-up prefix sharing: jobs with the same (benchmark, config,
+     *  warmup) simulate the warmup once; later ones restore it. */
+    bool share = false;
+};
+
 /** Memoising, thread-safe simulation runner. */
 class ExperimentRunner
 {
   public:
-    explicit ExperimentRunner(Budget budget_ = Budget::fromEnv())
-        : budget(budget_), shareWarmup(sharingFromEnv()),
-          jobTimeout(timeoutFromEnv()), retries_(retriesFromEnv()),
-          retryBackoffBase(backoffFromEnv()), ckptDir(ckptDirFromEnv())
+    explicit ExperimentRunner(RunnerOptions options = {})
+        : opts(std::move(options))
     {
     }
 
-    /** Run (or recall) one benchmark under one configuration. */
+    const RunnerOptions &options() const { return opts; }
+
+    /** A job for @p benchmark under @p cfg with the runner's budget
+     *  and sharing default. */
+    JobSpec
+    jobFor(const std::string &benchmark, const SystemConfig &cfg) const
+    {
+        return {benchmark, cfg, opts.budget, opts.share};
+    }
+
+    /** Run (or recall) one benchmark under one configuration with the
+     *  runner's defaults: the figure convenience. */
     const RunStats &run(const std::string &benchmark,
                         const SystemConfig &cfg);
 
     /**
-     * Same, with an explicit per-job budget (the --serve front end
-     * carries budgets per job line) and the full memoised record.
-     * Safe to call concurrently: the in-flight latch guarantees each
-     * distinct (benchmark, config, budget) simulates exactly once.
+     * Run (or recall) one job and return its memoised record. Safe to
+     * call concurrently: the in-flight latch guarantees each distinct
+     * job simulates exactly once. A job that throws is not memoised.
      */
-    const RunRecord &run(const std::string &benchmark,
-                         const SystemConfig &cfg, const Budget &b);
-
-    /** Same, with an explicit warmup-prefix-sharing choice for this
-     *  job (overriding the runner-wide setting). */
-    const RunRecord &run(const std::string &benchmark,
-                         const SystemConfig &cfg, const Budget &b,
-                         bool share_warmup);
+    const RunRecord &run(const JobSpec &job);
 
     /** Speedup of @p cfg over @p base for one benchmark (IPC ratio). */
     double speedup(const std::string &benchmark, const SystemConfig &cfg,
@@ -114,80 +124,36 @@ class ExperimentRunner
                           const SystemConfig &cfg,
                           const SystemConfig &base);
 
-    const Budget &budgets() const { return budget; }
+    /**
+     * Run one farm or serve job to its final record, with bounded
+     * retry: the job is memoised through run() when @p memoise is set
+     * (serve) and simulated through simulateRecord() otherwise (the
+     * farm commits in submission order itself). A failure whose kind
+     * is transient (transientFaultKind(), "io") is retried in place
+     * up to options().retries more times with exponential backoff;
+     * any other failure, or the last transient one, becomes an error
+     * record (RunRecord::errored()). The record carries @p jobIndex,
+     * the worker count, the queue wait since @p submitted and the
+     * attempts taken. Runs under a FaultScope for @p jobIndex.
+     */
+    RunRecord runJob(const JobSpec &job, long jobIndex,
+                     std::chrono::steady_clock::time_point submitted,
+                     bool memoise);
 
     /**
-     * Warmup-prefix sharing: when enabled, jobs sharing a (benchmark,
-     * config, warmup budget) prefix simulate the warmup exactly once —
-     * the first arrival saves an in-memory checkpoint at the
-     * measurement boundary, later arrivals restore it and only pay
-     * the measurement window. Bit-identity of checkpoint restore
-     * (tests/test_checkpoint.cc) guarantees the resulting stats equal
-     * a cold run's. Default: off, or the BOP_CKPT_SHARE environment
-     * variable (unset/"0" = off, anything else = on).
+     * Replay the options' --resume journal into the memo, then attach
+     * the --journal write-ahead journal (either may be unset). Replay
+     * turns journaled success records into memo hits (flagged
+     * journalReplayed) and both success and error records into
+     * pending replays the farm commits verbatim instead of
+     * re-simulating, so a killed sweep resumed under the same config
+     * produces byte-identical final output (timing fields aside).
+     * Budget drift is refused through the journal header; any other
+     * config drift never matches the fingerprint-bearing memo key and
+     * re-simulates. Throws on a refused or unreadable journal.
+     * Returns the number of replayed entries.
      */
-    void setCheckpointSharing(bool on) { shareWarmup = on; }
-    bool checkpointSharing() const { return shareWarmup; }
-
-    /**
-     * Per-job wall-clock deadline in seconds (0 = none). A job still
-     * simulating past it throws JobTimeout, which the farm/serve
-     * layers convert into a per-job error record while the rest of
-     * the batch keeps running. Default: off, or BOP_JOB_TIMEOUT
-     * seconds; `bopsim --serve --job-timeout` sets it per session.
-     */
-    void setJobTimeout(double seconds) { jobTimeout = seconds; }
-    double jobTimeoutSeconds() const { return jobTimeout; }
-
-    /**
-     * Bounded retry for transient failures (`--retries N` /
-     * BOP_RETRIES): a job whose error kind is transient
-     * (transientFaultKind(), currently "io") is re-enqueued through
-     * the never-memoise path up to N more times with exponential
-     * backoff; records carry the final `attempts` count. Deterministic
-     * failure kinds (timeout/checkpoint/simulation) never retry —
-     * docs/ROBUSTNESS.md has the decision table.
-     */
-    void setRetries(int n) { retries_ = n < 0 ? 0 : n; }
-    int retries() const { return retries_; }
-
-    /**
-     * Backoff before retry attempt @p attempt (2 = first retry):
-     * base * 2^(attempt-2) seconds, base 50 ms or BOP_RETRY_BACKOFF.
-     */
-    double retryBackoffSeconds(int attempt) const
-    {
-        double backoff = retryBackoffBase;
-        for (int i = 2; i < attempt; ++i)
-            backoff *= 2.0;
-        return backoff;
-    }
-
-    /**
-     * Attach a write-ahead result journal (`--journal FILE`): every
-     * committed run/error record is appended with fsync-on-commit
-     * framing before the farm acknowledges it (journal.hh). Throws on
-     * open failure or a budget mismatch with an existing journal.
-     */
-    void attachJournal(const std::string &path)
-    {
-        journal.open(path, budget.warmup, budget.measure);
-    }
-
-    /**
-     * Replay a journal into the memo (`--resume FILE`): journaled
-     * success records become memo hits (flagged journalReplayed) and
-     * both success and error records become pending replays the farm
-     * commits verbatim instead of re-simulating, so a killed sweep
-     * resumed under the same config produces byte-identical final
-     * output (timing fields aside). Config drift is refused with a
-     * named mismatch: budgets via the journal header, everything else
-     * via the fingerprint-bearing memo key (a drifted design point
-     * simply never matches and re-simulates). Returns the number of
-     * replayed entries.
-     */
-    std::size_t resumeFromJournal(const std::string &path,
-                                  std::ostream &diag);
+    std::size_t openJournals(std::ostream &diag);
 
     /**
      * Claim the pending replay for @p key, if any (last journal entry
@@ -196,26 +162,6 @@ class ExperimentRunner
      * exactly once per resume.
      */
     bool consumeReplayed(const std::string &key, RunRecord &out);
-
-    /** Entries loaded by resumeFromJournal() (consumed or not). */
-    std::uint64_t replayedCount() const
-    {
-        std::lock_guard<std::mutex> lk(m);
-        return replayCount;
-    }
-
-    /**
-     * Disk-backed checkpoint cache directory (BOP_CKPT_DIR): shared
-     * warmup prefixes are persisted atomically (tmp+fsync+rename)
-     * under their (workload, config fingerprint, warmup budget) key
-     * and reloaded across processes — the in-memory warmup-prefix
-     * latch, promoted to disk. Corrupt or mismatched entries are
-     * refused (validate-before-apply, byte-offset diagnostics) and
-     * fall back to a cold warmup that overwrites the entry. Empty
-     * disables. Only consulted when checkpoint sharing is on.
-     */
-    void setCheckpointDir(const std::string &dir) { ckptDir = dir; }
-    const std::string &checkpointDir() const { return ckptDir; }
 
     /**
      * Warmup prefixes actually simulated so far (each shared prefix
@@ -228,21 +174,13 @@ class ExperimentRunner
         return prefixSims;
     }
 
-    /** Memo key of one design point (benchmark, config, budget). */
-    static std::string runKey(const std::string &benchmark,
-                              const SystemConfig &cfg, const Budget &b);
-
     /**
-     * Memo key under this runner's own budget and sharing mode. The
-     * sharing marker keeps warm-shared records from ever aliasing
-     * cold ones in the memo cache (their stats are bit-identical,
-     * but their `checkpoint` provenance field is not).
+     * Memo and journal key of one job. The sharing marker keeps
+     * warm-shared records from ever aliasing cold ones in the memo
+     * cache (their stats are bit-identical, but their `checkpoint`
+     * provenance field is not).
      */
-    std::string
-    runKey(const std::string &benchmark, const SystemConfig &cfg) const
-    {
-        return jobKey(benchmark, cfg, budget, shareWarmup);
-    }
+    static std::string runKey(const JobSpec &job);
 
     /** Cached record for @p key, or nullptr (pointer stays valid). */
     const RunRecord *memoised(const std::string &key) const;
@@ -255,42 +193,24 @@ class ExperimentRunner
     long reserveJobIndex();
 
     /**
-     * Simulate one design point without touching any shared state:
-     * the leaf the sweep farm runs on worker threads. Returns a
-     * record with stats and wall clock filled in; memo/
-     * record bookkeeping is the caller's job (commitJob()).
+     * Simulate one job without touching the memo or the record list:
+     * the leaf the sweep farm runs on worker threads. Returns a record
+     * with stats and wall clock filled in. When the job shares its
+     * warm-up, the first arrival for a (benchmark, config, warmup)
+     * prefix simulates the warmup (or loads it from the options' disk
+     * cache) and publishes it as an in-memory checkpoint; later
+     * arrivals restore it and pay only the measurement window.
+     * Restore bit-identity makes both paths produce identical stats.
      */
-    RunRecord simulateRecord(const std::string &benchmark,
-                             const SystemConfig &cfg,
-                             const Budget &b) const
-    {
-        return simulateRecord(benchmark, cfg, b, shareWarmup);
-    }
-
-    /** Same, with an explicit warmup-prefix-sharing choice. */
-    RunRecord simulateRecord(const std::string &benchmark,
-                             const SystemConfig &cfg, const Budget &b,
-                             bool share_warmup) const;
-
-    RunRecord
-    simulateRecord(const std::string &benchmark,
-                   const SystemConfig &cfg) const
-    {
-        return simulateRecord(benchmark, cfg, budget);
-    }
-
-    /** Commit a farm job: append its record and memoise it under key
-     *  (and journal it, unless it was itself replayed from the
-     *  journal). */
-    void commitJob(const std::string &key, RunRecord record);
+    RunRecord simulateRecord(const JobSpec &job) const;
 
     /**
-     * Commit a failed farm job: append its error record (see
-     * RunRecord::errored()) WITHOUT memoising — failures are never
-     * cached, so resubmitting the design point re-simulates it. The
-     * key is journal bookkeeping only.
+     * Commit a farm job: journal it (write-ahead, unless it was itself
+     * replayed from the journal), append its record and, unless it is
+     * an error record, memoise it under @p key. Failures are never
+     * cached, so resubmitting the design point re-simulates it.
      */
-    void commitError(const std::string &key, RunRecord record);
+    void commit(const std::string &key, RunRecord record);
 
     /**
      * One record per actual (non-memoised) simulation, in commit
@@ -314,34 +234,8 @@ class ExperimentRunner
     }
 
   private:
-    /** Memo key including the warmup-sharing marker. */
-    static std::string
-    jobKey(const std::string &benchmark, const SystemConfig &cfg,
-           const Budget &b, bool share_warmup)
-    {
-        return runKey(benchmark, cfg, b) +
-               (share_warmup ? "##ckpt-share" : "");
-    }
-
     /** Shared-warmup-prefix cache key. */
-    static std::string prefixKey(const std::string &benchmark,
-                                 const SystemConfig &cfg,
-                                 const Budget &b);
-
-    /** BOP_CKPT_SHARE default: unset or "0" = off. */
-    static bool sharingFromEnv();
-
-    /** BOP_JOB_TIMEOUT seconds, 0 when unset. */
-    static double timeoutFromEnv();
-
-    /** BOP_RETRIES, 0 when unset. */
-    static int retriesFromEnv();
-
-    /** BOP_RETRY_BACKOFF seconds, 0.05 when unset. */
-    static double backoffFromEnv();
-
-    /** BOP_CKPT_DIR, empty when unset. */
-    static std::string ckptDirFromEnv();
+    static std::string prefixKey(const JobSpec &job);
 
     /** Journal-append one committed record; no-op when detached or
      *  when the record was itself replayed from the journal. */
@@ -369,12 +263,7 @@ class ExperimentRunner
     /** Cache-entry file path for a prefix key (FNV-1a name). */
     std::string cacheEntryPath(const std::string &pkey) const;
 
-    Budget budget;
-    bool shareWarmup = false;  ///< ctor reads BOP_CKPT_SHARE
-    double jobTimeout = 0.0;   ///< ctor reads BOP_JOB_TIMEOUT
-    int retries_ = 0;          ///< ctor reads BOP_RETRIES
-    double retryBackoffBase = 0.05; ///< ctor reads BOP_RETRY_BACKOFF
-    std::string ckptDir;       ///< ctor reads BOP_CKPT_DIR
+    const RunnerOptions opts;
 
     mutable std::mutex m;
     /** Latch release / cache commit; also the prefix latch. Mutable:
@@ -389,7 +278,6 @@ class ExperimentRunner
     /** Journal entries awaiting their submission slot (--resume);
      *  consumeReplayed() pops them. */
     std::map<std::string, RunRecord> replayed;
-    std::uint64_t replayCount = 0;
 
     /**
      * Warm-state bytes per prefix key. Node-stable (std::map, never

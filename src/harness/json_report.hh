@@ -65,7 +65,7 @@ struct RunRecord
     /**
      * Simulation attempts this job took (bounded retry, `--retries`):
      * 1 for a first-try success, N when N-1 transient-I/O failures
-     * were re-enqueued first. Serialised on success and error records
+     * were retried first. Serialised on success and error records
      * alike so unattended logs show which jobs rode out flaky I/O.
      */
     int attempts = 1;

@@ -6,9 +6,7 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
-#include "common/fault.hh"
 #include "harness/bench_diff.hh"
 #include "harness/json_report.hh"
 #include "sim/parallel.hh"
@@ -62,8 +60,8 @@ knownBenchmark(const std::string &name)
 } // namespace
 
 bool
-parseServeJobLine(const std::string &line, const Budget &defaultBudget,
-                  ServeJob &job, std::string &error)
+parseServeJobLine(const std::string &line, const RunnerOptions &defaults,
+                  JobSpec &job, std::string &error)
 {
     ParsedRunRecord fields;
     try {
@@ -77,7 +75,8 @@ parseServeJobLine(const std::string &line, const Budget &defaultBudget,
     // bopsim's defaults: paper baseline topology, BO prefetcher.
     job.cfg = SystemConfig{};
     job.cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
-    job.budget = defaultBudget;
+    job.budget = defaults.budget;
+    job.share = defaults.share;
     job.benchmark.clear();
 
     for (const auto &kv : fields.strings) {
@@ -112,7 +111,6 @@ parseServeJobLine(const std::string &line, const Budget &defaultBudget,
                 error = "checkpoint must be \"share\" or \"cold\"";
                 return false;
             }
-            job.shareSet = true;
         } else if (key == "l3") {
             if (value == "5p")
                 job.cfg.l3Policy = L3PolicyKind::P5;
@@ -216,29 +214,27 @@ reportRejected(std::ostream &out, std::ostream &diag, std::mutex &outMutex,
  *  (docs/ROBUSTNESS.md). */
 void
 reportFailed(std::ostream &out, std::ostream &diag, std::mutex &outMutex,
-             const std::exception &e, long jobIndex, int attempts,
-             long lineNo)
+             const RunRecord &failed, long lineNo)
 {
-    const std::string kind = faultKindOf(e);
     std::lock_guard<std::mutex> lk(outMutex);
-    diag << "serve: line " << lineNo << ": job " << jobIndex
-         << " failed (" << kind << ", attempt " << attempts
-         << "): " << e.what() << "\n";
-    out << "{\"error\": \"job failed\", \"kind\": \"" << jsonEscape(kind)
-        << "\", \"detail\": \"" << jsonEscape(e.what())
-        << "\", \"job_index\": " << jobIndex << ", \"attempts\": "
-        << attempts << ", \"line\": " << lineNo << "}" << std::endl;
+    diag << "serve: line " << lineNo << ": job " << failed.jobIndex
+         << " failed (" << failed.errorKind << ", attempt "
+         << failed.attempts << "): " << failed.errorDetail << "\n";
+    out << "{\"error\": \"job failed\", \"kind\": \""
+        << jsonEscape(failed.errorKind) << "\", \"detail\": \""
+        << jsonEscape(failed.errorDetail)
+        << "\", \"job_index\": " << failed.jobIndex << ", \"attempts\": "
+        << failed.attempts << ", \"line\": " << lineNo << "}" << std::endl;
 }
 
 } // namespace
 
 int
 serveLoop(std::istream &in, std::ostream &out, ExperimentRunner &runner,
-          const ServeOptions &options, std::ostream &diag)
+          std::ostream &diag, const std::atomic<bool> *stopRequested)
 {
-    const unsigned workers =
-        options.jobs < 1 ? 1u : static_cast<unsigned>(options.jobs);
-    TaskPool pool(workers, options.backlog);
+    const RunnerOptions &opts = runner.options();
+    TaskPool pool(static_cast<unsigned>(opts.jobs), opts.backlog);
 
     std::mutex outMutex;
     std::atomic<int> failed{0};
@@ -248,17 +244,19 @@ serveLoop(std::istream &in, std::ostream &out, ExperimentRunner &runner,
     long accepted = 0;
     long lineNo = 0;
     std::string line;
+    auto stopping = [stopRequested] {
+        return stopRequested &&
+               stopRequested->load(std::memory_order_relaxed);
+    };
 
-    while (!(options.stopRequested &&
-             options.stopRequested->load(std::memory_order_relaxed)) &&
-           std::getline(in, line)) {
+    while (!stopping() && std::getline(in, line)) {
         ++lineNo;
         if (blankLine(line))
             continue;
 
-        ServeJob job;
+        JobSpec job;
         std::string error;
-        if (!parseServeJobLine(line, options.defaultBudget, job, error)) {
+        if (!parseServeJobLine(line, opts, job, error)) {
             ++rejected;
             reportRejected(out, diag, outMutex, error, lineNo);
             continue;
@@ -270,64 +268,28 @@ serveLoop(std::istream &in, std::ostream &out, ExperimentRunner &runner,
         // the reader bounds in-flight jobs (and so memory) for
         // arbitrarily long batches.
         pool.submit([&runner, &out, &outMutex, &diag, &failed, &retried,
-                     &replayed, &options, job, jobIndex, lineNo,
-                     submitted] {
-            const double queueWait =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - submitted)
-                    .count();
-            FaultScope scope(jobIndex);
-            for (int attempt = 1;; ++attempt) {
-                try {
-                    // The runner's in-flight latch dedups identical
-                    // design points across concurrent jobs; memo hits
-                    // answer without simulating — including records
-                    // replayed from a journal (--resume), which are
-                    // memo hits flagged journalReplayed.
-                    RunRecord record =
-                        job.shareSet
-                            ? runner.run(job.benchmark, job.cfg,
-                                         job.budget, job.share)
-                            : runner.run(job.benchmark, job.cfg,
-                                         job.budget);
-                    if (record.journalReplayed)
-                        ++replayed;
-                    record.jobs = static_cast<int>(
-                        options.jobs < 1 ? 1 : options.jobs);
-                    record.jobIndex = jobIndex;
-                    record.queueWaitSeconds = queueWait;
-                    record.attempts = attempt;
-                    std::lock_guard<std::mutex> lk(outMutex);
-                    writeRunRecord(out, record);
-                    out << std::endl;
-                    return;
-                } catch (const std::exception &e) {
-                    // Bounded retry: transient I/O failures re-run in
-                    // place through the never-memoise path (the
-                    // runner released its latch on throw). Everything
-                    // else is containment as before — this job
-                    // answers with an error object and the batch
-                    // keeps going.
-                    if (transientFaultKind(faultKindOf(e)) &&
-                        attempt <= runner.retries()) {
-                        ++retried;
-                        std::this_thread::sleep_for(
-                            std::chrono::duration<double>(
-                                runner.retryBackoffSeconds(attempt +
-                                                           1)));
-                        continue;
-                    }
-                    ++failed;
-                    reportFailed(out, diag, outMutex, e, jobIndex,
-                                 attempt, lineNo);
-                    return;
-                }
+                     &replayed, job, jobIndex, lineNo, submitted] {
+            // The runner's in-flight latch dedups identical design
+            // points across concurrent jobs; memo hits answer without
+            // simulating — including records replayed from a journal
+            // (--resume), which are memo hits flagged journalReplayed.
+            const RunRecord record =
+                runner.runJob(job, jobIndex, submitted, true);
+            retried += record.attempts - 1;
+            if (record.errored()) {
+                ++failed;
+                reportFailed(out, diag, outMutex, record, lineNo);
+                return;
             }
+            if (record.journalReplayed)
+                ++replayed;
+            std::lock_guard<std::mutex> lk(outMutex);
+            writeRunRecord(out, record);
+            out << std::endl;
         });
     }
 
-    if (options.stopRequested &&
-        options.stopRequested->load(std::memory_order_relaxed)) {
+    if (stopping()) {
         std::lock_guard<std::mutex> lk(outMutex);
         diag << "serve: stop requested, draining in-flight jobs\n";
     }

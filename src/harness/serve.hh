@@ -44,61 +44,40 @@ namespace bop
 bool parseL2PrefetcherName(const std::string &name,
                            L2PrefetcherKind &kind);
 
-/** One accepted job line, ready to simulate. */
-struct ServeJob
-{
-    std::string benchmark;
-    SystemConfig cfg;
-    Budget budget;
-    bool shareSet = false; ///< line carried a "checkpoint" field
-    bool share = false;    ///< ... requesting warmup-prefix sharing
-};
-
 /**
  * Decode one job line into @p job. The field vocabulary mirrors
- * bopsim's CLI options (snake_cased). A line that is not a flat JSON
- * object, names an unknown field or workload, or carries a number
- * that is not a whole number in its field's range returns false with
- * a diagnostic in @p error, so a typo never silently simulates the
- * wrong design point. Never throws.
+ * bopsim's CLI options (snake_cased); fields the line leaves out take
+ * @p defaults' budget and sharing default, so a line's "checkpoint"
+ * ("share" or "cold") is resolved against the runner default here. A
+ * line that is not a flat JSON object, names an unknown field or
+ * workload, or carries a number that is not a whole number in its
+ * field's range returns false with a diagnostic in @p error, so a
+ * typo never silently simulates the wrong design point. Never throws.
  */
-bool parseServeJobLine(const std::string &line, const Budget &defaultBudget,
-                       ServeJob &job, std::string &error);
-
-/** Scheduling knobs for one serve session. */
-struct ServeOptions
-{
-    int jobs = 1;            ///< worker threads
-    std::size_t backlog = 0; ///< in-flight bound (0 means 4 * jobs)
-    Budget defaultBudget;    ///< for jobs without warmup/instr fields
-
-    /**
-     * Graceful-drain trigger: when non-null and set (by a SIGINT/
-     * SIGTERM handler), the reader stops accepting new lines, the
-     * in-flight jobs finish and answer, and serveLoop returns as if
-     * the input had hit EOF.
-     */
-    const std::atomic<bool> *stopRequested = nullptr;
-};
+bool parseServeJobLine(const std::string &line,
+                       const RunnerOptions &defaults, JobSpec &job,
+                       std::string &error);
 
 /**
- * Run the service loop until @p in hits EOF (or options.stopRequested
- * is raised), then drain gracefully — every accepted job answers.
- * A job that fails (simulation error, deadline, injected fault)
- * answers with the error object {"error", "kind", "detail",
- * "job_index", "attempts", "line"} (docs/ROBUSTNESS.md) while the
- * rest of the batch keeps running; a transient failure ("io") retries
- * in place up to runner.retries() more times with exponential backoff
- * before answering. Always prints a final summary line to @p diag:
- * `serve: <A> accepted, <R> rejected, <F> failed, <T> retried,
- * <J> replayed` — T counts retry attempts, J counts jobs answered
- * from a journal replay (--resume) instead of simulation — so
- * unattended logs are auditable. Returns the number of rejected or
- * failed jobs (0 = clean batch; bopsim exits nonzero otherwise).
+ * Run the service loop on runner.options().jobs workers (with its
+ * backlog bound) until @p in hits EOF — or until @p stopRequested is
+ * set (by a SIGINT/SIGTERM handler): the reader then stops accepting
+ * lines — and drain gracefully: every accepted job answers. Each job
+ * goes through ExperimentRunner::runJob(): a job that fails
+ * (simulation error, deadline, injected fault) answers with the error
+ * object {"error", "kind", "detail", "job_index", "attempts", "line"}
+ * (docs/ROBUSTNESS.md) while the rest of the batch keeps running, and
+ * a transient failure ("io") retries in place first. Always prints a
+ * final summary line to @p diag: `serve: <A> accepted, <R> rejected,
+ * <F> failed, <T> retried, <J> replayed` — T counts retry attempts, J
+ * counts jobs answered from a journal replay (--resume) instead of
+ * simulation — so unattended logs are auditable. Returns the number
+ * of rejected or failed jobs (0 = clean batch; bopsim exits nonzero
+ * otherwise).
  */
 int serveLoop(std::istream &in, std::ostream &out,
-              ExperimentRunner &runner, const ServeOptions &options,
-              std::ostream &diag);
+              ExperimentRunner &runner, std::ostream &diag,
+              const std::atomic<bool> *stopRequested = nullptr);
 
 } // namespace bop
 

@@ -1,41 +1,14 @@
 #include "harness/sweep_farm.hh"
 
-#include <chrono>
-#include <thread>
-
-#include "common/fault.hh"
-
 namespace bop
 {
 
-namespace
+SweepFarm::SweepFarm(ExperimentRunner &runner) : runner_(runner)
 {
-
-/** Error record for a design point whose simulation threw. */
-RunRecord
-errorRecord(const std::string &benchmark, const SystemConfig &cfg,
-            int jobs, long jobIndex, const std::exception &e, int attempts)
-{
-    RunRecord record;
-    record.workload = benchmark;
-    record.config = cfg.describe();
-    record.jobs = jobs;
-    record.jobIndex = jobIndex;
-    record.errorKind = faultKindOf(e);
-    record.errorDetail = e.what();
-    record.attempts = attempts;
-    return record;
-}
-
-} // namespace
-
-SweepFarm::SweepFarm(ExperimentRunner &runner, int jobs_,
-                     std::size_t backlog)
-    : runner_(runner), jobs(jobs_ < 1 ? 1 : jobs_)
-{
-    if (jobs > 1)
-        pool = std::make_unique<TaskPool>(static_cast<unsigned>(jobs),
-                                          backlog);
+    const RunnerOptions &opts = runner.options();
+    if (opts.jobs > 1)
+        pool = std::make_unique<TaskPool>(static_cast<unsigned>(opts.jobs),
+                                          opts.backlog);
 }
 
 SweepFarm::~SweepFarm()
@@ -44,35 +17,10 @@ SweepFarm::~SweepFarm()
 }
 
 void
-SweepFarm::runSlot(Slot *slot, int attempt)
-{
-    const double queueWait =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      slot->submitted)
-            .count();
-    // Containment: catch here, in the slot, rather than leaning on
-    // TaskPool's backstop — the error must land in this job's
-    // submission-order slot so drain() commits it (and every
-    // surviving record) exactly where a fault-free run would.
-    FaultScope scope(slot->jobIndex);
-    try {
-        RunRecord record =
-            runner_.simulateRecord(slot->benchmark, slot->cfg);
-        record.jobs = jobs;
-        record.jobIndex = slot->jobIndex;
-        record.queueWaitSeconds = queueWait;
-        record.attempts = attempt;
-        slot->record = std::move(record);
-    } catch (const std::exception &e) {
-        slot->record = errorRecord(slot->benchmark, slot->cfg, jobs,
-                                   slot->jobIndex, e, attempt);
-    }
-}
-
-void
 SweepFarm::submit(const std::string &benchmark, const SystemConfig &cfg)
 {
-    const std::string key = runner_.runKey(benchmark, cfg);
+    const JobSpec job = runner_.jobFor(benchmark, cfg);
+    const std::string key = ExperimentRunner::runKey(job);
     if (!submitted.insert(key).second)
         return;
 
@@ -84,45 +32,31 @@ SweepFarm::submit(const std::string &benchmark, const SystemConfig &cfg)
     RunRecord replayedRecord;
     if (runner_.consumeReplayed(key, replayedRecord)) {
         runner_.reserveJobIndex();
-        if (replayedRecord.errored())
-            runner_.commitError(key, std::move(replayedRecord));
-        else
-            runner_.commitJob(key, std::move(replayedRecord));
+        runner_.commit(key, std::move(replayedRecord));
         return;
     }
     if (runner_.memoised(key))
         return;
 
     const long jobIndex = runner_.reserveJobIndex();
-
+    const auto now = std::chrono::steady_clock::now();
     if (!pool) {
         // Inline serial path: identical to the pre-farm sweep, and the
         // memo is warm immediately (later duplicate submissions of the
-        // same point short-circuit above). Containment and bounded
-        // retry match the pool path, minus the queueing.
-        Slot slot{key, benchmark, cfg, jobIndex,
-                  std::chrono::steady_clock::now(), RunRecord{}};
-        const int maxAttempts = 1 + runner_.retries();
-        for (int attempt = 1;; ++attempt) {
-            runSlot(&slot, attempt);
-            if (!slot.record.errored() ||
-                !transientFaultKind(slot.record.errorKind) ||
-                attempt >= maxAttempts)
-                break;
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                runner_.retryBackoffSeconds(attempt + 1)));
-        }
-        if (slot.record.errored())
-            runner_.commitError(key, std::move(slot.record));
-        else
-            runner_.commitJob(key, std::move(slot.record));
+        // same point short-circuit above).
+        runner_.commit(key, runner_.runJob(job, jobIndex, now, false));
         return;
     }
 
-    slots.push_back(Slot{key, benchmark, cfg, jobIndex,
-                         std::chrono::steady_clock::now(), RunRecord{}});
+    // Containment: runJob() turns a failure into an error record in
+    // this job's submission-order slot, so drain() commits it (and
+    // every surviving record) exactly where a fault-free run would.
+    slots.push_back(Slot{key, job, jobIndex, now, RunRecord{}});
     Slot *slot = &slots.back();
-    pool->submit([this, slot] { runSlot(slot, 1); });
+    pool->submit([this, slot] {
+        slot->record = runner_.runJob(slot->job, slot->jobIndex,
+                                      slot->submitted, false);
+    });
 }
 
 void
@@ -131,35 +65,8 @@ SweepFarm::drain()
     if (!pool)
         return; // inline jobs committed at submit time
     pool->drain();
-
-    // Bounded retry (docs/ROBUSTNESS.md decision table): re-enqueue
-    // the slots that failed with a transient kind through the same
-    // never-memoise path, with exponential backoff between rounds.
-    // TaskPool workers persist across drain(), so re-submission after
-    // a drain is an ordinary submit.
-    const int maxAttempts = 1 + runner_.retries();
-    for (int attempt = 2; attempt <= maxAttempts; ++attempt) {
-        std::vector<Slot *> again;
-        for (Slot &slot : slots) {
-            if (slot.record.errored() &&
-                transientFaultKind(slot.record.errorKind))
-                again.push_back(&slot);
-        }
-        if (again.empty())
-            break;
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            runner_.retryBackoffSeconds(attempt)));
-        for (Slot *slot : again)
-            pool->submit([this, slot, attempt] { runSlot(slot, attempt); });
-        pool->drain();
-    }
-
-    for (Slot &slot : slots) {
-        if (slot.record.errored())
-            runner_.commitError(slot.key, std::move(slot.record));
-        else
-            runner_.commitJob(slot.key, std::move(slot.record));
-    }
+    for (Slot &slot : slots)
+        runner_.commit(slot.key, std::move(slot.record));
     slots.clear();
 }
 

@@ -16,8 +16,8 @@
  *    touches the job, so it depends only on the submission sequence;
  *  - records are committed at drain() in submission order, never in
  *    completion order;
- *  - with jobs == 1 each submission runs inline (no pool), which is
- *    exactly the old serial sweep;
+ *  - with one worker (options().jobs == 1) each submission runs
+ *    inline (no pool), which is exactly the old serial sweep;
  *  - a job whose simulation throws commits an error record (same
  *    job_index, same submission-order slot — docs/ROBUSTNESS.md) and
  *    is never memoised; every other job completes unaffected, so the
@@ -27,9 +27,10 @@
  *    submission slot without simulating — job indices still advance,
  *    so the un-journaled remainder of the sweep lands on exactly the
  *    indices an uninterrupted run would have given it;
- *  - jobs failing with a transient error kind ("io") are re-enqueued
- *    after the first drain pass with exponential backoff, up to
- *    1 + runner.retries() attempts (records carry `attempts`).
+ *  - every job runs through ExperimentRunner::runJob(), which retries
+ *    a transient failure ("io") in place, on the same worker, up to
+ *    options().retries more times (records carry `attempts`) and
+ *    turns any other failure into the error record.
  *
  * Usage: submit the whole sweep (a "prefetch pass"), drain(), then
  * compute derived numbers (speedups, geomeans) through the runner's
@@ -55,20 +56,16 @@ namespace bop
 class SweepFarm
 {
   public:
-    /**
-     * @param runner  shared memo/record store (outlives the farm).
-     * @param jobs    worker count; 1 = run inline, serially.
-     * @param backlog in-flight bound for TaskPool::submit backpressure
-     *                (0 means 4 * jobs).
-     */
-    explicit SweepFarm(ExperimentRunner &runner, int jobs = 1,
-                       std::size_t backlog = 0);
+    /** Schedules on @p runner's options().jobs workers (1 = run
+     *  inline, serially) with its options().backlog in-flight bound;
+     *  the runner is the shared memo/record store and outlives the
+     *  farm. */
+    explicit SweepFarm(ExperimentRunner &runner);
     ~SweepFarm(); ///< drains outstanding jobs
 
     SweepFarm(const SweepFarm &) = delete;
     SweepFarm &operator=(const SweepFarm &) = delete;
 
-    int jobCount() const { return jobs; }
     ExperimentRunner &runner() { return runner_; }
 
     /**
@@ -91,19 +88,13 @@ class SweepFarm
     struct Slot
     {
         std::string key;
-        std::string benchmark;
-        SystemConfig cfg;
+        JobSpec job;
         long jobIndex = -1;
         std::chrono::steady_clock::time_point submitted;
         RunRecord record;
     };
 
-    /** Simulate one slot's design point into slot->record (attempt
-     *  @p attempt); exceptions become error records in the slot. */
-    void runSlot(Slot *slot, int attempt);
-
     ExperimentRunner &runner_;
-    const int jobs;
     std::unique_ptr<TaskPool> pool; ///< null when jobs == 1
     /** Deque for reference stability: workers fill earlier slots
      *  while submit() keeps appending. Drained in order. */

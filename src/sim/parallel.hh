@@ -48,9 +48,8 @@ struct JobError
  * pool of a few workers). drain() is the shutdown-side barrier: it
  * returns once the queue is empty and every in-flight task finished —
  * but it does NOT stop the workers: submitting after a drain() is an
- * ordinary submit, and the pool drains again. The sweep farm's
- * bounded-retry path relies on this contract to re-enqueue
- * transient-failed jobs after the first drain pass.
+ * ordinary submit, and the pool drains again. A sweep farm submits
+ * each figure pass and drains it before the next.
  *
  * Tasks must synchronise any shared state themselves; the pool only
  * guarantees each task runs exactly once, on some worker thread.

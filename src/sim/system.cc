@@ -28,34 +28,14 @@ fastForwardDisabledByEnv()
 RunStats
 deltaStats(const RunStats &end, const RunStats &begin)
 {
+    // End-of-run state (the BO learner's phases and final offset)
+    // keeps end's values; every running count is differenced.
     RunStats d = end;
-    d.cycles = end.cycles - begin.cycles;
-    d.instructions = end.instructions - begin.instructions;
-    d.dl1Accesses = end.dl1Accesses - begin.dl1Accesses;
-    d.dl1Misses = end.dl1Misses - begin.dl1Misses;
-    d.dl1PrefIssued = end.dl1PrefIssued - begin.dl1PrefIssued;
-    d.dl1PrefDropTlb = end.dl1PrefDropTlb - begin.dl1PrefDropTlb;
-    d.l2Accesses = end.l2Accesses - begin.l2Accesses;
-    d.l2Misses = end.l2Misses - begin.l2Misses;
-    d.l2PrefetchedHits = end.l2PrefetchedHits - begin.l2PrefetchedHits;
-    d.l2PrefIssued = end.l2PrefIssued - begin.l2PrefIssued;
-    d.l2PrefDropped = end.l2PrefDropped - begin.l2PrefDropped;
-    d.l2PrefFills = end.l2PrefFills - begin.l2PrefFills;
-    d.l2LatePromotions = end.l2LatePromotions - begin.l2LatePromotions;
-    d.l2PrefUselessEvicted =
-        end.l2PrefUselessEvicted - begin.l2PrefUselessEvicted;
-    d.l3Accesses = end.l3Accesses - begin.l3Accesses;
-    d.l3Misses = end.l3Misses - begin.l3Misses;
-    d.l3ChannelStalls = end.l3ChannelStalls - begin.l3ChannelStalls;
-    d.dtlb1Misses = end.dtlb1Misses - begin.dtlb1Misses;
-    d.tlb2Misses = end.tlb2Misses - begin.tlb2Misses;
-    d.branches = end.branches - begin.branches;
-    d.branchMispredicts = end.branchMispredicts - begin.branchMispredicts;
-    d.dramReads = end.dramReads - begin.dramReads;
-    d.dramWrites = end.dramWrites - begin.dramWrites;
-    d.dramRowHits = end.dramRowHits - begin.dramRowHits;
-    d.dramRowMisses = end.dramRowMisses - begin.dramRowMisses;
-    // boLearningPhases etc. are end-of-run state: keep end's values.
+#define BOP_DELTA_COUNTER(type, name, cumulative)                          \
+    if constexpr (cumulative)                                              \
+        d.name = end.name - begin.name;
+    BOP_RUN_STATS_COUNTERS(BOP_DELTA_COUNTER)
+#undef BOP_DELTA_COUNTER
     return d;
 }
 

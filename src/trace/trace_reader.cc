@@ -251,7 +251,7 @@ PipeByteStream::readRaw(unsigned char *buf, std::size_t n)
             // Retry budget exhausted (or a non-EINTR/EAGAIN errno):
             // classified TransientIoError so the error record carries
             // kind "io" — the one kind the farm/serve bounded-retry
-            // path (--retries) may re-enqueue the whole job for.
+            // loop (--retries) may rerun the whole job for.
             throw TransientIoError(
                 "read error from decompressor (" +
                 std::string(std::strerror(err)) + ") after " +

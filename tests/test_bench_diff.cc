@@ -288,6 +288,103 @@ class TempFile
     std::string path_;
 };
 
+// -- exact mode (bench_diff --exact) -----------------------------------------
+
+/** A farm record: simulated fields plus every host-timing field. */
+std::string
+farmRecord(const std::string &workload, long jobIndex, double wall,
+           int jobs = 1)
+{
+    std::ostringstream os;
+    os << "{\"workload\": \"" << workload << "\", "
+       << "\"config\": \"baseline\", \"ipc\": 0.75, "
+       << "\"jobs\": " << jobs << ", \"job_index\": " << jobIndex
+       << ", \"attempts\": 1, \"wall_seconds\": " << wall
+       << ", \"queue_wait_seconds\": " << wall / 10
+       << ", \"sim_mcycles_per_s\": " << 1 / wall
+       << ", \"retired_minstr_per_s\": " << 2 / wall << "}";
+    return os.str();
+}
+
+/** A farm error record of failure kind @p kind. */
+std::string
+errorRecord(long jobIndex, const std::string &kind)
+{
+    return "{\"error\": \"job failed\", \"kind\": \"" + kind +
+           "\", \"detail\": \"boom\", \"workload\": \"429.mcf\", "
+           "\"config\": \"baseline\", \"jobs\": 1, \"job_index\": " +
+           std::to_string(jobIndex) + ", \"attempts\": 1}";
+}
+
+TEST(BenchDiffExact, HostTimingDifferencesPass)
+{
+    const auto serial = parse(artifact(
+        {farmRecord("429.mcf", 0, 0.5), farmRecord("470.lbm", 1, 0.7),
+         errorRecord(2, "io")}));
+    const auto jobs4 = parse(artifact({farmRecord("429.mcf", 0, 0.2, 4),
+                                       farmRecord("470.lbm", 1, 0.3, 4),
+                                       errorRecord(2, "io")}));
+    EXPECT_TRUE(exactDiff(serial, jobs4).empty());
+}
+
+TEST(BenchDiffExact, JobIndexDifferenceFails)
+{
+    const auto a = parse(artifact({farmRecord("429.mcf", 0, 0.5)}));
+    const auto b = parse(artifact({farmRecord("429.mcf", 1, 0.5)}));
+    const std::vector<std::string> diffs = exactDiff(a, b);
+    ASSERT_EQ(diffs.size(), 1u);
+    EXPECT_EQ(diffs[0], "record 0 \"job_index\": 0 -> 1");
+}
+
+TEST(BenchDiffExact, RecordOrderDifferenceFails)
+{
+    const std::string mcf = farmRecord("429.mcf", 0, 0.5);
+    const std::string lbm = farmRecord("470.lbm", 0, 0.5);
+    EXPECT_FALSE(
+        exactDiff(parse(artifact({mcf, lbm})), parse(artifact({lbm, mcf})))
+            .empty());
+}
+
+TEST(BenchDiffExact, RecordCountDifferenceFails)
+{
+    const std::string mcf = farmRecord("429.mcf", 0, 0.5);
+    const std::vector<std::string> diffs =
+        exactDiff(parse(artifact({mcf, mcf})), parse(artifact({mcf})));
+    ASSERT_EQ(diffs.size(), 1u);
+    EXPECT_EQ(diffs[0], "record count 2 -> 1");
+}
+
+TEST(BenchDiffExact, ErrorKindDifferenceFails)
+{
+    const std::vector<std::string> diffs =
+        exactDiff(parse(artifact({errorRecord(3, "io")})),
+                  parse(artifact({errorRecord(3, "timeout")})));
+    ASSERT_EQ(diffs.size(), 1u);
+    EXPECT_EQ(diffs[0], "record 0 \"kind\": io -> timeout");
+}
+
+TEST(BenchDiffExact, FieldMissingOnOneSideFails)
+{
+    EXPECT_FALSE(exactDiff(parse(artifact({farmRecord("429.mcf", 0, 0.5)})),
+                           parse(artifact({record("429.mcf", 0.75, 0.1,
+                                                  1.0)})))
+                     .empty());
+}
+
+TEST(BenchDiffExact, NumberTextIsWholeOrNothing)
+{
+    double v = 0.0;
+    EXPECT_TRUE(numberText("0.25", v));
+    EXPECT_EQ(v, 0.25);
+    for (const char *bad : {"", "1k", "abc", " 5", "0x10", "inf", "nan"})
+        EXPECT_FALSE(numberText(bad, v)) << bad;
+    int n = 0;
+    EXPECT_TRUE(wholeNumber(std::string("1e3"), n));
+    EXPECT_EQ(n, 1000);
+    EXPECT_FALSE(wholeNumber(std::string("1.5"), n));
+    EXPECT_FALSE(wholeNumber(std::string("4294967296"), n));
+}
+
 TEST(BenchDiffFile, ArrayArtifactParsesWithoutWarning)
 {
     TempFile file("array.json",

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/fault.hh"
+#include "harness/bench_diff.hh"
 #include "harness/experiment.hh"
 #include "harness/serve.hh"
 #include "sim/system.hh"
@@ -88,6 +89,17 @@ chaosBudget()
     b.warmup = 500;
     b.measure = 1500;
     return b;
+}
+
+/** Chaos-budget runner options with a per-job deadline. */
+RunnerOptions
+chaosOptions(double jobTimeout = 0.0, int jobs = 1)
+{
+    RunnerOptions options;
+    options.budget = chaosBudget();
+    options.jobTimeout = jobTimeout;
+    options.jobs = jobs;
+    return options;
 }
 
 bool
@@ -176,12 +188,11 @@ TEST(JobDeadline, WedgedJobConvertsIntoTimeoutErrorKind)
     // job_wedge simulates a job that stops making progress: it burns
     // wall clock until the armed deadline converts it.
     ArmedFaults armed("job_wedge:0");
-    ExperimentRunner runner(chaosBudget());
-    runner.setJobTimeout(0.05);
+    ExperimentRunner runner(chaosOptions(0.05));
     const SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
     FaultScope scope(0);
     try {
-        runner.simulateRecord("429.mcf", cfg, chaosBudget());
+        runner.simulateRecord(runner.jobFor("429.mcf", cfg));
         FAIL() << "wedged job returned a record";
     } catch (const JobTimeout &e) {
         EXPECT_EQ(faultKindOf(e), "timeout");
@@ -200,18 +211,16 @@ TEST(Faults, ProducerThrowReleasesTheWarmupPrefixLatch)
     // retry of the same design point becomes the new producer and
     // completes cold (a leaked latch would block it forever, which
     // the ctest timeout would surface as a hang).
-    ExperimentRunner runner(chaosBudget());
-    const SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
-    const Budget b = chaosBudget();
+    ExperimentRunner runner(chaosOptions());
+    const JobSpec job{"429.mcf", baselineConfig(1, PageSize::FourKB),
+                      chaosBudget(), /*share=*/true};
     {
         ArmedFaults armed("job_throw:0");
         FaultScope scope(0);
-        EXPECT_THROW(runner.simulateRecord("429.mcf", cfg, b, true),
-                     std::runtime_error);
+        EXPECT_THROW(runner.simulateRecord(job), std::runtime_error);
     }
     FaultScope scope(0); // disarmed now: the point fired already
-    const RunRecord record =
-        runner.simulateRecord("429.mcf", cfg, b, true);
+    const RunRecord record = runner.simulateRecord(job);
     EXPECT_FALSE(record.errored());
     EXPECT_EQ(runner.prefixSimulations(), 1u);
 }
@@ -351,9 +360,10 @@ TEST(Faults, TruncatedDecompressorStreamNamesOffsetAndStatus)
 std::string
 maskTiming(const std::string &line)
 {
-    static const std::regex timing(
-        "\"(jobs|wall_seconds|queue_wait_seconds|sim_mcycles_per_s|"
-        "retired_minstr_per_s)\": [^,\\n}]+");
+    std::string fields;
+    for (const std::string &field : hostTimingFields())
+        fields += (fields.empty() ? "" : "|") + field;
+    const std::regex timing("\"(" + fields + ")\": [^,\\n}]+");
     return std::regex_replace(line, timing, "\"$1\": X");
 }
 
@@ -382,15 +392,12 @@ runServeBatch(int njobs, const std::string &faults, int &failures,
     std::istringstream in(jobs.str());
     std::ostringstream out, diag;
 
-    ExperimentRunner runner(chaosBudget());
-    runner.setJobTimeout(0.5); // converts the wedged job
-    ServeOptions options;
-    options.jobs = 4;
-    options.defaultBudget = chaosBudget();
+    // The deadline converts the wedged job.
+    ExperimentRunner runner(chaosOptions(0.5, 4));
 
     {
         ArmedFaults armed(faults);
-        failures = serveLoop(in, out, runner, options, diag);
+        failures = serveLoop(in, out, runner, diag);
     }
     diagText = diag.str();
 
@@ -466,14 +473,12 @@ TEST(ServeChaos, FailuresAreNeverMemoised)
     std::istringstream in("{\"workload\": \"429.mcf\"}\n"
                           "{\"workload\": \"429.mcf\"}\n");
     std::ostringstream out, diag;
-    ExperimentRunner runner(chaosBudget());
-    ServeOptions options;
-    options.jobs = 1; // serialise: job 0 fails before job 1 starts
-    options.defaultBudget = chaosBudget();
+    // One worker serialises: job 0 fails before job 1 starts.
+    ExperimentRunner runner(chaosOptions());
     int failures = 0;
     {
         ArmedFaults armed("job_throw:0");
-        failures = serveLoop(in, out, runner, options, diag);
+        failures = serveLoop(in, out, runner, diag);
     }
     EXPECT_EQ(failures, 1);
     EXPECT_NE(diag.str().find("serve: 2 accepted, 0 rejected, 1 failed, "

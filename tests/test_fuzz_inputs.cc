@@ -107,10 +107,10 @@ expectJobLineHandled(const std::string &line, const std::string &label)
         EXPECT_NE(std::string(e.what()), "") << label;
     }
 
-    ServeJob job;
+    JobSpec job;
     std::string error;
     const bool accepted =
-        parseServeJobLine(line, Budget{}, job, error);
+        parseServeJobLine(line, RunnerOptions{}, job, error);
     if (accepted) {
         EXPECT_FALSE(job.benchmark.empty()) << label << ": " << line;
     } else {
@@ -122,9 +122,9 @@ expectJobLineHandled(const std::string &line, const std::string &label)
 TEST(FuzzInputs, ServeJobLinesAcceptOrRejectWithDiagnostic)
 {
     for (const std::string &good : kJobLines) {
-        ServeJob job;
+        JobSpec job;
         std::string error;
-        ASSERT_TRUE(parseServeJobLine(good, Budget{}, job, error))
+        ASSERT_TRUE(parseServeJobLine(good, RunnerOptions{}, job, error))
             << good << ": " << error;
     }
 
@@ -165,25 +165,25 @@ TEST(FuzzInputs, ServeJobLineNumbersAtTheEdgesOfEveryIntegerField)
         }
     }
 
-    ServeJob job;
+    JobSpec job;
     std::string error;
     EXPECT_FALSE(parseServeJobLine(
-        "{\"workload\": \"429.mcf\", \"cores\": 2147483648}", Budget{},
+        "{\"workload\": \"429.mcf\", \"cores\": 2147483648}", RunnerOptions{},
         job, error));
     EXPECT_NE(error.find("\"cores\""), std::string::npos) << error;
     EXPECT_FALSE(parseServeJobLine(
         "{\"workload\": \"429.mcf\", \"seed\": 18446744073709551616}",
-        Budget{}, job, error));
+        RunnerOptions{}, job, error));
     EXPECT_NE(error.find("\"seed\""), std::string::npos) << error;
     EXPECT_FALSE(parseServeJobLine(
-        "{\"workload\": \"429.mcf\", \"instr\": 1e999}", Budget{}, job,
+        "{\"workload\": \"429.mcf\", \"instr\": 1e999}", RunnerOptions{}, job,
         error));
     EXPECT_NE(error.find("malformed number"), std::string::npos) << error;
 
     ASSERT_TRUE(parseServeJobLine(
         "{\"workload\": \"429.mcf\", \"cores\": 2147483647, "
         "\"seed\": 18446744073709549568, \"instr\": 0}",
-        Budget{}, job, error))
+        RunnerOptions{}, job, error))
         << error;
     EXPECT_EQ(job.cfg.activeCores, 2147483647);
     EXPECT_EQ(job.cfg.seed, 18446744073709549568ull);

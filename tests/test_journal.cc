@@ -88,6 +88,17 @@ tinyBudget()
     return b;
 }
 
+/** Runner options with the tiny budgets and optional journal paths. */
+RunnerOptions
+tinyOptions(const std::string &journal = "", const std::string &resume = "")
+{
+    RunnerOptions options;
+    options.budget = tinyBudget();
+    options.journalPath = journal;
+    options.resumePath = resume;
+    return options;
+}
+
 /** Mask exactly the host-timing fields the byte-identity contract
  *  excludes (same set as test_chaos.cc / test_sweep_farm.cc), plus
  *  attempts (a crash-resumed job may have taken several). */
@@ -365,15 +376,15 @@ TEST(Journal, BudgetMismatchRefusesResumeAndAppend)
 TEST(Journal, ShortWriteFaultThrowsAndLeavesReplayableJournal)
 {
     TempFile file("short_write");
-    ExperimentRunner runner(tinyBudget());
-    runner.attachJournal(file.path()); // header written, faults unarmed
+    ExperimentRunner runner(tinyOptions(file.path()));
+    runner.openJournals(std::cerr); // header written, faults unarmed
     RunRecord record = sampleRecord();
-    const std::string key = runner.runKey(
-        "429.mcf", baselineConfig(1, PageSize::FourKB));
+    const std::string key = ExperimentRunner::runKey(
+        runner.jobFor("429.mcf", baselineConfig(1, PageSize::FourKB)));
     {
         ArmedFaults armed("journal_write_short:1");
         try {
-            runner.commitJob(key, record);
+            runner.commit(key, record);
             FAIL() << "short journal write did not throw";
         } catch (const std::runtime_error &e) {
             EXPECT_NE(std::string(e.what()).find("short write"),
@@ -398,20 +409,20 @@ TEST(JournalResume, CompletedSweepReplaysWithoutSimulating)
     TempFile file("resume_full");
     std::string originalText;
     {
-        ExperimentRunner runner(tinyBudget());
-        runner.attachJournal(file.path());
-        SweepFarm farm(runner, 1);
+        ExperimentRunner runner(tinyOptions(file.path()));
+        runner.openJournals(std::cerr);
+        SweepFarm farm(runner);
         runSweep(farm, 4);
         originalText = recordsText(runner);
     }
 
-    ExperimentRunner resumed(tinyBudget());
+    ExperimentRunner resumed(tinyOptions("", file.path()));
     std::ostringstream diag;
-    EXPECT_EQ(resumed.resumeFromJournal(file.path(), diag), 4u);
+    EXPECT_EQ(resumed.openJournals(diag), 4u);
     EXPECT_NE(diag.str().find("replayed 4 record"), std::string::npos)
         << diag.str();
 
-    SweepFarm farm(resumed, 1);
+    SweepFarm farm(resumed);
     runSweep(farm, 4);
     ASSERT_EQ(resumed.records().size(), 4u);
     // Every record came from the journal, not a re-simulation.
@@ -432,9 +443,9 @@ TEST(JournalResume, JournalWithLegacyThreadsFieldStillResumes)
     TempFile file("resume_threads_field");
     std::string originalText;
     {
-        ExperimentRunner runner(tinyBudget());
-        runner.attachJournal(file.path());
-        SweepFarm farm(runner, 1);
+        ExperimentRunner runner(tinyOptions(file.path()));
+        runner.openJournals(std::cerr);
+        SweepFarm farm(runner);
         runSweep(farm, 2);
         originalText = recordsText(runner);
     }
@@ -460,11 +471,11 @@ TEST(JournalResume, JournalWithLegacyThreadsFieldStillResumes)
         }
     }
 
-    ExperimentRunner resumed(tinyBudget());
+    ExperimentRunner resumed(tinyOptions("", file.path()));
     std::ostringstream diag;
-    EXPECT_EQ(resumed.resumeFromJournal(file.path(), diag), 2u)
+    EXPECT_EQ(resumed.openJournals(diag), 2u)
         << diag.str();
-    SweepFarm farm(resumed, 1);
+    SweepFarm farm(resumed);
     runSweep(farm, 2);
     ASSERT_EQ(resumed.records().size(), 2u);
     for (const RunRecord &record : resumed.records())
@@ -476,9 +487,9 @@ TEST(JournalResume, ReplayedRecordsAreNotReJournaled)
 {
     TempFile file("no_rejournal");
     {
-        ExperimentRunner runner(tinyBudget());
-        runner.attachJournal(file.path());
-        SweepFarm farm(runner, 1);
+        ExperimentRunner runner(tinyOptions(file.path()));
+        runner.openJournals(std::cerr);
+        SweepFarm farm(runner);
         runSweep(farm, 3);
     }
     std::ifstream in(file.path(), std::ios::ate | std::ios::binary);
@@ -487,11 +498,10 @@ TEST(JournalResume, ReplayedRecordsAreNotReJournaled)
 
     // Resume with the SAME file attached for appending: the replayed
     // commits must not duplicate their journal lines.
-    ExperimentRunner resumed(tinyBudget());
+    ExperimentRunner resumed(tinyOptions(file.path(), file.path()));
     std::ostringstream diag;
-    resumed.resumeFromJournal(file.path(), diag);
-    resumed.attachJournal(file.path());
-    SweepFarm farm(resumed, 1);
+    resumed.openJournals(diag);
+    SweepFarm farm(resumed);
     runSweep(farm, 3);
 
     std::ifstream in2(file.path(), std::ios::ate | std::ios::binary);
@@ -511,9 +521,9 @@ TEST(JournalResume, CrashedChildResumesByteIdentically)
         // records). _exit(137) with half a line written and fsynced —
         // the torn state a real SIGKILL/power loss leaves.
         FaultPlan::global().arm("crash_hard:6");
-        ExperimentRunner runner(tinyBudget());
-        runner.attachJournal(file.path());
-        SweepFarm farm(runner, 1);
+        ExperimentRunner runner(tinyOptions(file.path()));
+        runner.openJournals(std::cerr);
+        SweepFarm farm(runner);
         runSweep(farm, kJobs);
         _exit(42); // NOT crashing is the failure
     }
@@ -525,21 +535,21 @@ TEST(JournalResume, CrashedChildResumesByteIdentically)
         << "child did not die at the injected crash point";
 
     // The uninterrupted reference run.
-    ExperimentRunner cold(tinyBudget());
+    ExperimentRunner cold(tinyOptions());
     {
-        SweepFarm farm(cold, 1);
+        SweepFarm farm(cold);
         runSweep(farm, kJobs);
     }
 
     // Resume: 4 durable records replay (record 5 was torn and is
     // dropped with a warning); the remaining 4 jobs simulate.
-    ExperimentRunner resumed(tinyBudget());
+    ExperimentRunner resumed(tinyOptions("", file.path()));
     std::ostringstream diag;
-    EXPECT_EQ(resumed.resumeFromJournal(file.path(), diag), 4u);
+    EXPECT_EQ(resumed.openJournals(diag), 4u);
     EXPECT_NE(diag.str().find("torn final line"), std::string::npos)
         << diag.str();
     {
-        SweepFarm farm(resumed, 1);
+        SweepFarm farm(resumed);
         runSweep(farm, kJobs);
     }
 
@@ -578,13 +588,21 @@ TEST(FaultPlan, ResetForTestReArmsFromTheEnvironment)
 
 // -- bounded retry ------------------------------------------------------------
 
+/** Tiny-budget runner options with @p retries on @p jobs workers. */
+RunnerOptions
+retryOptions(int retries, int jobs = 1)
+{
+    RunnerOptions options = tinyOptions();
+    options.retries = retries;
+    options.jobs = jobs;
+    return options;
+}
+
 TEST(Retry, TransientIoFailureRetriesToSuccessThroughTheFarm)
 {
-    ExperimentRunner runner(tinyBudget());
-    runner.setRetries(1);
-    ASSERT_EQ(runner.retries(), 1);
+    ExperimentRunner runner(retryOptions(1));
     ArmedFaults armed("job_io:0"); // job 0 throws TransientIoError once
-    SweepFarm farm(runner, 1);
+    SweepFarm farm(runner);
     runSweep(farm, 2);
     ASSERT_EQ(runner.records().size(), 2u);
     const RunRecord &retried = runner.records()[0];
@@ -593,16 +611,19 @@ TEST(Retry, TransientIoFailureRetriesToSuccessThroughTheFarm)
     EXPECT_EQ(runner.records()[1].attempts, 1);
 }
 
-TEST(Retry, PooledFarmReEnqueuesTransientFailuresAfterDrain)
+TEST(Retry, PooledFarmRetriesTransientFailuresInPlace)
 {
-    ExperimentRunner runner(tinyBudget());
-    runner.setRetries(2);
+    // The retry happens on the failing job's own worker, before its
+    // slot is committed: the record stream is the same as if the job
+    // had succeeded first time, apart from its attempts count.
+    ExperimentRunner runner(retryOptions(2, 3));
     ArmedFaults armed("job_io:1");
-    SweepFarm farm(runner, 3);
+    SweepFarm farm(runner);
     runSweep(farm, 6);
     ASSERT_EQ(runner.records().size(), 6u);
     for (int i = 0; i < 6; ++i) {
         EXPECT_FALSE(runner.records()[i].errored()) << "job " << i;
+        EXPECT_EQ(runner.records()[i].jobIndex, i) << "job " << i;
         EXPECT_EQ(runner.records()[i].attempts, i == 1 ? 2 : 1)
             << "job " << i;
     }
@@ -613,10 +634,10 @@ TEST(Retry, ExhaustedRetriesCommitAnIoErrorRecord)
     // job_wedge-style persistent failure is out of scope for "io";
     // here retries are off, so the single transient failure lands as
     // an error record of kind "io" with attempts counted.
-    ExperimentRunner runner(tinyBudget());
-    ASSERT_EQ(runner.retries(), 0);
+    ExperimentRunner runner(tinyOptions());
+    ASSERT_EQ(runner.options().retries, 0);
     ArmedFaults armed("job_io:0");
-    SweepFarm farm(runner, 1);
+    SweepFarm farm(runner);
     runSweep(farm, 2);
     ASSERT_EQ(runner.records().size(), 2u);
     const RunRecord &failed = runner.records()[0];
@@ -628,10 +649,9 @@ TEST(Retry, ExhaustedRetriesCommitAnIoErrorRecord)
 
 TEST(Retry, DeterministicFailureKindsNeverRetry)
 {
-    ExperimentRunner runner(tinyBudget());
-    runner.setRetries(3);
+    ExperimentRunner runner(retryOptions(3));
     ArmedFaults armed("job_throw:0"); // kind "simulation"
-    SweepFarm farm(runner, 1);
+    SweepFarm farm(runner);
     runSweep(farm, 1);
     ASSERT_EQ(runner.records().size(), 1u);
     EXPECT_TRUE(runner.records()[0].errored());
@@ -644,15 +664,11 @@ TEST(Retry, ServeLoopRetriesInPlaceAndCountsInTheSummary)
     std::istringstream in("{\"workload\": \"429.mcf\"}\n"
                           "{\"workload\": \"429.mcf\", \"seed\": 1}\n");
     std::ostringstream out, diag;
-    ExperimentRunner runner(tinyBudget());
-    runner.setRetries(1);
-    ServeOptions options;
-    options.jobs = 1;
-    options.defaultBudget = tinyBudget();
+    ExperimentRunner runner(retryOptions(1));
     int failures = -1;
     {
         ArmedFaults armed("job_io:0");
-        failures = serveLoop(in, out, runner, options, diag);
+        failures = serveLoop(in, out, runner, diag);
     }
     EXPECT_EQ(failures, 0);
     EXPECT_NE(diag.str().find("serve: 2 accepted, 0 rejected, 0 failed, "
@@ -667,23 +683,20 @@ TEST(Retry, ServeLoopCountsJournalReplays)
 {
     TempFile file("serve_replay");
     const std::string jobLine = "{\"workload\": \"429.mcf\"}\n";
-    ServeOptions options;
-    options.jobs = 1;
-    options.defaultBudget = tinyBudget();
     std::string firstOut;
     {
         std::istringstream in(jobLine);
         std::ostringstream out, diag;
-        ExperimentRunner runner(tinyBudget());
-        runner.attachJournal(file.path());
-        EXPECT_EQ(serveLoop(in, out, runner, options, diag), 0);
+        ExperimentRunner runner(tinyOptions(file.path()));
+        runner.openJournals(diag);
+        EXPECT_EQ(serveLoop(in, out, runner, diag), 0);
         firstOut = out.str();
     }
     std::istringstream in(jobLine);
     std::ostringstream out, diag;
-    ExperimentRunner runner(tinyBudget());
-    runner.resumeFromJournal(file.path(), diag);
-    EXPECT_EQ(serveLoop(in, out, runner, options, diag), 0);
+    ExperimentRunner runner(tinyOptions("", file.path()));
+    runner.openJournals(diag);
+    EXPECT_EQ(serveLoop(in, out, runner, diag), 0);
     EXPECT_NE(diag.str().find("1 replayed"), std::string::npos)
         << diag.str();
     // queue_wait_seconds is stamped per serve session even for a
@@ -714,22 +727,28 @@ class TempCacheDir
     std::string path_;
 };
 
+/** Sharing runner options backed by the cache directory @p dir. */
+RunnerOptions
+cacheOptions(const std::string &dir)
+{
+    RunnerOptions options = tinyOptions();
+    options.share = true;
+    options.checkpointDir = dir;
+    return options;
+}
+
 TEST(CheckpointCache, WarmPrefixIsReloadedAcrossRunners)
 {
     TempCacheDir dir("reload");
     const SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
 
-    ExperimentRunner first(tinyBudget());
-    first.setCheckpointSharing(true);
-    first.setCheckpointDir(dir.path());
+    ExperimentRunner first(cacheOptions(dir.path()));
     const RunStats &cold = first.run("429.mcf", cfg);
     EXPECT_EQ(first.prefixSimulations(), 1u);
 
     // A fresh process (fresh runner): the warm prefix comes off disk,
     // no warmup simulates, and the stats stay bit-identical.
-    ExperimentRunner second(tinyBudget());
-    second.setCheckpointSharing(true);
-    second.setCheckpointDir(dir.path());
+    ExperimentRunner second(cacheOptions(dir.path()));
     const RunStats &warm = second.run("429.mcf", cfg);
     EXPECT_EQ(second.prefixSimulations(), 0u);
     EXPECT_EQ(warm.cycles, cold.cycles);
@@ -742,17 +761,13 @@ TEST(CheckpointCache, CorruptEntryIsRefusedAndFallsBackCold)
     TempCacheDir dir("corrupt");
     const SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
 
-    ExperimentRunner first(tinyBudget());
-    first.setCheckpointSharing(true);
-    first.setCheckpointDir(dir.path());
+    ExperimentRunner first(cacheOptions(dir.path()));
     const RunStats &cold = first.run("429.mcf", cfg);
 
     // The corrupt-entry fault flips a container byte on load:
     // validate-before-apply must refuse it and simulate the warmup
     // cold — identical stats, never a silently-wrong restore.
-    ExperimentRunner second(tinyBudget());
-    second.setCheckpointSharing(true);
-    second.setCheckpointDir(dir.path());
+    ExperimentRunner second(cacheOptions(dir.path()));
     RunStats warm;
     {
         ArmedFaults armed("ckpt_cache_corrupt:1");
@@ -763,9 +778,7 @@ TEST(CheckpointCache, CorruptEntryIsRefusedAndFallsBackCold)
     EXPECT_EQ(warm.instructions, cold.instructions);
 
     // The cold fallback overwrote the entry: a third runner loads it.
-    ExperimentRunner third(tinyBudget());
-    third.setCheckpointSharing(true);
-    third.setCheckpointDir(dir.path());
+    ExperimentRunner third(cacheOptions(dir.path()));
     const RunStats &reloaded = third.run("429.mcf", cfg);
     EXPECT_EQ(third.prefixSimulations(), 0u);
     EXPECT_EQ(reloaded.cycles, cold.cycles);
@@ -779,9 +792,7 @@ TEST(CheckpointCache, OlderFormatVersionEntryFallsBackCold)
     TempCacheDir dir("old_version");
     const SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
 
-    ExperimentRunner first(tinyBudget());
-    first.setCheckpointSharing(true);
-    first.setCheckpointDir(dir.path());
+    ExperimentRunner first(cacheOptions(dir.path()));
     const RunStats &cold = first.run("429.mcf", cfg);
 
     std::size_t entries = 0;
@@ -797,9 +808,7 @@ TEST(CheckpointCache, OlderFormatVersionEntryFallsBackCold)
     }
     ASSERT_EQ(entries, 1u);
 
-    ExperimentRunner second(tinyBudget());
-    second.setCheckpointSharing(true);
-    second.setCheckpointDir(dir.path());
+    ExperimentRunner second(cacheOptions(dir.path()));
     const RunStats &warm = second.run("429.mcf", cfg);
     EXPECT_EQ(second.prefixSimulations(), 1u);
     EXPECT_TRUE(warm == cold);
@@ -808,13 +817,11 @@ TEST(CheckpointCache, OlderFormatVersionEntryFallsBackCold)
 TEST(CheckpointCache, DisabledDirectoryKeepsTheOldBehaviour)
 {
     const SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
-    ExperimentRunner a(tinyBudget());
-    a.setCheckpointSharing(true);
-    ASSERT_EQ(a.checkpointDir(), "");
+    ExperimentRunner a(cacheOptions(""));
+    ASSERT_EQ(a.options().checkpointDir, "");
     const RunStats &one = a.run("429.mcf", cfg);
 
-    ExperimentRunner b(tinyBudget());
-    b.setCheckpointSharing(true);
+    ExperimentRunner b(cacheOptions(""));
     const RunStats &two = b.run("429.mcf", cfg);
     EXPECT_EQ(b.prefixSimulations(), 1u); // nothing persisted
     EXPECT_EQ(one.cycles, two.cycles);

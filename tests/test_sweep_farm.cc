@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "harness/bench_diff.hh"
 #include "harness/experiment.hh"
 #include "harness/json_report.hh"
 #include "harness/serve.hh"
@@ -42,6 +43,17 @@ testBudget()
     b.warmup = 2000;
     b.measure = 8000;
     return b;
+}
+
+/** Runner options for the test budgets on @p jobs workers. */
+RunnerOptions
+testOptions(int jobs = 1, bool share = false)
+{
+    RunnerOptions options;
+    options.budget = testBudget();
+    options.jobs = jobs;
+    options.share = share;
+    return options;
 }
 
 /** The fig06 sweep shape on a two-benchmark, two-grid-point subset. */
@@ -71,8 +83,8 @@ submitFig06Subset(SweepFarm &farm)
 
 /**
  * Serialize records with the host-timing fields masked: exactly the
- * keys the --jobs byte-identity contract excludes ("jobs" varies by
- * construction; the other four measure the host, not the simulation).
+ * keys the --jobs byte-identity contract excludes (hostTimingFields(),
+ * the list `bench_diff --exact` ignores).
  * job_index is NOT masked — it must match across worker counts.
  */
 std::string
@@ -80,9 +92,10 @@ maskedJson(const ExperimentRunner &runner)
 {
     std::ostringstream os;
     writeRunRecords(os, runner.records());
-    static const std::regex timing(
-        "\"(jobs|wall_seconds|queue_wait_seconds|sim_mcycles_per_s|"
-        "retired_minstr_per_s)\": [^,\\n}]+");
+    std::string fields;
+    for (const std::string &field : hostTimingFields())
+        fields += (fields.empty() ? "" : "|") + field;
+    const std::regex timing("\"(" + fields + ")\": [^,\\n}]+");
     return std::regex_replace(os.str(), timing, "\"$1\": X");
 }
 
@@ -90,9 +103,9 @@ TEST(SweepFarm, JsonByteIdenticalAcrossJobCounts)
 {
     std::string reference;
     for (const int jobs : {1, 2, 4, 8}) {
-        ExperimentRunner runner(testBudget());
+        ExperimentRunner runner(testOptions(jobs));
         {
-            SweepFarm farm(runner, jobs);
+            SweepFarm farm(runner);
             submitFig06Subset(farm);
         }
         const std::string json = maskedJson(runner);
@@ -111,10 +124,10 @@ TEST(SweepFarm, RecordOrderIsSubmissionOrder)
     // Many distinct design points with wildly different simulation
     // costs (core counts 1/2/4), so completion order under 8 workers
     // is effectively randomized — commit order must not care.
-    ExperimentRunner runner(testBudget());
+    ExperimentRunner runner(testOptions(8));
     std::vector<std::string> expect;
     {
-        SweepFarm farm(runner, 8);
+        SweepFarm farm(runner);
         for (const std::string &bench : subsetBenches()) {
             for (const int cores : {4, 1, 2}) {
                 for (const std::uint64_t seed : {1ull, 2ull}) {
@@ -141,10 +154,10 @@ TEST(SweepFarm, RecordOrderIsSubmissionOrder)
 
 TEST(SweepFarm, DuplicateSubmissionsSimulateOnce)
 {
-    ExperimentRunner runner(testBudget());
+    ExperimentRunner runner(testOptions(4));
     const SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
     {
-        SweepFarm farm(runner, 4);
+        SweepFarm farm(runner);
         for (int i = 0; i < 20; ++i)
             farm.submit("429.mcf", cfg);
         farm.drain();
@@ -162,7 +175,7 @@ TEST(ExperimentRunner, ConcurrentDuplicateRunsSimulateOnce)
     // Hammer one design point from many threads: the in-flight latch
     // must collapse all of them onto a single simulation, and every
     // caller must see the committed record.
-    ExperimentRunner runner(testBudget());
+    ExperimentRunner runner(testOptions());
     const SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
     const Budget b = testBudget();
 
@@ -171,7 +184,8 @@ TEST(ExperimentRunner, ConcurrentDuplicateRunsSimulateOnce)
     for (int t = 0; t < 8; ++t) {
         threads.emplace_back([&] {
             for (int i = 0; i < 5; ++i) {
-                const RunRecord &r = runner.run("429.mcf", cfg, b);
+                const RunRecord &r =
+                    runner.run(runner.jobFor("429.mcf", cfg));
                 // Retirement can overshoot the target by a few
                 // instructions in the final superscalar tick, never
                 // undershoot it.
@@ -196,10 +210,9 @@ TEST(SweepFarm, JsonByteIdenticalAcrossJobCountsWithSharing)
     // prefix race.
     std::string reference;
     for (const int jobs : {1, 2, 4, 8}) {
-        ExperimentRunner runner(testBudget());
-        runner.setCheckpointSharing(true);
+        ExperimentRunner runner(testOptions(jobs, /*share=*/true));
         {
-            SweepFarm farm(runner, jobs);
+            SweepFarm farm(runner);
             submitFig06Subset(farm);
         }
         for (const RunRecord &r : runner.records())
@@ -222,15 +235,14 @@ TEST(SweepFarm, SharedWarmupStatsMatchColdRuns)
     // with checkpoint sharing must report exactly the same simulated
     // statistics as a cold sweep (the records differ only in the
     // checkpoint provenance field and host timing).
-    ExperimentRunner cold(testBudget());
+    ExperimentRunner cold(testOptions(2));
     {
-        SweepFarm farm(cold, 2);
+        SweepFarm farm(cold);
         submitFig06Subset(farm);
     }
-    ExperimentRunner shared(testBudget());
-    shared.setCheckpointSharing(true);
+    ExperimentRunner shared(testOptions(2, /*share=*/true));
     {
-        SweepFarm farm(shared, 2);
+        SweepFarm farm(shared);
         submitFig06Subset(farm);
     }
     ASSERT_EQ(shared.records().size(), cold.records().size());
@@ -248,7 +260,7 @@ TEST(ExperimentRunner, SharedPrefixSimulatesWarmupExactlyOnce)
     // differing in measure budget, hammered from 8 threads: the
     // prefix latch must collapse all their warmups onto a single
     // simulation, and each job's stats must equal its own cold run.
-    ExperimentRunner runner(testBudget());
+    ExperimentRunner runner(testOptions());
     const SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
     const std::uint64_t measures[] = {3000, 4000, 5000, 6000,
                                       7000, 8000, 9000, 10000};
@@ -256,8 +268,8 @@ TEST(ExperimentRunner, SharedPrefixSimulatesWarmupExactlyOnce)
     std::vector<std::thread> threads;
     for (const std::uint64_t measure : measures) {
         threads.emplace_back([&runner, &cfg, measure] {
-            const Budget b{2000, measure};
-            runner.run("429.mcf", cfg, b, /*share_warmup=*/true);
+            runner.run(JobSpec{"429.mcf", cfg, {2000, measure},
+                               /*share=*/true});
         });
     }
     for (std::thread &t : threads)
@@ -268,17 +280,18 @@ TEST(ExperimentRunner, SharedPrefixSimulatesWarmupExactlyOnce)
     EXPECT_EQ(runner.records().size(), 8u);
 
     // Spot-check one budget against its cold twin.
-    ExperimentRunner coldRunner(testBudget());
-    const Budget b{2000, 6000};
-    const RunRecord &shared = runner.run("429.mcf", cfg, b, true);
-    const RunRecord &cold = coldRunner.run("429.mcf", cfg, b, false);
+    ExperimentRunner coldRunner(testOptions());
+    const RunRecord &shared =
+        runner.run(JobSpec{"429.mcf", cfg, {2000, 6000}, true});
+    const RunRecord &cold =
+        coldRunner.run(JobSpec{"429.mcf", cfg, {2000, 6000}, false});
     EXPECT_TRUE(shared.stats == cold.stats)
         << "warm-shared stats must be bit-identical to a cold run";
     EXPECT_EQ(shared.checkpoint, "warm-shared");
     EXPECT_EQ(cold.checkpoint, "");
 
     // Distinct warmup budgets are distinct prefixes.
-    runner.run("429.mcf", cfg, Budget{1000, 3000}, true);
+    runner.run(JobSpec{"429.mcf", cfg, {1000, 3000}, true});
     EXPECT_EQ(runner.prefixSimulations(), 2u);
 }
 
@@ -298,12 +311,9 @@ TEST(Serve, CheckpointJobLines)
         " \"checkpoint\": \"cold\"}\n"
         "{\"workload\": \"429.mcf\", \"checkpoint\": \"sometimes\"}\n");
     std::ostringstream out, diag;
-    ExperimentRunner runner(testBudget());
-    ServeOptions options;
-    options.jobs = 4;
-    options.defaultBudget = testBudget();
+    ExperimentRunner runner(testOptions(4));
 
-    const int failures = serveLoop(in, out, runner, options, diag);
+    const int failures = serveLoop(in, out, runner, diag);
     EXPECT_EQ(failures, 1);
     EXPECT_NE(diag.str().find("checkpoint must be"), std::string::npos)
         << diag.str();
@@ -339,6 +349,32 @@ TEST(Serve, CheckpointJobLines)
     ASSERT_EQ(cycles.size(), 2u) << response;
     EXPECT_EQ(cycles[0], cycles[1])
         << "shared vs cold run of the same design point diverged";
+}
+
+TEST(Serve, ColdLineOverridesASharingDefault)
+{
+    // The runner shares warm-up prefixes by default (BOP_CKPT_SHARE=1),
+    // and a "cold" line must still run cold: provenance "none" and no
+    // prefix produced.
+    ExperimentRunner runner(testOptions(1, /*share=*/true));
+    {
+        std::istringstream in(
+            "{\"workload\": \"429.mcf\", \"checkpoint\": \"cold\"}\n");
+        std::ostringstream out, diag;
+        EXPECT_EQ(serveLoop(in, out, runner, diag), 0) << diag.str();
+        EXPECT_NE(out.str().find("\"checkpoint\": \"none\""),
+                  std::string::npos)
+            << out.str();
+        EXPECT_EQ(runner.prefixSimulations(), 0u);
+    }
+    // A line that does not choose follows the sharing default.
+    std::istringstream in("{\"workload\": \"429.mcf\"}\n");
+    std::ostringstream out, diag;
+    EXPECT_EQ(serveLoop(in, out, runner, diag), 0) << diag.str();
+    EXPECT_NE(out.str().find("\"checkpoint\": \"warm-shared\""),
+              std::string::npos)
+        << out.str();
+    EXPECT_EQ(runner.prefixSimulations(), 1u);
 }
 
 TEST(TaskPool, RunsEverythingAndDrainsTwice)
@@ -478,12 +514,9 @@ TEST(Serve, MalformedLinesRejectedWithDiagnostics)
         "\n"
         "{\"workload\": \"429.mcf\"}\n");
     std::ostringstream out, diag;
-    ExperimentRunner runner(testBudget());
-    ServeOptions options;
-    options.jobs = 2;
-    options.defaultBudget = testBudget();
+    ExperimentRunner runner(testOptions(2));
 
-    const int failures = serveLoop(in, out, runner, options, diag);
+    const int failures = serveLoop(in, out, runner, diag);
     EXPECT_EQ(failures, 9);
 
     // One {"error", "line"} object per bad line, pointing at it.
@@ -523,13 +556,11 @@ TEST(Serve, ThousandJobBatchDedupsAndDrains)
     }
     std::istringstream in(batch.str());
     std::ostringstream out, diag;
-    ExperimentRunner runner(testBudget());
-    ServeOptions options;
-    options.jobs = 4;
+    RunnerOptions options = testOptions(4);
     options.backlog = 8;
-    options.defaultBudget = testBudget();
+    ExperimentRunner runner(options);
 
-    const int failures = serveLoop(in, out, runner, options, diag);
+    const int failures = serveLoop(in, out, runner, diag);
     EXPECT_EQ(failures, 0);
     // The only diagnostic on a clean batch is the final summary line.
     EXPECT_EQ(diag.str(), "serve: 1000 accepted, 0 rejected, 0 failed, "

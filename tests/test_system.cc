@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "harness/experiment.hh"
 #include "sim/system.hh"
 #include "trace/workloads.hh"
@@ -73,6 +76,37 @@ TEST(System, DeltaStatsSubtractsCounters)
     EXPECT_EQ(d.dl1Accesses, 60u);
     EXPECT_EQ(d.dramReads, 6u);
     EXPECT_EQ(d.boFinalOffset, 12) << "end-state fields copied";
+}
+
+TEST(System, DeltaStatsDifferencesEveryCumulativeCounter)
+{
+    // Walk the counter table, so a counter added to RunStats is
+    // covered here without editing this test: every cumulative counter
+    // must come out as end - begin, every end-of-run one as end.
+    RunStats begin, end;
+    int k = 1;
+#define BOP_FILL(type, name, cumulative)                                   \
+    begin.name = static_cast<type>(k);                                     \
+    end.name = static_cast<type>(10 * k + 5);                              \
+    ++k;
+    BOP_RUN_STATS_COUNTERS(BOP_FILL)
+#undef BOP_FILL
+    const RunStats d = deltaStats(end, begin);
+    std::vector<std::string> kept;
+#define BOP_CHECK(type, name, cumulative)                                  \
+    EXPECT_EQ(d.name, cumulative ? static_cast<type>(end.name - begin.name) \
+                                 : end.name)                               \
+        << #name;                                                          \
+    if (!(cumulative))                                                     \
+        kept.push_back(#name);
+    BOP_RUN_STATS_COUNTERS(BOP_CHECK)
+#undef BOP_CHECK
+    EXPECT_EQ(k, 30) << "29 counters";
+    // Only the BO learner's end-of-run state is exempt.
+    EXPECT_EQ(kept, (std::vector<std::string>{"boLearningPhases",
+                                              "boPrefetchOffPhases",
+                                              "boFinalOffset",
+                                              "boFinalScore"}));
 }
 
 TEST(System, BranchStatsPopulated)

@@ -14,17 +14,28 @@
  * Examples:
  *   bench_diff old/fig06.json new/fig06.json
  *   bench_diff old.json new.json --ipc 0.05 --coverage 0.03 --dram 0.10
+ *   bench_diff --exact serial.json jobs4.json
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "harness/bench_diff.hh"
 
 namespace
 {
+
+std::string
+hostFieldList()
+{
+    std::string list;
+    for (const std::string &field : bop::hostTimingFields())
+        list += (list.empty() ? "" : ", ") + field;
+    return list;
+}
 
 void
 usage(const char *argv0)
@@ -39,8 +50,11 @@ usage(const char *argv0)
         "                   relative sim_mcycles_per_s drop before an\n"
         "                   engine-speed regression is flagged; one-sided,\n"
         "                   skipped when either side lacks the field\n"
-        "                   (default 0.5; 0 disables)\n",
-        argv0);
+        "                   (default 0.5; 0 disables)\n"
+        "  --exact          instead of thresholds, require the same\n"
+        "                   records in the same order, every field\n"
+        "                   equal except the host-timing ones (%s)\n",
+        argv0, hostFieldList().c_str());
 }
 
 } // namespace
@@ -51,28 +65,33 @@ main(int argc, char **argv)
     std::string old_path;
     std::string new_path;
     bop::BenchDiffOptions options;
+    bool exact = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next_arg = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "bench_diff: %s needs an argument\n",
+        auto next_number = [&]() -> double {
+            double value = 0.0;
+            if (i + 1 >= argc || !bop::numberText(argv[i + 1], value)) {
+                std::fprintf(stderr, "bench_diff: %s needs a number\n",
                              arg.c_str());
                 std::exit(2);
             }
-            return argv[++i];
+            ++i;
+            return value;
         };
         if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
         } else if (arg == "--ipc") {
-            options.ipcRelative = std::atof(next_arg());
+            options.ipcRelative = next_number();
         } else if (arg == "--coverage") {
-            options.coverageAbsolute = std::atof(next_arg());
+            options.coverageAbsolute = next_number();
         } else if (arg == "--dram") {
-            options.dramRelative = std::atof(next_arg());
+            options.dramRelative = next_number();
         } else if (arg == "--throughput") {
-            options.throughputDropRelative = std::atof(next_arg());
+            options.throughputDropRelative = next_number();
+        } else if (arg == "--exact") {
+            exact = true;
         } else if (old_path.empty()) {
             old_path = arg;
         } else if (new_path.empty()) {
@@ -102,6 +121,22 @@ main(int argc, char **argv)
         if (!new_warning.empty())
             std::fprintf(stderr, "bench_diff: warning: %s\n",
                          new_warning.c_str());
+        if (exact) {
+            const std::vector<std::string> diffs =
+                bop::exactDiff(old_records, new_records);
+            constexpr std::size_t shown = 20;
+            for (std::size_t d = 0; d < diffs.size() && d < shown; ++d)
+                std::printf("DIFF %s\n", diffs[d].c_str());
+            if (diffs.size() > shown)
+                std::printf("... and %zu more\n", diffs.size() - shown);
+            if (!diffs.empty())
+                return 1;
+            std::printf("exact: %zu records identical, host-timing "
+                        "fields aside (%s -> %s)\n",
+                        new_records.size(), old_path.c_str(),
+                        new_path.c_str());
+            return 0;
+        }
         const bop::BenchDiffResult result =
             bop::diffRunRecords(old_records, new_records, options);
 

@@ -24,11 +24,13 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include <iostream>
 
 #include "harness/experiment.hh"
 #include "harness/json_report.hh"
+#include "harness/options.hh"
 #include "harness/serve.hh"
 #include "sim/system.hh"
 #include "trace/trace_io.hh"
@@ -81,25 +83,9 @@ usage(const char *argv0)
         "  --serve             read newline-delimited JSON job objects\n"
         "                      from stdin, stream one run record back\n"
         "                      per job as it completes; see README\n"
-        "                      \"Sweep farm & serve mode\"\n"
-        "  --jobs N            worker threads for --serve (default 1;\n"
-        "                      also BOP_JOBS=N)\n"
-        "  --backlog N         max in-flight jobs before the stdin\n"
-        "                      reader blocks (default 4*jobs)\n"
-        "  --job-timeout SEC   per-job wall-clock deadline; a job still\n"
-        "                      simulating past it answers with an error\n"
-        "                      record instead of stalling the batch\n"
-        "                      (default off; also BOP_JOB_TIMEOUT=SEC)\n"
+        "                      \"Sweep farm & serve mode\".\n"
         "                      SIGINT/SIGTERM drain gracefully: no new\n"
         "                      lines accepted, in-flight jobs answer\n"
-        "  --journal FILE      append every committed record to a\n"
-        "                      crash-durable write-ahead journal\n"
-        "                      (fsync-on-commit; docs/ROBUSTNESS.md)\n"
-        "  --resume FILE       replay a journal first: journaled jobs\n"
-        "                      answer verbatim, only the rest simulate\n"
-        "  --retries N         retry transient (kind \"io\") job\n"
-        "                      failures up to N times with exponential\n"
-        "                      backoff (default BOP_RETRIES or 0)\n"
         "\n"
         "checkpointing (format: docs/CHECKPOINT_FORMAT.md):\n"
         "  --save-checkpoint FILE\n"
@@ -112,14 +98,17 @@ usage(const char *argv0)
         "                      uninterrupted run's\n"
         "\n"
         "run control:\n"
-        "  --warmup N          warm-up instructions (default 100000)\n"
-        "  --instr N           measured instructions (default 400000)\n"
         "  --seed S            run seed (default 42)\n"
         "  --no-fast-forward   tick every cycle (reference engine; the\n"
         "                      simulated stats are bit-identical either\n"
         "                      way — also BOP_DISABLE_FASTFORWARD=1)\n"
-        "  --json PATH         write a machine-readable run record\n",
+        "  --json PATH         write a machine-readable run record\n"
+        "\n"
+        "runner options (for --serve; --warmup and --instr also set\n"
+        "a single run's budgets):\n",
         argv0);
+    std::fflush(stdout);
+    bop::printRunnerOptionsUsage(std::cout);
 }
 
 [[noreturn]] void
@@ -161,125 +150,108 @@ main(int argc, char **argv)
     std::string restore_ckpt;
     SystemConfig cfg;
     cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
-    std::uint64_t warmup = 100000;
-    std::uint64_t instr = 400000;
     std::uint64_t skip = 0;
     std::uint64_t sample = 0;
     bool serve = false;
-    int jobs = 1;
-    std::size_t backlog = 0;
-    double job_timeout = -1.0; ///< <0 = not given; BOP_JOB_TIMEOUT rules
-    std::string journal_path;
-    std::string resume_path;
-    int retries = -1; ///< <0 = not given; BOP_RETRIES rules
-    if (const char *j = std::getenv("BOP_JOBS")) {
-        const int env_jobs = std::atoi(j);
-        if (env_jobs >= 1)
-            jobs = env_jobs;
-    }
+    bool serve_only = false; ///< --journal/--resume/--retries given
+    RunnerOptions opts;
 
     auto next_arg = [&](int &i) -> std::string {
         if (i + 1 >= argc)
             die(std::string(argv[i]) + " needs an argument");
         return argv[++i];
     };
+    // A numeric flag's value must be a whole number its field holds.
+    auto whole = [&](int &i, auto &out) {
+        const std::string name = argv[i];
+        out = wholeOption<std::remove_reference_t<decltype(out)>>(
+            name, next_arg(i));
+    };
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (arg == "--list") {
-            for (const auto &name : benchmarkNames())
-                std::printf("%s\n", name.c_str());
-            return 0;
-        } else if (arg == "--workload") {
-            workload = next_arg(i);
-        } else if (arg == "--trace") {
-            trace_file = next_arg(i);
-        } else if (arg == "--skip") {
-            skip = std::strtoull(next_arg(i).c_str(), nullptr, 10);
-        } else if (arg == "--sample") {
-            sample = std::strtoull(next_arg(i).c_str(), nullptr, 10);
-        } else if (arg == "--serve") {
-            serve = true;
-        } else if (arg == "--jobs") {
-            jobs = std::atoi(next_arg(i).c_str());
-            if (jobs < 1)
-                jobs = 1;
-        } else if (arg == "--backlog") {
-            backlog = static_cast<std::size_t>(
-                std::strtoull(next_arg(i).c_str(), nullptr, 10));
-        } else if (arg == "--job-timeout") {
-            job_timeout = std::strtod(next_arg(i).c_str(), nullptr);
-        } else if (arg == "--no-fast-forward") {
-            cfg.fastForward = false;
-        } else if (arg == "--prefetcher") {
-            cfg.l2Prefetcher = parsePrefetcher(next_arg(i));
-        } else if (arg == "--offset") {
-            cfg.fixedOffset = std::atoi(next_arg(i).c_str());
-        } else if (arg == "--cores") {
-            cfg.activeCores = std::atoi(next_arg(i).c_str());
-        } else if (arg == "--num-cores") {
-            cfg.numCores = std::atoi(next_arg(i).c_str());
-        } else if (arg == "--channels") {
-            cfg.numChannels = std::atoi(next_arg(i).c_str());
-        } else if (arg == "--page") {
-            const std::string v = next_arg(i);
-            if (v == "4k" || v == "4K")
-                cfg.pageSize = PageSize::FourKB;
-            else if (v == "4m" || v == "4M")
-                cfg.pageSize = PageSize::FourMB;
-            else
-                die("--page must be 4k or 4m");
-        } else if (arg == "--l3") {
-            const std::string v = next_arg(i);
-            if (v == "5p")
-                cfg.l3Policy = L3PolicyKind::P5;
-            else if (v == "lru")
-                cfg.l3Policy = L3PolicyKind::Lru;
-            else if (v == "drrip")
-                cfg.l3Policy = L3PolicyKind::Drrip;
-            else
-                die("--l3 must be 5p, lru or drrip");
-        } else if (arg == "--no-dl1-stride") {
-            cfg.dl1StridePrefetcher = false;
-        } else if (arg == "--bo-badscore") {
-            cfg.bo.badScore = std::atoi(next_arg(i).c_str());
-        } else if (arg == "--bo-rr") {
-            cfg.bo.rrEntries =
-                static_cast<std::size_t>(std::atoll(next_arg(i).c_str()));
-        } else if (arg == "--bo-degree") {
-            cfg.bo.degree = std::atoi(next_arg(i).c_str());
-        } else if (arg == "--bo-adaptive") {
-            cfg.bo.adaptiveBadScore = true;
-        } else if (arg == "--bo-coverage") {
-            cfg.bo.coverageWeight = std::atoi(next_arg(i).c_str());
-        } else if (arg == "--warmup") {
-            warmup = std::strtoull(next_arg(i).c_str(), nullptr, 10);
-        } else if (arg == "--instr") {
-            instr = std::strtoull(next_arg(i).c_str(), nullptr, 10);
-        } else if (arg == "--seed") {
-            cfg.seed = std::strtoull(next_arg(i).c_str(), nullptr, 10);
-        } else if (arg == "--save-checkpoint") {
-            save_ckpt = next_arg(i);
-        } else if (arg == "--restore-checkpoint") {
-            restore_ckpt = next_arg(i);
-        } else if (arg == "--json") {
-            json_path = next_arg(i);
-        } else if (arg == "--journal") {
-            journal_path = next_arg(i);
-        } else if (arg == "--resume") {
-            resume_path = next_arg(i);
-        } else if (arg == "--retries") {
-            retries = std::atoi(next_arg(i).c_str());
-            if (retries < 0)
-                retries = 0;
-        } else {
-            usage(argv[0]);
-            die("unknown option '" + arg + "'");
+    try {
+        opts = RunnerOptions::fromEnv();
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            if (arg == "--help" || arg == "-h") {
+                usage(argv[0]);
+                return 0;
+            } else if (arg == "--list") {
+                for (const auto &name : benchmarkNames())
+                    std::printf("%s\n", name.c_str());
+                return 0;
+            } else if (opts.parseFlag(argc, argv, i)) {
+                serve_only = serve_only || arg == "--journal" ||
+                             arg == "--resume" || arg == "--retries";
+            } else if (arg == "--workload") {
+                workload = next_arg(i);
+            } else if (arg == "--trace") {
+                trace_file = next_arg(i);
+            } else if (arg == "--skip") {
+                whole(i, skip);
+            } else if (arg == "--sample") {
+                whole(i, sample);
+            } else if (arg == "--serve") {
+                serve = true;
+            } else if (arg == "--no-fast-forward") {
+                cfg.fastForward = false;
+            } else if (arg == "--prefetcher") {
+                cfg.l2Prefetcher = parsePrefetcher(next_arg(i));
+            } else if (arg == "--offset") {
+                whole(i, cfg.fixedOffset);
+            } else if (arg == "--cores") {
+                whole(i, cfg.activeCores);
+            } else if (arg == "--num-cores") {
+                whole(i, cfg.numCores);
+            } else if (arg == "--channels") {
+                whole(i, cfg.numChannels);
+            } else if (arg == "--page") {
+                const std::string v = next_arg(i);
+                if (v == "4k" || v == "4K")
+                    cfg.pageSize = PageSize::FourKB;
+                else if (v == "4m" || v == "4M")
+                    cfg.pageSize = PageSize::FourMB;
+                else
+                    die("--page must be 4k or 4m");
+            } else if (arg == "--l3") {
+                const std::string v = next_arg(i);
+                if (v == "5p")
+                    cfg.l3Policy = L3PolicyKind::P5;
+                else if (v == "lru")
+                    cfg.l3Policy = L3PolicyKind::Lru;
+                else if (v == "drrip")
+                    cfg.l3Policy = L3PolicyKind::Drrip;
+                else
+                    die("--l3 must be 5p, lru or drrip");
+            } else if (arg == "--no-dl1-stride") {
+                cfg.dl1StridePrefetcher = false;
+            } else if (arg == "--bo-badscore") {
+                whole(i, cfg.bo.badScore);
+            } else if (arg == "--bo-rr") {
+                whole(i, cfg.bo.rrEntries);
+            } else if (arg == "--bo-degree") {
+                whole(i, cfg.bo.degree);
+            } else if (arg == "--bo-adaptive") {
+                cfg.bo.adaptiveBadScore = true;
+            } else if (arg == "--bo-coverage") {
+                whole(i, cfg.bo.coverageWeight);
+            } else if (arg == "--seed") {
+                whole(i, cfg.seed);
+            } else if (arg == "--save-checkpoint") {
+                save_ckpt = next_arg(i);
+            } else if (arg == "--restore-checkpoint") {
+                restore_ckpt = next_arg(i);
+            } else if (arg == "--json") {
+                json_path = next_arg(i);
+            } else {
+                usage(argv[0]);
+                die("unknown option '" + arg + "'");
+            }
         }
+    } catch (const std::invalid_argument &e) {
+        die(e.what());
     }
+    const std::uint64_t warmup = opts.budget.warmup;
+    const std::uint64_t instr = opts.budget.measure;
 
     if (serve) {
         if (!workload.empty() || !trace_file.empty())
@@ -289,24 +261,12 @@ main(int argc, char **argv)
             die("--serve jobs opt into checkpointing per line "
                 "(\"checkpoint\": \"share\"), not via "
                 "--save/--restore-checkpoint");
-        ExperimentRunner runner(Budget{warmup, instr});
-        if (job_timeout >= 0.0)
-            runner.setJobTimeout(job_timeout);
-        if (retries >= 0)
-            runner.setRetries(retries);
+        ExperimentRunner runner(opts);
         try {
-            if (!resume_path.empty())
-                runner.resumeFromJournal(resume_path, std::cerr);
-            if (!journal_path.empty())
-                runner.attachJournal(journal_path);
+            runner.openJournals(std::cerr);
         } catch (const std::exception &e) {
             die(e.what());
         }
-        ServeOptions serve_opts;
-        serve_opts.jobs = jobs;
-        serve_opts.backlog = backlog;
-        serve_opts.defaultBudget = Budget{warmup, instr};
-        serve_opts.stopRequested = &stop_requested;
 
         // Graceful drain on SIGINT/SIGTERM: no SA_RESTART, so a
         // signal arriving while the reader blocks in getline makes
@@ -319,8 +279,9 @@ main(int argc, char **argv)
         sigaction(SIGINT, &sa, nullptr);
         sigaction(SIGTERM, &sa, nullptr);
 
-        const int failures = serveLoop(std::cin, std::cout, runner,
-                                       serve_opts, std::cerr);
+        const int failures =
+            serveLoop(std::cin, std::cout, runner, std::cerr,
+                      &stop_requested);
         if (failures) {
             std::fprintf(stderr, "bopsim: %d job(s) rejected or failed\n",
                          failures);
@@ -329,7 +290,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (!journal_path.empty() || !resume_path.empty() || retries >= 0)
+    if (serve_only)
         die("--journal/--resume/--retries apply to the batch service; "
             "combine them with --serve");
     if (workload.empty() == trace_file.empty())
