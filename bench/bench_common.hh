@@ -3,9 +3,9 @@
  * Shared helpers for the figure-regeneration benches.
  *
  * Every bench prints the same rows/series the paper's figure reports,
- * using the instruction budgets from BOP_WARMUP / BOP_INSTR or
- * --warmup / --instr (defaults: 100K warm-up, 400K measured — the
- * paper uses 1B-instruction traces;
+ * using the instruction budgets from BOP_WARMUP / BOP_INSTR
+ * (defaults: 100K warm-up, 400K measured — the paper uses
+ * 1B-instruction traces;
  * shapes are stable at these budgets because the generators are
  * steady-state). BOP_VERBOSE=1 streams per-run progress to stderr.
  */
@@ -89,9 +89,9 @@ class BenchSession
     {
         RunnerOptions opts;
         try {
-            opts = RunnerOptions::fromEnv();
+            opts = RunnerOptions::fromEnv(OptionReader::Bench);
             for (int i = 1; i < argc; ++i) {
-                if (opts.parseFlag(argc, argv, i))
+                if (opts.parseFlag(OptionReader::Bench, argc, argv, i))
                     continue;
                 const std::string arg = argv[i];
                 if (arg == "--json" && i + 1 < argc) {
@@ -104,7 +104,7 @@ class BenchSession
                               << (positional ? " [benchmark]" : "")
                               << "\n  --json PATH         write one JSON "
                                  "record per simulation run to PATH\n";
-                    printRunnerOptionsUsage(std::cerr);
+                    printRunnerOptionsUsage(std::cerr, OptionReader::Bench);
                     std::exit(arg == "--help" || arg == "-h" ? 0 : 2);
                 }
             }

@@ -8,9 +8,12 @@
  * with longer L2 miss latencies").
  *
  * Usage: multicore_contention [benchmark] (default 462.libquantum)
+ * The budgets and the other runner variables (BOP_WARMUP, BOP_INSTR,
+ * ...; README "Runner options") are read as the benches read them.
  */
 
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "common/table.hh"
@@ -21,11 +24,19 @@ main(int argc, char **argv)
 {
     using namespace bop;
 
+    RunnerOptions options;
+    try {
+        options = RunnerOptions::fromEnv(OptionReader::Bench);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << argv[0] << ": " << e.what() << "\n";
+        return 2;
+    }
+
     const std::string bench = argc > 1 ? argv[1] : "462.libquantum";
     std::cout << "Benchmark on core 0: " << bench
               << "; other active cores run the L3 thrasher.\n\n";
 
-    ExperimentRunner runner;
+    ExperimentRunner runner(options);
     TextTable table;
     table.row("active cores", "channels", "baseline IPC", "BO IPC",
               "BO speedup", "BO offset", "DRAM/1k-instr");

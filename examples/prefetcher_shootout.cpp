@@ -8,9 +8,12 @@
  * offset.
  *
  * Usage: prefetcher_shootout [benchmark] (default 433.milc)
+ * The budgets and the other runner variables (BOP_WARMUP, BOP_INSTR,
+ * ...; README "Runner options") are read as the benches read them.
  */
 
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "common/table.hh"
@@ -22,10 +25,18 @@ main(int argc, char **argv)
 {
     using namespace bop;
 
+    RunnerOptions options;
+    try {
+        options = RunnerOptions::fromEnv(OptionReader::Bench);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << argv[0] << ": " << e.what() << "\n";
+        return 2;
+    }
+
     const std::string bench = argc > 1 ? argv[1] : "433.milc";
     std::cout << "Benchmark: " << bench << " (1 core, 4MB pages)\n\n";
 
-    ExperimentRunner runner;
+    ExperimentRunner runner(options);
     TextTable table;
     table.row("L2 prefetcher", "IPC", "speedup", "L2 MPKI",
               "DRAM/1k-instr", "coverage", "timeliness", "learned D");

@@ -508,21 +508,6 @@ diffRunRecords(const std::vector<ParsedRunRecord> &oldRecords,
     return result;
 }
 
-bool
-numberText(const std::string &text, double &out)
-{
-    // strtod alone would skip leading space and read hex, inf and nan.
-    if (text.empty() ||
-        text.find_first_not_of("0123456789+-.eE") != std::string::npos)
-        return false;
-    char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || !std::isfinite(value))
-        return false;
-    out = value;
-    return true;
-}
-
 std::vector<std::string>
 exactDiff(const std::vector<ParsedRunRecord> &oldRecords,
           const std::vector<ParsedRunRecord> &newRecords)

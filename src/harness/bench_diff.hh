@@ -17,10 +17,7 @@
 #ifndef BOP_HARNESS_BENCH_DIFF_HH
 #define BOP_HARNESS_BENCH_DIFF_HH
 
-#include <charconv>
-#include <cmath>
 #include <istream>
-#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -60,58 +57,6 @@ std::vector<ParsedRunRecord> parseRunRecords(std::istream &in);
  * malformed input or trailing garbage after the object.
  */
 ParsedRunRecord parseFlatRecord(std::istream &in);
-
-/**
- * Store @p value into @p out when it is a whole number that T can
- * hold; otherwise return false and leave @p out untouched. Parsed
- * numbers are doubles, and casting a fractional, negative-into-
- * unsigned or out-of-range double is lossy or undefined behaviour,
- * so readers of outside input (serve job lines, journal replay)
- * convert their integer fields through this.
- */
-template <typename T>
-bool
-wholeNumber(double value, T &out)
-{
-    // Both bounds are exact doubles (max() + 1 is a power of two), and
-    // NaN fails every comparison.
-    constexpr double lo = static_cast<double>(std::numeric_limits<T>::min());
-    constexpr double hi =
-        static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
-    if (!(value >= lo && value < hi) || value != std::floor(value))
-        return false;
-    out = static_cast<T>(value);
-    return true;
-}
-
-/**
- * Parse @p text as one finite number in its entirety: "1k", "abc",
- * "0x10", " 5" and "" all fail, so a mistyped flag or environment
- * value is refused instead of read as its leading digits.
- */
-bool numberText(const std::string &text, double &out);
-
-/**
- * Text form of the check above, for command-line flags and BOP_*
- * environment values. Integer spellings convert exactly (seeds use all
- * 64 bits); any other spelling must pass numberText() and then
- * wholeNumber(), so "1e3" reads as 1000 exactly as in a serve job line
- * while "1.5" and "1k" fail.
- */
-template <typename T>
-bool
-wholeNumber(const std::string &text, T &out)
-{
-    const char *last = text.data() + text.size();
-    T value{};
-    const auto [end, ec] = std::from_chars(text.data(), last, value);
-    if (ec == std::errc() && end == last) {
-        out = value;
-        return true;
-    }
-    double number = 0.0;
-    return numberText(text, number) && wholeNumber(number, out);
-}
 
 /**
  * Host-side fields of a run record: wall clock and scheduling, which

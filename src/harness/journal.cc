@@ -11,6 +11,7 @@
 #include "common/fault.hh"
 #include "common/serializer.hh"
 #include "harness/bench_diff.hh"
+#include "harness/options.hh"
 
 namespace bop
 {

@@ -12,11 +12,28 @@ namespace
 
 using Arg = const std::string &;
 
-/** One knob: its flag and/or variable, and how to store a value. */
+// Which readers take a flag or variable: a mask of OptionReader bits.
+constexpr unsigned None = 0u;
+constexpr unsigned Bopsim = static_cast<unsigned>(OptionReader::Bopsim);
+constexpr unsigned Bench = static_cast<unsigned>(OptionReader::Bench);
+constexpr unsigned Both = Bopsim | Bench;
+
+bool
+reads(unsigned readers, OptionReader reader)
+{
+    return (readers & static_cast<unsigned>(reader)) != 0;
+}
+
+/**
+ * One knob: its flag and/or variable, the binaries that take each,
+ * and how to store a value.
+ */
 struct OptionRow
 {
-    const char *flag;    ///< nullptr: environment only
-    const char *env;     ///< nullptr: flag only
+    const char *flag; ///< nullptr: environment only
+    unsigned flagReaders;
+    const char *env; ///< nullptr: flag only
+    unsigned envReaders;
     const char *metavar; ///< value placeholder in usage text
     const char *help;
     void (*set)(RunnerOptions &, Arg name, Arg value);
@@ -35,45 +52,45 @@ seconds(Arg name, Arg text)
 using U64 = std::uint64_t;
 
 const OptionRow rows[] = {
-    {"--warmup", "BOP_WARMUP", "N",
+    {"--warmup", Bopsim, "BOP_WARMUP", Bench, "N",
      "warm-up instructions per job (default 100000)",
      [](RunnerOptions &o, Arg n, Arg v) {
          o.budget.warmup = wholeOption<U64>(n, v);
      }},
-    {"--instr", "BOP_INSTR", "N",
+    {"--instr", Bopsim, "BOP_INSTR", Bench, "N",
      "measured instructions per job (default 400000)",
      [](RunnerOptions &o, Arg n, Arg v) {
          o.budget.measure = wholeOption<U64>(n, v);
      }},
-    {"--jobs", "BOP_JOBS", "N",
+    {"--jobs", Both, "BOP_JOBS", Both, "N",
      "worker threads for sweeps and --serve (default 1)",
      [](RunnerOptions &o, Arg n, Arg v) { o.jobs = wholeOption(n, v, 1); }},
-    {"--backlog", nullptr, "N",
+    {"--backlog", Bopsim, nullptr, None, "N",
      "in-flight jobs before submission blocks (default 4*jobs)",
      [](RunnerOptions &o, Arg n, Arg v) {
          o.backlog = wholeOption<std::size_t>(n, v);
      }},
-    {"--job-timeout", "BOP_JOB_TIMEOUT", "SEC",
+    {"--job-timeout", Bopsim, "BOP_JOB_TIMEOUT", Both, "SEC",
      "per-job wall-clock deadline; a late job answers with an error "
      "record (default 0 = off)",
      [](RunnerOptions &o, Arg n, Arg v) { o.jobTimeout = seconds(n, v); }},
-    {"--retries", "BOP_RETRIES", "N",
+    {"--retries", Both, "BOP_RETRIES", Both, "N",
      "retry transient (kind \"io\") job failures up to N times "
      "(default 0)",
      [](RunnerOptions &o, Arg n, Arg v) { o.retries = wholeOption(n, v, 0); }},
-    {"--journal", nullptr, "FILE",
+    {"--journal", Both, nullptr, None, "FILE",
      "append every committed record to a crash-durable write-ahead "
      "journal",
      [](RunnerOptions &o, Arg, Arg v) { o.journalPath = v; }},
-    {"--resume", nullptr, "FILE",
+    {"--resume", Both, nullptr, None, "FILE",
      "replay a journal first: journaled jobs answer verbatim",
      [](RunnerOptions &o, Arg, Arg v) { o.resumePath = v; }},
-    {nullptr, "BOP_CKPT_SHARE", "0|1",
+    {nullptr, None, "BOP_CKPT_SHARE", Both, "0|1",
      "share warm-up prefixes between jobs by default (default 0)",
      [](RunnerOptions &o, Arg n, Arg v) {
          o.share = wholeOption(n, v, 0) != 0;
      }},
-    {nullptr, "BOP_CKPT_DIR", "DIR",
+    {nullptr, None, "BOP_CKPT_DIR", Both, "DIR",
      "persist shared warm-up prefixes in DIR across processes",
      [](RunnerOptions &o, Arg, Arg v) { o.checkpointDir = v; }},
 };
@@ -81,11 +98,13 @@ const OptionRow rows[] = {
 } // namespace
 
 RunnerOptions
-RunnerOptions::fromEnv()
+RunnerOptions::fromEnv(OptionReader reader)
 {
     RunnerOptions options;
     for (const OptionRow &row : rows) {
-        const char *value = row.env ? std::getenv(row.env) : nullptr;
+        if (!reads(row.envReaders, reader))
+            continue;
+        const char *value = std::getenv(row.env);
         if (value != nullptr && *value != '\0')
             row.set(options, row.env, value);
     }
@@ -93,11 +112,11 @@ RunnerOptions::fromEnv()
 }
 
 bool
-RunnerOptions::parseFlag(int argc, char **argv, int &i)
+RunnerOptions::parseFlag(OptionReader reader, int argc, char **argv, int &i)
 {
     const std::string arg = argv[i];
     for (const OptionRow &row : rows) {
-        if (row.flag == nullptr || arg != row.flag)
+        if (!reads(row.flagReaders, reader) || arg != row.flag)
             continue;
         if (i + 1 >= argc)
             throw std::invalid_argument(arg + " needs an argument");
@@ -108,14 +127,18 @@ RunnerOptions::parseFlag(int argc, char **argv, int &i)
 }
 
 void
-printRunnerOptionsUsage(std::ostream &os)
+printRunnerOptionsUsage(std::ostream &os, OptionReader reader)
 {
     for (const OptionRow &row : rows) {
+        const bool flag = reads(row.flagReaders, reader);
+        const bool env = reads(row.envReaders, reader);
+        if (!flag && !env)
+            continue;
         const std::string name =
-            row.flag ? std::string(row.flag) + " " + row.metavar
-                     : std::string(row.env) + "=" + row.metavar;
+            flag ? std::string(row.flag) + " " + row.metavar
+                 : std::string(row.env) + "=" + row.metavar;
         std::string help = row.help;
-        if (row.flag && row.env)
+        if (flag && env)
             help += "; also " + std::string(row.env);
         // Word-wrap the help into a hanging indent at column 22.
         std::string line = "  " + name;
@@ -136,16 +159,24 @@ printRunnerOptionsUsage(std::ostream &os)
 std::string
 runnerOptionsMarkdown()
 {
+    // A flag or variable only one kind of binary takes says which.
+    auto cell = [](const std::string &text, unsigned readers) {
+        if (readers == None)
+            return std::string("—");
+        return "`" + text + "`" +
+               (readers == Bopsim  ? " (bopsim)"
+                : readers == Bench ? " (benches)"
+                                   : "");
+    };
     std::ostringstream os;
     os << "| Flag | Environment | Meaning |\n"
        << "|------|-------------|---------|\n";
     for (const OptionRow &row : rows) {
-        os << "| " << (row.flag ? "`" + std::string(row.flag) + " " +
-                                      row.metavar + "`"
-                                : std::string("—"))
-           << " | "
-           << (row.env ? "`" + std::string(row.env) + "`"
-                       : std::string("—"))
+        os << "| "
+           << cell(row.flag ? std::string(row.flag) + " " + row.metavar
+                            : std::string(),
+                   row.flagReaders)
+           << " | " << cell(row.env ? row.env : "", row.envReaders)
            << " | " << row.help << " |\n";
     }
     return os.str();

@@ -9,6 +9,7 @@
 
 #include "harness/bench_diff.hh"
 #include "harness/json_report.hh"
+#include "harness/options.hh"
 #include "sim/parallel.hh"
 #include "trace/workloads.hh"
 

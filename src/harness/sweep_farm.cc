@@ -3,14 +3,6 @@
 namespace bop
 {
 
-SweepFarm::SweepFarm(ExperimentRunner &runner) : runner_(runner)
-{
-    const RunnerOptions &opts = runner.options();
-    if (opts.jobs > 1)
-        pool = std::make_unique<TaskPool>(static_cast<unsigned>(opts.jobs),
-                                          opts.backlog);
-}
-
 SweepFarm::~SweepFarm()
 {
     drain();
@@ -40,13 +32,19 @@ SweepFarm::submit(const std::string &benchmark, const SystemConfig &cfg)
 
     const long jobIndex = runner_.reserveJobIndex();
     const auto now = std::chrono::steady_clock::now();
-    if (!pool) {
+    const RunnerOptions &opts = runner_.options();
+    if (opts.jobs == 1) {
         // Inline serial path: identical to the pre-farm sweep, and the
         // memo is warm immediately (later duplicate submissions of the
         // same point short-circuit above).
         runner_.commit(key, runner_.runJob(job, jobIndex, now, false));
         return;
     }
+    // Workers start with the first pooled job, so a farm that is
+    // never given one (ext_scaling, table1_config) starts none.
+    if (!pool)
+        pool = std::make_unique<TaskPool>(static_cast<unsigned>(opts.jobs),
+                                          opts.backlog);
 
     // Containment: runJob() turns a failure into an error record in
     // this job's submission-order slot, so drain() commits it (and
@@ -63,7 +61,7 @@ void
 SweepFarm::drain()
 {
     if (!pool)
-        return; // inline jobs committed at submit time
+        return; // inline jobs committed at submit time, or none yet
     pool->drain();
     for (Slot &slot : slots)
         runner_.commit(slot.key, std::move(slot.record));

@@ -60,7 +60,7 @@ class SweepFarm
      *  inline, serially) with its options().backlog in-flight bound;
      *  the runner is the shared memo/record store and outlives the
      *  farm. */
-    explicit SweepFarm(ExperimentRunner &runner);
+    explicit SweepFarm(ExperimentRunner &runner) : runner_(runner) {}
     ~SweepFarm(); ///< drains outstanding jobs
 
     SweepFarm(const SweepFarm &) = delete;
@@ -95,7 +95,7 @@ class SweepFarm
     };
 
     ExperimentRunner &runner_;
-    std::unique_ptr<TaskPool> pool; ///< null when jobs == 1
+    std::unique_ptr<TaskPool> pool; ///< null until a pooled job
     /** Deque for reference stability: workers fill earlier slots
      *  while submit() keeps appending. Drained in order. */
     std::deque<Slot> slots;

@@ -14,6 +14,7 @@
 
 #include "harness/bench_diff.hh"
 #include "harness/json_report.hh"
+#include "harness/options.hh"
 
 namespace bop
 {

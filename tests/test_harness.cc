@@ -133,16 +133,17 @@ class ScopedEnv
     const char *name_;
 };
 
-/** Parse @p args as flags on top of @p options. */
+/** Parse @p args as @p reader's flags on top of @p options. */
 RunnerOptions
-parseFlags(RunnerOptions options, std::vector<std::string> args)
+parseFlags(RunnerOptions options, std::vector<std::string> args,
+           OptionReader reader = OptionReader::Bopsim)
 {
     std::vector<char *> argv = {const_cast<char *>("prog")};
     for (std::string &arg : args)
         argv.push_back(arg.data());
     const int argc = static_cast<int>(argv.size());
     for (int i = 1; i < argc; ++i) {
-        if (!options.parseFlag(argc, argv.data(), i))
+        if (!options.parseFlag(reader, argc, argv.data(), i))
             throw std::logic_error("not a runner flag: " +
                                    std::string(argv[static_cast<std::size_t>(i)]));
     }
@@ -170,7 +171,7 @@ TEST(RunnerOptions, EnvironmentThenFlags)
     ScopedEnv share("BOP_CKPT_SHARE", "1");
     ScopedEnv dir("BOP_CKPT_DIR", "/tmp/prefixes");
     ScopedEnv timeout("BOP_JOB_TIMEOUT", "0.25");
-    const RunnerOptions env = RunnerOptions::fromEnv();
+    const RunnerOptions env = RunnerOptions::fromEnv(OptionReader::Bench);
     EXPECT_EQ(env.budget.warmup, 20000u);
     EXPECT_EQ(env.budget.measure, 1000u);
     EXPECT_EQ(env.jobs, 3);
@@ -180,14 +181,37 @@ TEST(RunnerOptions, EnvironmentThenFlags)
 
     // A flag overrides its variable; the rest keep the environment's.
     const RunnerOptions flags =
-        parseFlags(env, {"--jobs", "2", "--retries", "4", "--backlog", "8",
-                         "--journal", "j.ndjson", "--resume", "r.ndjson"});
+        parseFlags(env, {"--jobs", "2", "--retries", "4", "--journal",
+                         "j.ndjson", "--resume", "r.ndjson"},
+                   OptionReader::Bench);
     EXPECT_EQ(flags.jobs, 2);
     EXPECT_EQ(flags.retries, 4);
-    EXPECT_EQ(flags.backlog, 8u);
     EXPECT_EQ(flags.journalPath, "j.ndjson");
     EXPECT_EQ(flags.resumePath, "r.ndjson");
     EXPECT_EQ(flags.budget.warmup, 20000u);
+}
+
+TEST(RunnerOptions, EachBinaryKeepsItsOwnOptions)
+{
+    // Sharing the table gives no binary a new option: budgets are
+    // flags on bopsim and variables on the benches, and --backlog and
+    // --job-timeout are bopsim flags only.
+    ScopedEnv warmup("BOP_WARMUP", "20000");
+    EXPECT_EQ(RunnerOptions::fromEnv(OptionReader::Bopsim).budget.warmup,
+              100000u);
+    EXPECT_EQ(RunnerOptions::fromEnv(OptionReader::Bench).budget.warmup,
+              20000u);
+    for (const char *flag :
+         {"--warmup", "--instr", "--backlog", "--job-timeout"}) {
+        EXPECT_THROW(parseFlags({}, {flag, "8"}, OptionReader::Bench),
+                     std::logic_error)
+            << flag;
+    }
+    const RunnerOptions bopsim = parseFlags(
+        {}, {"--warmup", "5", "--backlog", "8", "--job-timeout", "1.5"});
+    EXPECT_EQ(bopsim.budget.warmup, 5u);
+    EXPECT_EQ(bopsim.backlog, 8u);
+    EXPECT_EQ(bopsim.jobTimeout, 1.5);
 }
 
 TEST(RunnerOptions, WarmupWithAUnitSuffixIsRefused)
@@ -201,7 +225,7 @@ TEST(RunnerOptions, NonNumericInstrVariableIsRefused)
 {
     // `BOP_INSTR=abc` used to measure 0 instructions per run.
     ScopedEnv instr("BOP_INSTR", "abc");
-    EXPECT_EQ(refusal([] { RunnerOptions::fromEnv(); }),
+    EXPECT_EQ(refusal([] { RunnerOptions::fromEnv(OptionReader::Bench); }),
               "BOP_INSTR: 'abc' is not a whole number in range");
 }
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "harness/bench_diff.hh"
+#include "harness/options.hh"
 
 namespace
 {

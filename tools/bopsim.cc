@@ -108,7 +108,7 @@ usage(const char *argv0)
         "a single run's budgets):\n",
         argv0);
     std::fflush(stdout);
-    bop::printRunnerOptionsUsage(std::cout);
+    bop::printRunnerOptionsUsage(std::cout, bop::OptionReader::Bopsim);
 }
 
 [[noreturn]] void
@@ -169,7 +169,7 @@ main(int argc, char **argv)
     };
 
     try {
-        opts = RunnerOptions::fromEnv();
+        opts = RunnerOptions::fromEnv(OptionReader::Bopsim);
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             if (arg == "--help" || arg == "-h") {
@@ -179,7 +179,7 @@ main(int argc, char **argv)
                 for (const auto &name : benchmarkNames())
                     std::printf("%s\n", name.c_str());
                 return 0;
-            } else if (opts.parseFlag(argc, argv, i)) {
+            } else if (opts.parseFlag(OptionReader::Bopsim, argc, argv, i)) {
                 serve_only = serve_only || arg == "--journal" ||
                              arg == "--resume" || arg == "--retries";
             } else if (arg == "--workload") {
