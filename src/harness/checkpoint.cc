@@ -26,10 +26,11 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/fault.hh"
@@ -76,6 +77,9 @@ getU64(const std::uint8_t *p)
         v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
     return v;
 }
+
+/** Magic bytes at the start of every warm-prefix store entry. */
+constexpr char cacheEntryMagic[8] = {'B', 'O', 'P', 'C', 'A', 'C', 'H', '1'};
 
 /** Section tags, in on-disk order. */
 constexpr const char *sectionTags[checkpointSectionCount] = {
@@ -257,46 +261,10 @@ System::saveCheckpointBytes()
 void
 System::saveCheckpoint(const std::string &path)
 {
-    // Atomic save: write everything to path.tmp, fsync, then rename
-    // over the target. A crash (or injected fault) anywhere before
-    // the rename leaves the previous checkpoint intact and never a
-    // plausible-looking truncated file at the target path; the tmp
-    // file is removed on every failure path.
-    const std::vector<std::uint8_t> bytes = saveCheckpointBytes();
-    const std::string tmp = path + ".tmp";
-
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        throw std::runtime_error("cannot open checkpoint file for "
-                                 "writing: " + tmp);
-    }
-
-    // Injection point ckpt_write_short (docs/ROBUSTNESS.md): behave
-    // like a disk that filled up mid-save — half the bytes land, then
-    // the write fails.
-    std::size_t to_write = bytes.size();
-    if (FaultPlan::global().fireCounted("ckpt_write_short"))
-        to_write = bytes.size() / 2;
-
-    const std::size_t written =
-        std::fwrite(bytes.data(), 1, to_write, f);
-    const bool flushed = std::fflush(f) == 0;
-    const bool synced = flushed && ::fsync(fileno(f)) == 0;
-    std::fclose(f);
-
-    if (written != bytes.size() || !synced) {
-        std::remove(tmp.c_str());
-        throw std::runtime_error(
-            "short write to checkpoint: " + path + " (" +
-            std::to_string(written) + "/" +
-            std::to_string(bytes.size()) + " bytes written)");
-    }
-
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw std::runtime_error("cannot rename checkpoint into place: " +
-                                 tmp + " -> " + path);
-    }
+    // Atomic: a crash (or injected fault) before the rename leaves the
+    // previous checkpoint intact and never a plausible-looking
+    // truncated file at the target path.
+    writeFileAtomic(path, saveCheckpointBytes());
 }
 
 void
@@ -348,15 +316,99 @@ System::restoreCheckpointBytes(const std::vector<std::uint8_t> &bytes)
 void
 System::restoreCheckpoint(const std::string &path)
 {
-    std::ifstream f(path, std::ios::binary);
-    if (!f) {
+    std::vector<std::uint8_t> bytes;
+    if (!readFileBytes(path, bytes)) {
         throw std::runtime_error("cannot open checkpoint file: " +
                                  path);
     }
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(f)),
-        std::istreambuf_iterator<char>());
     restoreCheckpointBytes(bytes);
+}
+
+bool
+readFileBytes(const std::string &path, std::vector<std::uint8_t> &bytes)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return false;
+    struct stat st;
+    const bool regular =
+        ::fstat(::fileno(f), &st) == 0 && S_ISREG(st.st_mode);
+    bytes.resize(regular ? static_cast<std::size_t>(st.st_size) : 0);
+    // A short read leaves a short buffer, which the decoders refuse.
+    bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+    std::fclose(f);
+    return regular;
+}
+
+void
+writeFileAtomic(const std::string &path,
+                const std::vector<std::uint8_t> &bytes)
+{
+    // The tmp name is per process: two processes saving the same
+    // warm-prefix entry never write into one file.
+    const std::string tmp =
+        path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+    std::FILE *f = std::fopen(tmp.c_str(), "wb");
+    if (!f)
+        throw std::runtime_error("cannot open '" + tmp + "' for writing");
+
+    // Injection point ckpt_write_short (docs/ROBUSTNESS.md): behave
+    // like a disk that filled up mid-save — half the bytes land, then
+    // the write fails.
+    std::size_t toWrite = bytes.size();
+    if (FaultPlan::global().fireCounted("ckpt_write_short"))
+        toWrite = bytes.size() / 2;
+
+    const std::size_t written = std::fwrite(bytes.data(), 1, toWrite, f);
+    const bool synced = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
+    const bool closed = std::fclose(f) == 0;
+    if (written != bytes.size() || !synced || !closed) {
+        std::remove(tmp.c_str());
+        throw std::runtime_error(
+            "short write to '" + path + "' (" + std::to_string(written) +
+            "/" + std::to_string(bytes.size()) + " bytes written)");
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        throw std::runtime_error("cannot rename '" + tmp + "' to '" +
+                                 path + "'");
+    }
+}
+
+std::vector<std::uint8_t>
+encodeCacheEntry(const std::string &key,
+                 const std::vector<std::uint8_t> &container)
+{
+    std::vector<std::uint8_t> entry(cacheEntryMagic,
+                                    cacheEntryMagic + sizeof cacheEntryMagic);
+    putU32(entry, static_cast<std::uint32_t>(key.size()));
+    entry.insert(entry.end(), key.begin(), key.end());
+    entry.insert(entry.end(), container.begin(), container.end());
+    return entry;
+}
+
+std::vector<std::uint8_t>
+decodeCacheEntry(std::vector<std::uint8_t> entry, const std::string &key)
+{
+    constexpr std::size_t keyOff = sizeof cacheEntryMagic + 4;
+    if (entry.size() < keyOff || std::memcmp(entry.data(), cacheEntryMagic,
+                                             sizeof cacheEntryMagic) != 0)
+        throw CheckpointError("not a checkpoint-cache entry", 0);
+    const std::uint32_t keyLen = getU32(entry.data() + sizeof cacheEntryMagic);
+    if (keyLen > entry.size() - keyOff) {
+        throw CheckpointError("checkpoint-cache entry key length " +
+                                  std::to_string(keyLen) +
+                                  " overruns the entry",
+                              sizeof cacheEntryMagic);
+    }
+    // The stored key is outside input: compare it, never echo it.
+    if (keyLen != key.size() ||
+        std::memcmp(entry.data() + keyOff, key.data(), keyLen) != 0)
+        throw CheckpointError("checkpoint-cache entry is for another key",
+                              keyOff);
+    entry.erase(entry.begin(),
+                entry.begin() + static_cast<std::ptrdiff_t>(keyOff + keyLen));
+    return entry;
 }
 
 } // namespace bop

@@ -42,6 +42,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 namespace bop
 {
@@ -70,6 +72,31 @@ constexpr std::uint32_t checkpointSectionCount = 5;
  * format tests.
  */
 std::uint64_t checkpointFingerprint(System &sys);
+
+/** Read the regular file @p path with one sized read; false when it
+ *  cannot be opened as one. */
+bool readFileBytes(const std::string &path,
+                   std::vector<std::uint8_t> &bytes);
+
+/**
+ * Replace @p path with @p bytes atomically: a per-process tmp file,
+ * fsynced, then renamed over @p path. On failure the tmp file is gone,
+ * @p path is unchanged and std::runtime_error says how many bytes
+ * landed. Injection point ckpt_write_short.
+ */
+void writeFileAtomic(const std::string &path,
+                     const std::vector<std::uint8_t> &bytes);
+
+/** The warm-prefix store entry for @p container under @p key: magic
+ *  "BOPCACH1", u32 key length, the key, then the container. */
+std::vector<std::uint8_t>
+encodeCacheEntry(const std::string &key,
+                 const std::vector<std::uint8_t> &container);
+
+/** The container inside store entry @p entry, which must be keyed for
+ *  @p key; throws CheckpointError naming the byte offset otherwise. */
+std::vector<std::uint8_t>
+decodeCacheEntry(std::vector<std::uint8_t> entry, const std::string &key);
 
 } // namespace bop
 

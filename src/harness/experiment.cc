@@ -3,21 +3,33 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <thread>
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include "common/fault.hh"
 #include "common/serializer.hh"
 #include "dram/address_map.hh"
+#include "harness/checkpoint.hh"
 #include "trace/workloads.hh"
 
 namespace bop
 {
+
+namespace
+{
+
+/** The value @p map holds under @p key, or nullptr. */
+template <typename Map>
+auto
+lookup(Map &map, const std::string &key) -> decltype(&map.begin()->second)
+{
+    auto it = map.find(key);
+    return it == map.end() ? nullptr : &it->second;
+}
+
+} // namespace
 
 SystemConfig
 baselineConfig(int cores, PageSize page)
@@ -115,7 +127,7 @@ ExperimentRunner::prefixKey(const JobSpec &job)
 }
 
 std::string
-ExperimentRunner::cacheEntryPath(const std::string &pkey) const
+ExperimentRunner::prefixPath(const std::string &pkey) const
 {
     // FNV-1a 64 of the prefix key names the file; the key itself is
     // embedded in the entry and verified on load, so a hash collision
@@ -131,101 +143,76 @@ ExperimentRunner::cacheEntryPath(const std::string &pkey) const
     return opts.checkpointDir + "/" + name;
 }
 
-namespace
+bool
+ExperimentRunner::loadPrefix(System &system, const std::string &pkey) const
 {
-constexpr char cacheMagic[8] = {'B', 'O', 'P', 'C', 'A', 'C', 'H', '1'};
-} // namespace
+    std::vector<std::uint8_t> entry;
+    if (opts.checkpointDir.empty() || !readFileBytes(prefixPath(pkey), entry))
+        return false; // no entry: a plain miss, not an error
+    try {
+        std::vector<std::uint8_t> container =
+            decodeCacheEntry(std::move(entry), pkey);
+        // Fault injection (docs/ROBUSTNESS.md): a bit-rotted entry —
+        // the flipped byte trips a section CRC before anything applies.
+        if (!container.empty() &&
+            FaultPlan::global().fireCounted("ckpt_cache_corrupt"))
+            container[container.size() / 2] ^= 0xff;
+        system.restoreCheckpointBytes(container);
+        return true;
+    } catch (const CheckpointError &e) {
+        // The cold warm-up that follows overwrites the entry.
+        std::fprintf(stderr,
+                     "checkpoint-cache: refusing entry for \"%s\": %s — "
+                     "falling back to cold warmup\n",
+                     pkey.c_str(), e.what());
+        return false;
+    }
+}
 
 bool
-ExperimentRunner::loadCacheEntry(const std::string &pkey,
-                                 std::vector<std::uint8_t> &container) const
+ExperimentRunner::savePrefix(const std::string &pkey,
+                             const std::vector<std::uint8_t> &container) const
 {
-    const std::string path = cacheEntryPath(pkey);
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false; // no entry: a plain cache miss, not an error
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-
-    // Validate everything before handing anything to the caller; a
-    // refused entry falls back to cold warmup (and is overwritten by
-    // the fresh save), never restored.
-    if (bytes.size() < sizeof cacheMagic + 4)
-        throw CheckpointError("checkpoint-cache entry '" + path +
-                                  "' truncated (" +
-                                  std::to_string(bytes.size()) + " bytes)",
-                              bytes.size());
-    if (std::memcmp(bytes.data(), cacheMagic, sizeof cacheMagic) != 0)
-        throw CheckpointError("checkpoint-cache entry '" + path +
-                                  "' has bad magic",
-                              0);
-    std::uint32_t keyLen = 0;
-    std::memcpy(&keyLen, bytes.data() + sizeof cacheMagic, 4);
-    const std::size_t keyOff = sizeof cacheMagic + 4;
-    if (keyLen > bytes.size() - keyOff)
-        throw CheckpointError("checkpoint-cache entry '" + path +
-                                  "' key length " +
-                                  std::to_string(keyLen) +
-                                  " overruns the file",
-                              sizeof cacheMagic);
-    const std::string storedKey(
-        reinterpret_cast<const char *>(bytes.data() + keyOff), keyLen);
-    if (storedKey != pkey)
-        throw CheckpointError("checkpoint-cache entry '" + path +
-                                  "' is keyed for \"" + storedKey +
-                                  "\", not \"" + pkey + "\"",
-                              keyOff);
-    container.assign(bytes.begin() +
-                         static_cast<std::ptrdiff_t>(keyOff + keyLen),
-                     bytes.end());
-    // Fault injection (docs/ROBUSTNESS.md): a bit-rotted entry — the
-    // flipped byte trips the container's section CRC inside
-    // restoreCheckpointBytes, which must refuse before applying.
-    if (!container.empty() &&
-        FaultPlan::global().fireCounted("ckpt_cache_corrupt"))
-        container[container.size() / 2] ^= 0xff;
-    return true;
+    if (opts.checkpointDir.empty())
+        return false;
+    ::mkdir(opts.checkpointDir.c_str(), 0777); // best effort; EEXIST is fine
+    try {
+        writeFileAtomic(prefixPath(pkey), encodeCacheEntry(pkey, container));
+        return true;
+    } catch (const std::runtime_error &e) {
+        std::fprintf(stderr,
+                     "checkpoint-cache: %s (keeping the entry in memory)\n",
+                     e.what());
+        return false;
+    }
 }
 
 void
-ExperimentRunner::saveCacheEntry(
-    const std::string &pkey,
-    const std::vector<std::uint8_t> &container) const
+ExperimentRunner::warmPrefix(System &system, const JobSpec &job) const
 {
-    ::mkdir(opts.checkpointDir.c_str(), 0777); // best effort; EEXIST is fine
-    const std::string path = cacheEntryPath(pkey);
-    const std::string tmp =
-        path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        std::fprintf(stderr,
-                     "checkpoint-cache: cannot write '%s' (cache "
-                     "disabled for this entry)\n",
-                     tmp.c_str());
-        return;
-    }
-    const std::uint32_t keyLen =
-        static_cast<std::uint32_t>(pkey.size());
-    bool ok = std::fwrite(cacheMagic, 1, sizeof cacheMagic, f) ==
-                  sizeof cacheMagic &&
-              std::fwrite(&keyLen, 1, 4, f) == 4 &&
-              std::fwrite(pkey.data(), 1, pkey.size(), f) == pkey.size() &&
-              std::fwrite(container.data(), 1, container.size(), f) ==
-                  container.size() &&
-              std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-    ok = (std::fclose(f) == 0) && ok;
-    // Atomic publish: the entry appears under its final name only
-    // complete and fsynced, so a crashed writer leaves nothing a
-    // reader could mistake for a checkpoint (same discipline as
-    // System::saveCheckpoint).
-    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        std::fprintf(stderr,
-                     "checkpoint-cache: failed to persist '%s' "
-                     "(continuing without)\n",
-                     path.c_str());
-    }
+    using Bytes = std::vector<std::uint8_t>;
+    const std::string pkey = prefixKey(job);
+    const Bytes *kept = prefixLatch.once(
+        m, pkey, [&] { return lookup(prefixMemory, pkey); },
+        [&] {
+            // The bytes memory keeps: none when the directory has them.
+            Bytes bytes;
+            if (loadPrefix(system, pkey))
+                return bytes;
+            system.warmup(job.budget.warmup);
+            ++prefixSims;
+            bytes = system.saveCheckpointBytes();
+            if (savePrefix(pkey, bytes))
+                bytes.clear();
+            return bytes;
+        },
+        [&](Bytes bytes) {
+            if (!bytes.empty())
+                prefixMemory.emplace(pkey, std::move(bytes));
+            return nullptr; // the system is warm already
+        });
+    if (kept)
+        system.restoreCheckpointBytes(*kept);
 }
 
 std::size_t
@@ -275,8 +262,7 @@ const RunRecord *
 ExperimentRunner::memoised(const std::string &key) const
 {
     std::lock_guard<std::mutex> lk(m);
-    auto it = cache.find(key);
-    return it == cache.end() ? nullptr : &it->second;
+    return lookup(cache, key);
 }
 
 long
@@ -291,13 +277,16 @@ ExperimentRunner::simulateRecord(const JobSpec &job) const
 {
     const SystemConfig &cfg = job.cfg;
     const Budget &b = job.budget;
-    // Fault injection (docs/ROBUSTNESS.md): job_wedge and job_throw
-    // target the job by its deterministic farm/serve index, carried
+    // Fault injection (docs/ROBUSTNESS.md): job_wedge, job_throw and
+    // job_io target the job by its deterministic farm/serve index, carried
     // by the FaultScope the submitting layer opened on this thread.
     const long fjob = FaultScope::currentJob();
-    FaultPlan &faults = FaultPlan::global();
-    if (fjob >= 0 &&
-        faults.fireAt("job_wedge", static_cast<std::uint64_t>(fjob))) {
+    auto fires = [fjob](const char *point) {
+        return fjob >= 0 &&
+               FaultPlan::global().fireAt(point,
+                                          static_cast<std::uint64_t>(fjob));
+    };
+    if (fires("job_wedge")) {
         // A "wedged" simulation: no progress, but bounded so an armed
         // plan can never hang the process even when no deadline is
         // configured — past the limit the wedge reports itself as the
@@ -313,112 +302,24 @@ ExperimentRunner::simulateRecord(const JobSpec &job) const
             << " exceeded its " << limit << "s wall-clock deadline";
         throw JobTimeout(oss.str());
     }
-    auto throwInjected = [&faults, fjob] {
-        if (fjob >= 0 &&
-            faults.fireAt("job_throw",
-                          static_cast<std::uint64_t>(fjob))) {
-            throw std::runtime_error("injected fault job_throw at job " +
-                                     std::to_string(fjob));
-        }
-        if (fjob >= 0 &&
-            faults.fireAt("job_io", static_cast<std::uint64_t>(fjob))) {
-            // Transient by definition (fireAt is exactly-once): a
-            // retried attempt of the same job succeeds, which is what
-            // lets the chaos battery pin the --retries path.
-            throw TransientIoError("injected fault job_io at job " +
-                                   std::to_string(fjob));
-        }
-    };
+    if (fires("job_throw"))
+        throw std::runtime_error("injected fault job_throw at job " +
+                                 std::to_string(fjob));
+    // job_io is transient by definition (fireAt is exactly-once): a
+    // retried attempt of the same job succeeds, which is what lets the
+    // chaos battery pin the --retries path.
+    if (fires("job_io"))
+        throw TransientIoError("injected fault job_io at job " +
+                               std::to_string(fjob));
 
     System system(cfg, makeTraces(job.benchmark, cfg));
     system.setJobDeadline(opts.jobTimeout);
     const auto t0 = std::chrono::steady_clock::now();
-
-    RunStats stats;
-    if (!job.share) {
-        throwInjected();
-        stats = system.run(b.warmup, b.measure);
-    } else {
-        const std::string pkey = prefixKey(job);
-        const std::vector<std::uint8_t> *bytes = nullptr;
-        bool producer = false;
-        {
-            std::unique_lock<std::mutex> lk(m);
-            for (;;) {
-                auto it = prefixCache.find(pkey);
-                if (it != prefixCache.end()) {
-                    bytes = &it->second;
-                    break;
-                }
-                if (prefixInflight.insert(pkey).second) {
-                    producer = true;
-                    break;
-                }
-                // Another worker is simulating this prefix: wait for
-                // its publication instead of duplicating the warmup.
-                cv.wait(lk);
-            }
-        }
-        if (producer) {
-            try {
-                // Inside the try: an injected producer throw must
-                // release the prefix latch exactly like a real warmup
-                // failure, so waiters retry as producers (falling
-                // back to a cold warmup) instead of deadlocking.
-                throwInjected();
-                bool fromDisk = false;
-                std::vector<std::uint8_t> warm;
-                if (!opts.checkpointDir.empty()) {
-                    // Disk-backed prefix cache (BOP_CKPT_DIR): another
-                    // process may have paid this warmup already.
-                    // Validate-before-apply: a refused entry leaves
-                    // the System untouched, so the cold-warmup
-                    // fallback below starts from pristine state.
-                    try {
-                        std::vector<std::uint8_t> entry;
-                        if (loadCacheEntry(pkey, entry)) {
-                            system.restoreCheckpointBytes(entry);
-                            warm = std::move(entry);
-                            fromDisk = true;
-                        }
-                    } catch (const CheckpointError &e) {
-                        std::fprintf(
-                            stderr,
-                            "checkpoint-cache: refusing entry for "
-                            "\"%s\": %s — falling back to cold "
-                            "warmup\n",
-                            pkey.c_str(), e.what());
-                    }
-                }
-                if (!fromDisk) {
-                    system.warmup(b.warmup);
-                    warm = system.saveCheckpointBytes();
-                    if (!opts.checkpointDir.empty())
-                        saveCacheEntry(pkey, warm); // overwrites a
-                                                    // refused entry
-                }
-                std::lock_guard<std::mutex> lk(m);
-                prefixCache.emplace(pkey, std::move(warm));
-                prefixInflight.erase(pkey);
-                if (!fromDisk)
-                    ++prefixSims;
-                cv.notify_all();
-            } catch (...) {
-                // Release the prefix latch so waiters retry (and hit
-                // the same error themselves) instead of hanging.
-                std::lock_guard<std::mutex> lk(m);
-                prefixInflight.erase(pkey);
-                cv.notify_all();
-                throw;
-            }
-        } else {
-            throwInjected();
-            // prefixCache nodes are never erased, so the pointer
-            // stays valid outside the lock.
-            system.restoreCheckpointBytes(*bytes);
-        }
-        stats = system.measure(b.measure);
-    }
+    if (job.share)
+        warmPrefix(system, job);
+    else
+        system.warmup(b.warmup);
+    const RunStats stats = system.measure(b.measure);
 
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -460,39 +361,18 @@ const RunRecord &
 ExperimentRunner::run(const JobSpec &job)
 {
     const std::string key = runKey(job);
-
-    std::unique_lock<std::mutex> lk(m);
-    for (;;) {
-        auto it = cache.find(key);
-        if (it != cache.end())
-            return it->second;
-        if (inflight.insert(key).second)
-            break; // we won the latch; simulate outside the lock
-        // Someone else is simulating this exact design point: wait
-        // for their commit instead of duplicating the work.
-        cv.wait(lk);
-    }
-    lk.unlock();
-
-    RunRecord record;
-    try {
-        record = simulateRecord(job);
-        // Write-ahead, still outside the memo lock.
-        journalCommit(key, record);
-    } catch (...) {
-        // Release the latch so waiters retry (and likely rethrow the
-        // same error themselves) instead of blocking forever.
-        lk.lock();
-        inflight.erase(key);
-        cv.notify_all();
-        throw;
-    }
-    lk.lock();
-    runRecords.push_back(record);
-    auto committed = cache.emplace(key, std::move(record)).first;
-    inflight.erase(key);
-    cv.notify_all();
-    return committed->second;
+    return *memo.once(
+        m, key, [&] { return lookup(cache, key); },
+        [&] {
+            RunRecord record = simulateRecord(job);
+            // Write-ahead, still outside the memo lock.
+            journalCommit(key, record);
+            return record;
+        },
+        [&](RunRecord record) {
+            runRecords.push_back(record);
+            return &cache.emplace(key, std::move(record)).first->second;
+        });
 }
 
 namespace

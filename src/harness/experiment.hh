@@ -17,14 +17,15 @@
  * The runner is thread-safe: the sweep farm (sweep_farm.hh) and the
  * `bopsim --serve` front end call it from worker threads. A single
  * mutex guards the memo cache and record vector, and a per-key
- * in-flight latch makes concurrent run() calls for the same design
- * point simulate it exactly once (late arrivals block until the
- * winner commits).
+ * OnceLatch makes concurrent run() calls for the same design point
+ * simulate it exactly once (late arrivals block until the winner
+ * commits). Shared warm-ups go through one warm-prefix store.
  */
 
 #ifndef BOP_HARNESS_EXPERIMENT_HH
 #define BOP_HARNESS_EXPERIMENT_HH
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -84,6 +85,55 @@ struct JobSpec
     bool share = false;
 };
 
+/**
+ * "First arrival computes, later arrivals wait, a throw releases": the
+ * one per-key latch behind the runner's memo and its warm-prefix store.
+ */
+class OnceLatch
+{
+  public:
+    /**
+     * Return @p find() once it is non-null. Otherwise the first caller
+     * for @p key runs @p compute() without @p m held and returns
+     * @p commit() of the result, while later callers wait and then look
+     * again. A throw releases the key to a waiter and propagates.
+     * @p find and @p commit run with @p m held.
+     */
+    template <typename Find, typename Compute, typename Commit>
+    auto
+    once(std::mutex &m, const std::string &key, Find find, Compute compute,
+         Commit commit) -> decltype(find())
+    {
+        std::unique_lock<std::mutex> lk(m);
+        for (;;) {
+            if (auto found = find())
+                return found;
+            if (claimed.insert(key).second)
+                break;
+            cv.wait(lk);
+        }
+        lk.unlock();
+        auto release = [&] {
+            if (!lk.owns_lock())
+                lk.lock();
+            claimed.erase(key);
+            cv.notify_all(); // waiters wake once lk is dropped
+        };
+        try {
+            auto result = compute();
+            release();
+            return commit(std::move(result));
+        } catch (...) {
+            release();
+            throw;
+        }
+    }
+
+  private:
+    std::condition_variable cv;
+    std::set<std::string> claimed; ///< keys being computed right now
+};
+
 /** Memoising, thread-safe simulation runner. */
 class ExperimentRunner
 {
@@ -95,12 +145,14 @@ class ExperimentRunner
 
     const RunnerOptions &options() const { return opts; }
 
-    /** A job for @p benchmark under @p cfg with the runner's budget
-     *  and sharing default. */
+    /** A job for @p benchmark under @p cfg with the runner's budget.
+     *  It shares its warm-up exactly when a directory is set: one
+     *  budget gives each prefix one memo key, so only a later process
+     *  can reuse it. */
     JobSpec
     jobFor(const std::string &benchmark, const SystemConfig &cfg) const
     {
-        return {benchmark, cfg, opts.budget, opts.share};
+        return {benchmark, cfg, opts.budget, !opts.checkpointDir.empty()};
     }
 
     /** Run (or recall) one benchmark under one configuration with the
@@ -168,11 +220,7 @@ class ExperimentRunner
      * counts once, however many jobs consumed it). Only read this
      * when no jobs are in flight.
      */
-    std::uint64_t prefixSimulations() const
-    {
-        std::lock_guard<std::mutex> lk(m);
-        return prefixSims;
-    }
+    std::uint64_t prefixSimulations() const { return prefixSims; }
 
     /**
      * Memo and journal key of one job. The sharing marker keeps
@@ -195,12 +243,9 @@ class ExperimentRunner
     /**
      * Simulate one job without touching the memo or the record list:
      * the leaf the sweep farm runs on worker threads. Returns a record
-     * with stats and wall clock filled in. When the job shares its
-     * warm-up, the first arrival for a (benchmark, config, warmup)
-     * prefix simulates the warmup (or loads it from the options' disk
-     * cache) and publishes it as an in-memory checkpoint; later
-     * arrivals restore it and pay only the measurement window.
-     * Restore bit-identity makes both paths produce identical stats.
+     * with stats and wall clock filled in. A job that shares its
+     * warm-up takes it from the warm-prefix store (warmPrefix());
+     * restore bit-identity makes its stats equal a cold run's.
      */
     RunRecord simulateRecord(const JobSpec &job) const;
 
@@ -234,8 +279,28 @@ class ExperimentRunner
     }
 
   private:
-    /** Shared-warmup-prefix cache key. */
+    /** Warm-prefix store key. */
     static std::string prefixKey(const JobSpec &job);
+
+    /**
+     * The warm-prefix store: bring @p system, freshly built, to the
+     * warm state of @p job's prefix. An entry lives in the options'
+     * directory when one is set, and in memory only when none is or
+     * the directory refused the save; a lookup tries memory, then the
+     * directory. Only the first arrival for a prefix simulates it.
+     */
+    void warmPrefix(System &system, const JobSpec &job) const;
+
+    /** Restore @p system from the directory; false on a miss or a
+     *  refused entry (validate-before-apply leaves it untouched). */
+    bool loadPrefix(System &system, const std::string &pkey) const;
+
+    /** Save to the directory; false when there is none or it refused. */
+    bool savePrefix(const std::string &pkey,
+                    const std::vector<std::uint8_t> &container) const;
+
+    /** Directory entry path for a prefix key (FNV-1a name). */
+    std::string prefixPath(const std::string &pkey) const;
 
     /** Journal-append one committed record; no-op when detached or
      *  when the record was itself replayed from the journal. */
@@ -245,31 +310,10 @@ class ExperimentRunner
             journal.append(key, record);
     }
 
-    /**
-     * Disk checkpoint-cache entry for @p pkey, or false. Throws
-     * CheckpointError (byte-offset diagnostics) on a corrupt or
-     * key-mismatched entry — validate-before-apply, the caller falls
-     * back to a cold warmup.
-     */
-    bool loadCacheEntry(const std::string &pkey,
-                        std::vector<std::uint8_t> &container) const;
-
-    /** Persist a warm prefix atomically (tmp+fsync+rename);
-     *  best-effort — failures warn on stderr, the cache is only an
-     *  optimisation. */
-    void saveCacheEntry(const std::string &pkey,
-                        const std::vector<std::uint8_t> &container) const;
-
-    /** Cache-entry file path for a prefix key (FNV-1a name). */
-    std::string cacheEntryPath(const std::string &pkey) const;
-
     const RunnerOptions opts;
 
     mutable std::mutex m;
-    /** Latch release / cache commit; also the prefix latch. Mutable:
-     *  simulateRecord() is const but waits on shared prefixes. */
-    mutable std::condition_variable cv;
-    std::set<std::string> inflight; ///< keys being simulated right now
+    OnceLatch memo; ///< one simulation per run key
     std::map<std::string, RunRecord> cache;
     std::vector<RunRecord> runRecords;
     long nextJobIndex = 0;
@@ -279,13 +323,12 @@ class ExperimentRunner
      *  consumeReplayed() pops them. */
     std::map<std::string, RunRecord> replayed;
 
-    /**
-     * Warm-state bytes per prefix key. Node-stable (std::map, never
-     * erased): consumers hold pointers into it outside the lock.
-     */
-    mutable std::map<std::string, std::vector<std::uint8_t>> prefixCache;
-    mutable std::set<std::string> prefixInflight;
-    mutable std::uint64_t prefixSims = 0;
+    /** Mutable: simulateRecord() is const but takes turns on it. */
+    mutable OnceLatch prefixLatch;
+    /** Store entries kept in memory. Node-stable (never erased):
+     *  restores read them outside the lock. */
+    mutable std::map<std::string, std::vector<std::uint8_t>> prefixMemory;
+    mutable std::atomic<std::uint64_t> prefixSims{0};
 };
 
 } // namespace bop

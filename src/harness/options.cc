@@ -85,13 +85,9 @@ const OptionRow rows[] = {
     {"--resume", Both, nullptr, None, "FILE",
      "replay a journal first: journaled jobs answer verbatim",
      [](RunnerOptions &o, Arg, Arg v) { o.resumePath = v; }},
-    {nullptr, None, "BOP_CKPT_SHARE", Both, "0|1",
-     "share warm-up prefixes between jobs by default (default 0)",
-     [](RunnerOptions &o, Arg n, Arg v) {
-         o.share = wholeOption(n, v, 0) != 0;
-     }},
     {nullptr, None, "BOP_CKPT_DIR", Both, "DIR",
-     "persist shared warm-up prefixes in DIR across processes",
+     "keep warm-up prefixes in DIR for later processes to restore; "
+     "bench jobs share when it is set, serve lines when they ask",
      [](RunnerOptions &o, Arg, Arg v) { o.checkpointDir = v; }},
 };
 

@@ -48,12 +48,9 @@ struct Budget
 struct RunnerOptions
 {
     Budget budget; ///< --warmup / --instr, BOP_WARMUP / BOP_INSTR
-    /** Warm-up prefix sharing for jobs that do not choose
-     *  (BOP_CKPT_SHARE); a serve line's "checkpoint" overrides it. */
-    bool share = false;
     double jobTimeout = 0.0;   ///< seconds, 0 = none (--job-timeout)
     int retries = 0;           ///< extra attempts on transient failure
-    std::string checkpointDir; ///< disk prefix cache, "" = off
+    std::string checkpointDir; ///< warm-prefix directory, "" = none
     int jobs = 1;              ///< farm/serve workers, >= 1
     std::size_t backlog = 0;   ///< in-flight bound, 0 = 4 * jobs
     std::string journalPath;   ///< write-ahead journal, "" = off

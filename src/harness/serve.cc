@@ -77,7 +77,7 @@ parseServeJobLine(const std::string &line, const RunnerOptions &defaults,
     job.cfg = SystemConfig{};
     job.cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
     job.budget = defaults.budget;
-    job.share = defaults.share;
+    job.share = false;
     job.benchmark.clear();
 
     for (const auto &kv : fields.strings) {
@@ -100,10 +100,9 @@ parseServeJobLine(const std::string &line, const RunnerOptions &defaults,
                 return false;
             }
         } else if (key == "checkpoint") {
-            // "share": join the runner's warmup-prefix cache (jobs
-            // with the same workload/config/warmup simulate the
-            // warmup once); "cold": force a full cold run even when
-            // the runner default (BOP_CKPT_SHARE) is sharing.
+            // "share": take the warm-up from the runner's warm-prefix
+            // store (jobs with the same workload/config/warmup
+            // simulate it once); "cold", like no field, runs cold.
             if (value == "share")
                 job.share = true;
             else if (value == "cold")

@@ -46,9 +46,9 @@ bool parseL2PrefetcherName(const std::string &name,
 
 /**
  * Decode one job line into @p job. The field vocabulary mirrors
- * bopsim's CLI options (snake_cased); fields the line leaves out take
- * @p defaults' budget and sharing default, so a line's "checkpoint"
- * ("share" or "cold") is resolved against the runner default here. A
+ * bopsim's CLI options (snake_cased); a line that leaves out its
+ * budget takes @p defaults' budget, and it shares its warm-up only
+ * when it says "checkpoint": "share" (no field, or "cold", runs cold). A
  * line that is not a flat JSON object, names an unknown field or
  * workload, or carries a number that is not a whole number in its
  * field's range returns false with a diagnostic in @p error, so a

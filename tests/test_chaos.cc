@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -71,12 +73,17 @@ class TempFile
     }
     ~TempFile() { cleanup(); }
     const std::string &path() const { return path_; }
+    /** Where writeFileAtomic() stages this file in this process. */
+    std::string tmp() const
+    {
+        return path_ + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+    }
 
   private:
     void cleanup()
     {
         std::remove(path_.c_str());
-        std::remove((path_ + ".tmp").c_str());
+        std::remove(tmp().c_str());
     }
     std::string path_;
 };
@@ -206,11 +213,12 @@ TEST(JobDeadline, WedgedJobConvertsIntoTimeoutErrorKind)
 
 TEST(Faults, ProducerThrowReleasesTheWarmupPrefixLatch)
 {
-    // The producer of a shared warmup prefix dies before it publishes
-    // the checkpoint. The latch must be released on the way out: a
-    // retry of the same design point becomes the new producer and
-    // completes cold (a leaked latch would block it forever, which
-    // the ctest timeout would surface as a hang).
+    // A job sharing a warmup prefix dies before the prefix is
+    // stored. It must hold nothing on the way out: a retry of the
+    // same design point simulates the warmup and completes (a leaked
+    // claim would block it forever, which the ctest timeout would
+    // surface as a hang). OnceLatch.AThrowHandsTheKeyToAWaiter pins
+    // the release of a claim that throws.
     ExperimentRunner runner(chaosOptions());
     const JobSpec job{"429.mcf", baselineConfig(1, PageSize::FourKB),
                       chaosBudget(), /*share=*/true};
@@ -253,7 +261,7 @@ TEST(Faults, ShortCheckpointWriteLeavesNoPlausibleArtifact)
     // The injected mid-save crash must never leave a restorable-
     // looking file: neither the target nor the tmp file survive.
     EXPECT_FALSE(fileExists(bad.path()));
-    EXPECT_FALSE(fileExists(bad.path() + ".tmp"));
+    EXPECT_FALSE(fileExists(bad.tmp()));
 
     // And the earlier good checkpoint is untouched: it still restores
     // into a fresh System at the saved cycle.
@@ -265,7 +273,8 @@ TEST(Faults, ShortCheckpointWriteLeavesNoPlausibleArtifact)
 TEST(Faults, OverwritingSaveKeepsThePreviousCheckpointOnFailure)
 {
     // A failed re-save over an existing checkpoint must leave the old
-    // one intact (the write goes to .tmp; the rename never happens).
+    // one intact (the write goes to a tmp file; the rename never
+    // happens).
     SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
     System sys(cfg, makeTraces("429.mcf", cfg));
     sys.warmup(1000);
@@ -280,7 +289,7 @@ TEST(Faults, OverwritingSaveKeepsThePreviousCheckpointOnFailure)
         EXPECT_THROW(sys.saveCheckpoint(ckpt.path()),
                      std::runtime_error);
     }
-    EXPECT_FALSE(fileExists(ckpt.path() + ".tmp"));
+    EXPECT_FALSE(fileExists(ckpt.tmp()));
 
     System restored(cfg, makeTraces("429.mcf", cfg));
     restored.restoreCheckpoint(ckpt.path());

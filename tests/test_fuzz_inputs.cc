@@ -1,8 +1,10 @@
 /**
  * @file
  * Byte-level mutation fuzzing of the parsers that read outside input:
- * `bopsim --serve` job lines (parseFlatRecord -> parseServeJobLine)
- * and result-journal replay (ResultJournal::load). The style follows
+ * `bopsim --serve` job lines (parseFlatRecord -> parseServeJobLine),
+ * result-journal replay (ResultJournal::load), warm-prefix store
+ * entries (decodeCacheEntry -> System::restoreCheckpointBytes) and
+ * trace files (openTraceReader). The style follows
  * the checkpoint-container fuzz in test_checkpoint_format.cc: seeded
  * mutants of known-good input, and every mutant must either be
  * accepted or be rejected with a diagnostic — never a crash, never an
@@ -15,15 +17,23 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/serializer.hh"
 #include "harness/bench_diff.hh"
+#include "harness/checkpoint.hh"
+#include "harness/experiment.hh"
 #include "harness/journal.hh"
 #include "harness/serve.hh"
+#include "sim/system.hh"
+#include "trace/trace_io.hh"
+#include "trace/trace_reader.hh"
+#include "trace/workloads.hh"
 
 namespace bop
 {
@@ -192,15 +202,15 @@ TEST(FuzzInputs, ServeJobLineNumbersAtTheEdgesOfEveryIntegerField)
 
 // -- journal replay -----------------------------------------------------------
 
-class TempJournal
+class TempFile
 {
   public:
-    explicit TempJournal(const std::string &tag)
+    explicit TempFile(const std::string &tag)
         : path_("/tmp/bop_fuzz_inputs_" + tag)
     {
         std::remove(path_.c_str());
     }
-    ~TempJournal() { std::remove(path_.c_str()); }
+    ~TempFile() { std::remove(path_.c_str()); }
     const std::string &path() const { return path_; }
 
     void
@@ -221,7 +231,7 @@ constexpr std::uint64_t kMeasure = 1500;
 std::string
 goodJournalBytes()
 {
-    TempJournal file("seed");
+    TempFile file("seed");
     {
         ResultJournal journal;
         journal.open(file.path(), kWarmup, kMeasure);
@@ -257,7 +267,7 @@ goodJournalBytes()
 /** Load @p bytes as a journal: entries, or a runtime_error naming the
  *  problem. Returns false when the journal was refused. */
 bool
-expectJournalHandled(const TempJournal &file, const std::string &bytes,
+expectJournalHandled(const TempFile &file, const std::string &bytes,
                      const std::string &label)
 {
     file.write(bytes);
@@ -280,7 +290,7 @@ TEST(FuzzInputs, JournalReplayRawByteMutants)
     // Arbitrary damage to the file: the per-line CRC catches nearly
     // all of it; torn tails are dropped with a warning.
     const std::string good = goodJournalBytes();
-    TempJournal file("raw");
+    TempFile file("raw");
     ASSERT_TRUE(expectJournalHandled(file, good, "pristine"));
 
     Rng rng(20261018);
@@ -302,7 +312,7 @@ TEST(FuzzInputs, JournalReplayReframedPayloadMutants)
     }
     ASSERT_EQ(lines.size(), 4u);
 
-    TempJournal file("reframed");
+    TempFile file("reframed");
     Rng rng(20261019);
     int refused = 0;
     for (int iter = 0; iter < 1500; ++iter) {
@@ -341,7 +351,7 @@ TEST(FuzzInputs, JournalIntegerFieldsMustBeWholeAndInRange)
         for (std::string line; std::getline(is, line);)
             lines.push_back(line);
     }
-    TempJournal file("integers");
+    TempFile file("integers");
     for (const std::string &field : {"\"jobs\": 2", "\"job_index\": 1",
                                      "\"attempts\": 2"}) {
         for (const std::string &value : {"1e30", "-1e30", "0.5"}) {
@@ -357,6 +367,202 @@ TEST(FuzzInputs, JournalIntegerFieldsMustBeWholeAndInRange)
                                       ResultJournal::frame(payload) + "\n";
             EXPECT_FALSE(expectJournalHandled(file, bytes,
                                               field + " -> " + value));
+        }
+    }
+}
+
+// -- warm-prefix store entries ------------------------------------------------
+
+/** The small-cache configuration of test_checkpoint_format.cc. */
+SystemConfig
+smallCacheConfig()
+{
+    SystemConfig cfg;
+    cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
+    cfg.caches.dl1Bytes = 4 * 1024;
+    cfg.caches.l2Bytes = 16 * 1024;
+    cfg.caches.l3Bytes = 128 * 1024;
+    cfg.seed = 7;
+    return cfg;
+}
+
+std::unique_ptr<System>
+smallCacheSystem()
+{
+    const SystemConfig cfg = smallCacheConfig();
+    return std::make_unique<System>(cfg, makeTraces("429.mcf", cfg));
+}
+
+const std::string kEntryKey = "429.mcf##small-cache##warm600";
+
+/** A warm small-cache container and the store entry holding it. */
+struct Entry
+{
+    std::vector<std::uint8_t> container;
+    std::vector<std::uint8_t> bytes;
+};
+
+const Entry &
+goodEntry()
+{
+    static const Entry entry = [] {
+        auto sys = smallCacheSystem();
+        sys->warmup(600);
+        Entry e;
+        e.container = sys->saveCheckpointBytes();
+        e.bytes = encodeCacheEntry(kEntryKey, e.container);
+        return e;
+    }();
+    return entry;
+}
+
+/**
+ * Decode @p bytes under @p key and restore the result into @p target:
+ * refused with a CheckpointError, or restored bit-identically (the
+ * target saves the same container back). Anything else escapes and
+ * fails the test. Returns whether it restored.
+ */
+bool
+expectEntryHandled(System &target, std::vector<std::uint8_t> bytes,
+                   const std::string &label,
+                   const std::string &key = kEntryKey)
+{
+    try {
+        target.restoreCheckpointBytes(
+            decodeCacheEntry(std::move(bytes), key));
+    } catch (const CheckpointError &e) {
+        EXPECT_NE(std::string(e.what()).find("byte offset"),
+                  std::string::npos)
+            << label << ": " << e.what();
+        return false;
+    }
+    EXPECT_TRUE(target.saveCheckpointBytes() == goodEntry().container)
+        << label << ": restored, but not bit-identically";
+    return true;
+}
+
+TEST(FuzzInputs, CacheEntryTruncatedAtEveryByteIsRefused)
+{
+    const std::vector<std::uint8_t> &good = goodEntry().bytes;
+    // A refused entry leaves the target untouched, so one serves all.
+    auto target = smallCacheSystem();
+    ASSERT_TRUE(expectEntryHandled(*target, good, "pristine"));
+    for (std::size_t n = 0; n < good.size(); ++n) {
+        EXPECT_FALSE(expectEntryHandled(
+            *target,
+            std::vector<std::uint8_t>(
+                good.begin(), good.begin() + static_cast<std::ptrdiff_t>(n)),
+            "truncated to " + std::to_string(n)))
+            << n;
+    }
+}
+
+TEST(FuzzInputs, CacheEntryHeaderLiesAreRefused)
+{
+    auto target = smallCacheSystem();
+    std::vector<std::uint8_t> huge = goodEntry().bytes;
+    for (std::size_t i = 8; i < 12; ++i)
+        huge[i] = 0xff; // key length 0xffffffff
+    EXPECT_FALSE(expectEntryHandled(*target, huge, "key length 2^32-1"));
+
+    EXPECT_FALSE(expectEntryHandled(*target, goodEntry().bytes,
+                                    "wrong key",
+                                    kEntryKey + "-other"));
+    EXPECT_FALSE(expectEntryHandled(*target, goodEntry().bytes,
+                                    "empty key", ""));
+
+    std::vector<std::uint8_t> magic = goodEntry().bytes;
+    magic[7] = '2';
+    EXPECT_FALSE(expectEntryHandled(*target, magic, "bad magic"));
+}
+
+TEST(FuzzInputs, CacheEntrySeededMutants)
+{
+    const std::vector<std::uint8_t> &good = goodEntry().bytes;
+    // The header and key are where the entry format itself lives;
+    // mutants there reach every refusal of decodeCacheEntry, and the
+    // rest reach the container's validation.
+    const std::size_t head = 12 + kEntryKey.size() + 64;
+    Rng rng(20261020);
+    int restored = 0;
+    for (int iter = 0; iter < 600; ++iter) {
+        std::string front(good.begin(),
+                          good.begin() + static_cast<std::ptrdiff_t>(head));
+        front = mutate(front, rng);
+        std::vector<std::uint8_t> bytes(front.begin(), front.end());
+        bytes.insert(bytes.end(),
+                     good.begin() + static_cast<std::ptrdiff_t>(head),
+                     good.end());
+        if (rng.below(4) == 0) {
+            const std::size_t at =
+                static_cast<std::size_t>(rng.below(bytes.size()));
+            bytes[at] = static_cast<std::uint8_t>(bytes[at] ^
+                                                  (1u << rng.below(8)));
+        }
+        // A fresh target each time: a mutant that passes validation
+        // but fails mid-apply may leave its target half restored.
+        auto target = smallCacheSystem();
+        if (expectEntryHandled(*target, std::move(bytes),
+                               "mutant " + std::to_string(iter)))
+            ++restored;
+    }
+    // Nearly every mutant is refused; the few that restore are the
+    // ones whose edits cancelled out.
+    EXPECT_LT(restored, 60);
+}
+
+// -- trace headers ------------------------------------------------------------
+
+/** Every instruction of the trace at @p path, or the runtime_error
+ *  that refused it. Any other exception escapes and fails the test. */
+void
+expectTraceHandled(const std::string &path, const std::string &label)
+{
+    try {
+        auto reader = openTraceReader(path);
+        TraceInstr instr;
+        std::uint64_t count = 0;
+        while (reader->next(instr))
+            ++count;
+        (void)count;
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()), "") << label;
+    }
+}
+
+/** The bytes of a 40-instruction trace in the format @p path implies. */
+std::string
+goodTraceBytes(const std::string &path)
+{
+    {
+        auto sink = makeTraceSink(path, traceFormatForPath(path));
+        auto source = makeWorkload("429.mcf", 3);
+        for (int i = 0; i < 40; ++i)
+            sink->append(source->next());
+        sink->close();
+    }
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+TEST(FuzzInputs, TraceFilesTruncatedAndMutated)
+{
+    for (const std::string name : {"fuzz.bt", "fuzz.champsim"}) {
+        TempFile file(name);
+        const std::string good = goodTraceBytes(file.path());
+        ASSERT_FALSE(good.empty()) << name;
+        for (std::size_t n = 0; n <= good.size(); ++n) {
+            file.write(good.substr(0, n));
+            expectTraceHandled(file.path(),
+                               name + " truncated to " + std::to_string(n));
+        }
+        Rng rng(20261021);
+        for (int iter = 0; iter < 400; ++iter) {
+            file.write(mutate(good, rng));
+            expectTraceHandled(file.path(),
+                               name + " mutant " + std::to_string(iter));
         }
     }
 }

@@ -109,7 +109,6 @@ TEST(RunnerOptions, Defaults)
     const RunnerOptions options;
     EXPECT_EQ(options.budget.warmup, 100000u);
     EXPECT_EQ(options.budget.measure, 400000u);
-    EXPECT_FALSE(options.share);
     EXPECT_EQ(options.jobTimeout, 0.0);
     EXPECT_EQ(options.retries, 0);
     EXPECT_EQ(options.jobs, 1);
@@ -168,14 +167,12 @@ TEST(RunnerOptions, EnvironmentThenFlags)
     ScopedEnv warmup("BOP_WARMUP", "20000");
     ScopedEnv instr("BOP_INSTR", "1e3");
     ScopedEnv jobs("BOP_JOBS", "3");
-    ScopedEnv share("BOP_CKPT_SHARE", "1");
     ScopedEnv dir("BOP_CKPT_DIR", "/tmp/prefixes");
     ScopedEnv timeout("BOP_JOB_TIMEOUT", "0.25");
     const RunnerOptions env = RunnerOptions::fromEnv(OptionReader::Bench);
     EXPECT_EQ(env.budget.warmup, 20000u);
     EXPECT_EQ(env.budget.measure, 1000u);
     EXPECT_EQ(env.jobs, 3);
-    EXPECT_TRUE(env.share);
     EXPECT_EQ(env.checkpointDir, "/tmp/prefixes");
     EXPECT_EQ(env.jobTimeout, 0.25);
 

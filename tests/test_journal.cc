@@ -727,12 +727,11 @@ class TempCacheDir
     std::string path_;
 };
 
-/** Sharing runner options backed by the cache directory @p dir. */
+/** Runner options whose warm-prefix directory is @p dir. */
 RunnerOptions
 cacheOptions(const std::string &dir)
 {
     RunnerOptions options = tinyOptions();
-    options.share = true;
     options.checkpointDir = dir;
     return options;
 }
@@ -800,8 +799,16 @@ TEST(CheckpointCache, OlderFormatVersionEntryFallsBackCold)
         std::fstream f(entry.path(),
                        std::ios::in | std::ios::out | std::ios::binary);
         ASSERT_TRUE(f) << entry.path();
+        // The container starts after the 8-byte magic, the u32 key
+        // length and the key; its version field is 8 bytes in.
+        unsigned char keyLen[4] = {};
+        f.seekg(8);
+        f.read(reinterpret_cast<char *>(keyLen), sizeof(keyLen));
+        const std::streamoff version =
+            12 + (keyLen[0] | keyLen[1] << 8 | keyLen[2] << 16 |
+                  static_cast<std::streamoff>(keyLen[3]) << 24) + 8;
         const char version1[4] = {1, 0, 0, 0};
-        f.seekp(8);
+        f.seekp(version);
         f.write(version1, sizeof(version1));
         ASSERT_TRUE(f.good()) << entry.path();
         ++entries;
@@ -814,17 +821,23 @@ TEST(CheckpointCache, OlderFormatVersionEntryFallsBackCold)
     EXPECT_TRUE(warm == cold);
 }
 
-TEST(CheckpointCache, DisabledDirectoryKeepsTheOldBehaviour)
+TEST(CheckpointCache, WithoutADirectoryJobsRunCold)
 {
+    // A job shares its warm-up exactly when a directory is set: with
+    // none, nothing is stored, each runner simulates cold, and the
+    // record says so.
     const SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
     ExperimentRunner a(cacheOptions(""));
     ASSERT_EQ(a.options().checkpointDir, "");
+    EXPECT_FALSE(a.jobFor("429.mcf", cfg).share);
     const RunStats &one = a.run("429.mcf", cfg);
+    EXPECT_EQ(a.prefixSimulations(), 0u);
+    EXPECT_EQ(a.records().at(0).checkpoint, "");
 
     ExperimentRunner b(cacheOptions(""));
     const RunStats &two = b.run("429.mcf", cfg);
-    EXPECT_EQ(b.prefixSimulations(), 1u); // nothing persisted
-    EXPECT_EQ(one.cycles, two.cycles);
+    EXPECT_EQ(b.prefixSimulations(), 0u);
+    EXPECT_TRUE(one == two);
 }
 
 } // namespace

@@ -12,9 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <regex>
 #include <sstream>
@@ -45,16 +49,46 @@ testBudget()
     return b;
 }
 
-/** Runner options for the test budgets on @p jobs workers. */
+/** Runner options for the test budgets on @p jobs workers, keeping
+ *  warm-up prefixes in @p dir ("" = none, so farm jobs run cold). */
 RunnerOptions
-testOptions(int jobs = 1, bool share = false)
+testOptions(int jobs = 1, const std::string &dir = "")
 {
     RunnerOptions options;
     options.budget = testBudget();
     options.jobs = jobs;
-    options.share = share;
+    options.checkpointDir = dir;
     return options;
 }
+
+/** A fresh warm-prefix directory path under /tmp, removed on exit. */
+class TempDir
+{
+  public:
+    explicit TempDir(const std::string &tag)
+        : path_("/tmp/bop_sweep_farm_" + tag + "_" +
+                std::to_string(static_cast<long>(::getpid())))
+    {
+        std::filesystem::remove_all(path_);
+    }
+    ~TempDir() { std::filesystem::remove_all(path_); }
+    const std::string &path() const { return path_; }
+
+    /** Names of the files in the directory (none when it is absent). */
+    std::vector<std::string>
+    files() const
+    {
+        std::vector<std::string> names;
+        if (std::filesystem::is_directory(path_)) {
+            for (const auto &e : std::filesystem::directory_iterator(path_))
+                names.push_back(e.path().filename().string());
+        }
+        return names;
+    }
+
+  private:
+    std::string path_;
+};
 
 /** The fig06 sweep shape on a two-benchmark, two-grid-point subset. */
 const std::vector<std::string> &
@@ -203,14 +237,15 @@ TEST(ExperimentRunner, ConcurrentDuplicateRunsSimulateOnce)
 
 TEST(SweepFarm, JsonByteIdenticalAcrossJobCountsWithSharing)
 {
-    // The fig06-with-shared-warmup-prefixes contract: with checkpoint
-    // sharing enabled the farm JSON must still be byte-identical for
-    // every --jobs count (timing fields aside) — the checkpoint
+    // The fig06-with-shared-warmup-prefixes contract: with a
+    // warm-prefix directory the farm JSON must still be byte-identical
+    // for every --jobs count (timing fields aside) — the checkpoint
     // provenance field included, whichever worker happened to win the
     // prefix race.
     std::string reference;
     for (const int jobs : {1, 2, 4, 8}) {
-        ExperimentRunner runner(testOptions(jobs, /*share=*/true));
+        TempDir dir("json" + std::to_string(jobs));
+        ExperimentRunner runner(testOptions(jobs, dir.path()));
         {
             SweepFarm farm(runner);
             submitFig06Subset(farm);
@@ -240,7 +275,8 @@ TEST(SweepFarm, SharedWarmupStatsMatchColdRuns)
         SweepFarm farm(cold);
         submitFig06Subset(farm);
     }
-    ExperimentRunner shared(testOptions(2, /*share=*/true));
+    TempDir dir("stats");
+    ExperimentRunner shared(testOptions(2, dir.path()));
     {
         SweepFarm farm(shared);
         submitFig06Subset(farm);
@@ -252,6 +288,95 @@ TEST(SweepFarm, SharedWarmupStatsMatchColdRuns)
         EXPECT_EQ(shared.records()[i].checkpoint, "warm-shared");
         EXPECT_EQ(cold.records()[i].checkpoint, "");
     }
+}
+
+TEST(SweepFarm, DirectoryPrefixesServeALaterBudget)
+{
+    // One budget gives each prefix one memo key, so a sweep's
+    // prefixes pay off in a later process: the directory holds one
+    // entry per prefix, and a fresh runner at another measure budget
+    // restores every warm-up from it.
+    TempDir dir("later");
+    ExperimentRunner first(testOptions(4, dir.path()));
+    {
+        SweepFarm farm(first);
+        submitFig06Subset(farm);
+    }
+    EXPECT_EQ(first.prefixSimulations(), 8u);
+    EXPECT_EQ(dir.files().size(), 8u) << "one entry per prefix, no tmp";
+
+    RunnerOptions later = testOptions(4, dir.path());
+    later.budget.measure = 5000;
+    ExperimentRunner second(later);
+    {
+        SweepFarm farm(second);
+        submitFig06Subset(farm);
+    }
+    EXPECT_EQ(second.prefixSimulations(), 0u);
+
+    later.checkpointDir.clear();
+    ExperimentRunner cold(later);
+    {
+        SweepFarm farm(cold);
+        submitFig06Subset(farm);
+    }
+    ASSERT_EQ(second.records().size(), 8u);
+    ASSERT_EQ(cold.records().size(), 8u);
+    for (std::size_t i = 0; i < cold.records().size(); ++i) {
+        EXPECT_TRUE(second.records()[i].stats == cold.records()[i].stats)
+            << "record " << i;
+    }
+}
+
+TEST(OnceLatch, AThrowHandsTheKeyToAWaiter)
+{
+    // The first arrival dies mid-compute: a concurrent arrival for the
+    // same key must compute it instead of waiting forever, and later
+    // arrivals find the committed value without computing.
+    std::mutex m;
+    OnceLatch latch;
+    const int *value = nullptr;
+    int stored = 0;
+    std::atomic<int> computes{0};
+    auto find = [&] { return value; };
+    auto commit = [&](int v) {
+        stored = v;
+        value = &stored;
+        return value;
+    };
+
+    std::atomic<bool> started{false};
+    std::thread first([&] {
+        EXPECT_THROW(latch.once(
+                         m, "k", find,
+                         [&]() -> int {
+                             ++computes;
+                             started = true;
+                             std::this_thread::sleep_for(
+                                 std::chrono::milliseconds(50));
+                             throw std::runtime_error("died");
+                         },
+                         commit),
+                     std::runtime_error);
+    });
+    while (!started)
+        std::this_thread::yield();
+    const int *got = latch.once(
+        m, "k", find,
+        [&] {
+            ++computes;
+            return 7;
+        },
+        commit);
+    first.join();
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(*got, 7);
+    EXPECT_EQ(computes.load(), 2);
+
+    got = latch.once(
+        m, "k", find, [&] { return ++computes; }, commit);
+    EXPECT_EQ(*got, 7);
+    EXPECT_EQ(computes.load(), 2);
 }
 
 TEST(ExperimentRunner, SharedPrefixSimulatesWarmupExactlyOnce)
@@ -351,30 +476,51 @@ TEST(Serve, CheckpointJobLines)
         << "shared vs cold run of the same design point diverged";
 }
 
-TEST(Serve, ColdLineOverridesASharingDefault)
+TEST(Serve, LineWithoutACheckpointFieldRunsCold)
 {
-    // The runner shares warm-up prefixes by default (BOP_CKPT_SHARE=1),
-    // and a "cold" line must still run cold: provenance "none" and no
-    // prefix produced.
-    ExperimentRunner runner(testOptions(1, /*share=*/true));
-    {
-        std::istringstream in(
-            "{\"workload\": \"429.mcf\", \"checkpoint\": \"cold\"}\n");
-        std::ostringstream out, diag;
-        EXPECT_EQ(serveLoop(in, out, runner, diag), 0) << diag.str();
-        EXPECT_NE(out.str().find("\"checkpoint\": \"none\""),
-                  std::string::npos)
-            << out.str();
-        EXPECT_EQ(runner.prefixSimulations(), 0u);
-    }
-    // A line that does not choose follows the sharing default.
-    std::istringstream in("{\"workload\": \"429.mcf\"}\n");
+    // A serve line shares only when it says "share": with a directory
+    // set, a line with no "checkpoint" field and a "cold" line both
+    // run cold — provenance "none", no prefix simulated or stored.
+    TempDir dir("serve_cold");
+    ExperimentRunner runner(testOptions(1, dir.path()));
+    std::istringstream in(
+        "{\"workload\": \"429.mcf\"}\n"
+        "{\"workload\": \"429.mcf\", \"instr\": 6000, "
+        "\"checkpoint\": \"cold\"}\n");
     std::ostringstream out, diag;
     EXPECT_EQ(serveLoop(in, out, runner, diag), 0) << diag.str();
-    EXPECT_NE(out.str().find("\"checkpoint\": \"warm-shared\""),
-              std::string::npos)
+    EXPECT_EQ(out.str().find("warm-shared"), std::string::npos)
         << out.str();
-    EXPECT_EQ(runner.prefixSimulations(), 1u);
+    ASSERT_EQ(runner.records().size(), 2u);
+    for (const RunRecord &r : runner.records())
+        EXPECT_EQ(r.checkpoint, "");
+    EXPECT_EQ(runner.prefixSimulations(), 0u);
+    EXPECT_TRUE(dir.files().empty());
+}
+
+TEST(Serve, RefusedSavesKeepTheWarmupInMemory)
+{
+    // The directory names a regular file, so every save fails: the
+    // warm prefix stays in memory instead, and eight "share" lines
+    // that differ only in their measure budget still warm up once.
+    TempDir dir("serve_file");
+    std::ofstream(dir.path()) << "not a directory\n";
+    std::ostringstream batch;
+    for (int i = 0; i < 8; ++i) {
+        batch << "{\"workload\": \"429.mcf\", \"warmup\": 2000, "
+              << "\"instr\": " << 3000 + 1000 * i
+              << ", \"checkpoint\": \"share\"}\n";
+    }
+    std::istringstream in(batch.str());
+    std::ostringstream out, diag;
+    ExperimentRunner runner(testOptions(4, dir.path()));
+    EXPECT_EQ(serveLoop(in, out, runner, diag), 0) << diag.str();
+    EXPECT_EQ(runner.prefixSimulations(), 1u)
+        << "a refused save must not cost a second warm-up";
+    ASSERT_EQ(runner.records().size(), 8u);
+    for (const RunRecord &r : runner.records())
+        EXPECT_EQ(r.checkpoint, "warm-shared");
+    EXPECT_TRUE(std::filesystem::is_regular_file(dir.path()));
 }
 
 TEST(TaskPool, RunsEverythingAndDrainsTwice)
