@@ -28,6 +28,57 @@ splitmix64(std::uint64_t x)
 }
 
 /**
+ * The integer form of the float test `u * 2^-bits < p` on a draw u of
+ * @p bits random bits (53 for next() >> 11): `u < fractionThreshold(p,
+ * bits)`. u * 2^-bits and p * 2^bits are exact (power-of-two
+ * scalings), and for an integer u the test u < x is u < ceil(x), so
+ * the two tests agree on every u. Returns 0 for p <= 0 or NaN and
+ * 2^bits for p >= 1.
+ */
+constexpr std::uint64_t
+fractionThreshold(double p, unsigned bits = 53)
+{
+    if (!(p > 0.0))
+        return 0;
+    if (p >= 1.0)
+        return 1ull << bits;
+    const double x = p * static_cast<double>(1ull << bits);
+    const auto floor_x = static_cast<std::uint64_t>(x);
+    return static_cast<double>(floor_x) < x ? floor_x + 1 : floor_x;
+}
+
+/**
+ * A Bernoulli probability prepared once for chance(): per draw the
+ * test is one integer compare instead of an int-to-double conversion
+ * and a multiply. The draw count is Rng's historical rule: p <= 0 and
+ * p >= 1 decide without drawing, anything else (NaN included, which
+ * then never succeeds) consumes exactly one draw.
+ */
+class Chance
+{
+  public:
+    /** Implicit, so chance(0.5) keeps reading like a probability. */
+    constexpr Chance(double p)
+        : threshold(fractionThreshold(p)),
+          drawing(!(p <= 0.0) && !(p >= 1.0))
+    {
+    }
+
+    /** Whether the test consumes a draw. */
+    constexpr bool draws() const { return drawing; }
+
+    /** The outcome when no draw is consumed (p <= 0 or p >= 1). */
+    constexpr bool certain() const { return threshold != 0; }
+
+    /** The float rule's verdict on the 53-bit draw @p u. */
+    constexpr bool admits(std::uint64_t u) const { return u < threshold; }
+
+  private:
+    std::uint64_t threshold;
+    bool drawing;
+};
+
+/**
  * xorshift128+ generator. Fast, good enough statistical quality for
  * simulation purposes, and trivially seedable/deterministic.
  */
@@ -78,14 +129,9 @@ class Rng
 
     /** Bernoulli draw: true with probability p (clamped to [0,1]). */
     bool
-    chance(double p)
+    chance(Chance c)
     {
-        if (p <= 0.0)
-            return false;
-        if (p >= 1.0)
-            return true;
-        return static_cast<double>(next() >> 11) *
-                   (1.0 / 9007199254740992.0) < p;
+        return c.draws() ? c.admits(next() >> 11) : c.certain();
     }
 
     /** Checkpoint the generator state (draw order is load-bearing). */
@@ -110,7 +156,7 @@ class Rng
  *
  * The draw *stream* is exactly Rng's for the same seed: the buffer is
  * filled in generation order and consumed in order, and below()/
- * range()/chance() use Rng's formulas verbatim on the buffered next().
+ * range()/chance() use Rng's rules verbatim on the buffered next().
  * Draw order is load-bearing for reproducibility (every golden run
  * stat pins it), so buffering may batch draws but never reorder them.
  */
@@ -149,14 +195,9 @@ class BufferedRng
 
     /** Bernoulli draw: true with probability p (clamped to [0,1]). */
     bool
-    chance(double p)
+    chance(Chance c)
     {
-        if (p <= 0.0)
-            return false;
-        if (p >= 1.0)
-            return true;
-        return static_cast<double>(next() >> 11) *
-                   (1.0 / 9007199254740992.0) < p;
+        return c.draws() ? c.admits(next() >> 11) : c.certain();
     }
 
     /**

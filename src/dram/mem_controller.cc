@@ -294,7 +294,10 @@ MemoryController::nextEventAt(Cycle now) const
         writeDrainRemaining > 0) {
         const unsigned ratio = timing.params().busRatio;
         const BusCycle window = 2 * timing.params().tBURST;
-        BusCycle bc = now / ratio + 1; // first edge strictly after now
+        // First edge strictly after now. tick() keeps busCycleNum at
+        // lastTicked / ratio, which spares the division in the usual
+        // query: the hierarchy's, right after its tick.
+        BusCycle bc = (now == lastTicked ? busCycleNum : now / ratio) + 1;
         if (timing.busFreeAt() > window)
             bc = std::max(bc, timing.busFreeAt() - window);
         ev = std::min(ev, bc * ratio);

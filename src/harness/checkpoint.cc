@@ -60,6 +60,15 @@ putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
         out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
+/** Raw tag bytes, appended one by one: GCC 12 reports a false
+ *  -Wstringop-overflow on libstdc++'s range insert of a char array. */
+void
+putTag(std::vector<std::uint8_t> &out, const char *tag, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        out.push_back(static_cast<std::uint8_t>(tag[i]));
+}
+
 std::uint32_t
 getU32(const std::uint8_t *p)
 {
@@ -226,7 +235,7 @@ System::saveCheckpointBytes()
     { // CORE: per-core ROB, waiting lists, predictor, counters.
         Serializer s(payloads[2]);
         for (auto &c : cores)
-            c->serialize(s);
+            c->serialize(s, now);
     }
     { // HIER: caches, queues, prefetchers, TLBs, policy state.
         Serializer s(payloads[3]);
@@ -243,14 +252,13 @@ System::saveCheckpointBytes()
         total += checkpointSectionHeaderBytes + p.size();
     out.reserve(total);
 
-    out.insert(out.end(), checkpointMagic,
-               checkpointMagic + sizeof(checkpointMagic));
+    putTag(out, checkpointMagic, sizeof(checkpointMagic));
     putU32(out, checkpointVersion);
     putU64(out, checkpointFingerprint(*this));
     putU32(out, checkpointSectionCount);
     for (std::uint32_t i = 0; i < checkpointSectionCount; ++i) {
         const auto &p = payloads[i];
-        out.insert(out.end(), sectionTags[i], sectionTags[i] + 4);
+        putTag(out, sectionTags[i], 4);
         putU64(out, p.size());
         putU32(out, crc32(p.data(), p.size()));
         out.insert(out.end(), p.begin(), p.end());
@@ -292,7 +300,7 @@ System::restoreCheckpointBytes(const std::vector<std::uint8_t> &bytes)
     { // CORE
         Serializer s = loader(2);
         for (auto &c : cores)
-            c->serialize(s);
+            c->serialize(s, now);
         s.finish("CORE section");
     }
     { // HIER

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <new>
 
 namespace bop
 {
@@ -63,31 +64,38 @@ CoreModel::retire(Cycle now)
 }
 
 void
-CoreModel::wakeDependents(std::uint32_t producer, std::uint64_t gen,
-                          std::vector<WaitRef> &into, std::size_t from)
+CoreModel::block(std::uint32_t idx)
 {
-    if (blockedQ.empty())
+    RobEntry &producer = rob[rob[idx].depIdx];
+    if (producer.blockedCount++ == 0)
+        producer.blockedFirstSeq = waitSeq;
+    blockedQ.push_back({idx, waitSeq++});
+}
+
+void
+CoreModel::wakeDependents(RobEntry &producer, std::vector<WaitRef> &into,
+                          std::size_t from)
+{
+    const std::uint32_t n = producer.blockedCount;
+    if (n == 0)
         return;
-    std::size_t keep = 0;
-    for (const WaitRef &w : blockedQ) {
-        const RobEntry &e = rob[w.idx];
-        if (e.valid && e.waitingDep && e.depIdx == producer &&
-            e.depGen == gen) {
-            // Sorted insert past the already-consumed prefix. Wakes
-            // are rare and the queues tiny, so the insert's memmove
-            // is noise next to the per-tick scans it saves.
-            const auto it = std::lower_bound(
-                into.begin() + static_cast<std::ptrdiff_t>(from),
-                into.end(), w.seq,
-                [](const WaitRef &a, std::uint64_t s) {
-                    return a.seq < s;
-                });
-            into.insert(it, w);
-        } else {
-            blockedQ[keep++] = w;
-        }
-    }
-    blockedQ.resize(keep);
+    producer.blockedCount = 0;
+    const std::uint64_t first = producer.blockedFirstSeq;
+    const auto seq_below = [](const WaitRef &a, std::uint64_t s) {
+        return a.seq < s;
+    };
+    const auto run =
+        std::lower_bound(blockedQ.begin(), blockedQ.end(), first, seq_below);
+    assert(blockedQ.end() - run >= static_cast<std::ptrdiff_t>(n) &&
+           run->seq == first && run[n - 1].seq == first + n - 1);
+    // No other entry holds a stamp inside the run's consecutive seq
+    // range, so the whole run goes in at one sorted position past the
+    // already-consumed prefix.
+    const auto at =
+        std::lower_bound(into.begin() + static_cast<std::ptrdiff_t>(from),
+                         into.end(), first, seq_below);
+    into.insert(at, run, run + n);
+    blockedQ.erase(run, run + n);
 }
 
 void
@@ -136,8 +144,7 @@ CoreModel::issueWaiting(Cycle now)
                             e.readyAt = out.readyAt;
                             e.issued = true;
                             still_waiting = false;
-                            wakeDependents(idx, e.gen, wokenScratch,
-                                           wi);
+                            wakeDependents(e, wokenScratch, wi);
                         } else if (out.kind == LoadOutcome::Kind::Pending) {
                             e.issued = true;
                             e.waitingDep = false;
@@ -225,7 +232,7 @@ CoreModel::dispatchOne(const TraceInstr &instr, Cycle now)
         }
         ++loadsInFlight;
         if (dep_pending) {
-            blockedQ.push_back({idx, waitSeq++});
+            block(idx);
         } else if (loadsThisCycle >= params.loadPorts) {
             readyQ.push_back({idx, waitSeq++});
         } else {
@@ -280,7 +287,7 @@ CoreModel::dispatchOne(const TraceInstr &instr, Cycle now)
             ++mispredicts;
         if (dep_pending) {
             e.mispredict = mispredicted;
-            blockedQ.push_back({idx, waitSeq++});
+            block(idx);
             if (mispredicted) {
                 // Redirect happens when the branch executes, i.e. when
                 // the load it depends on returns.
@@ -316,13 +323,7 @@ CoreModel::nextEventAt(Cycle now) const
     // its full load/store queue, which only retirement (below) or a
     // hierarchy storeCompleted() callback can unblock.
     if (!stalledOnBranchDep && robCount < params.robSize) {
-        const bool hold_blocked =
-            holdValid &&
-            ((holdInstr.kind == InstrKind::Load &&
-              loadsInFlight >= params.loadQueue) ||
-             (holdInstr.kind == InstrKind::Store &&
-              pendingStores >= params.storeQueue));
-        if (!hold_blocked) {
+        if (!holdBlocked()) {
             if (fetchStallUntil <= next)
                 return next;
             ev = fetchStallUntil;
@@ -342,29 +343,69 @@ CoreModel::nextEventAt(Cycle now) const
     }
 
     // The waiting list is pre-partitioned: readyQ holds exactly the
-    // entries issueWaiting will (re)process — with side effects — at
-    // the very next tick, so its emptiness is the whole test. Blocked
-    // entries wait for a wake (the producer's completion, an event on
-    // the hierarchy's or this scan's own horizon) and contribute no
-    // event of their own.
-    if (!readyQ.empty())
-        return next;
-
+    // entries issueWaiting will (re)process at the next tick. One kind
+    // does nothing there: a load whose producer completes at a known
+    // future cycle (dep_ready), which issues no earlier. Anything else
+    // in readyQ acts at the next tick. Blocked entries wait for a wake
+    // (the producer's completion, an event on the hierarchy's or this
+    // scan's own horizon) and contribute no event of their own.
+    for (const WaitRef &w : readyQ) {
+        const RobEntry &e = rob[w.idx];
+        Cycle dep_ready = 0;
+        if (!e.valid || e.done || e.kind != InstrKind::Load ||
+            !depResolved(e, dep_ready) || dep_ready <= next)
+            return next;
+        ev = std::min(ev, dep_ready);
+    }
     return ev;
+}
+
+bool
+CoreModel::holdBlocked() const
+{
+    return holdValid &&
+           ((holdInstr.kind == InstrKind::Load &&
+             loadsInFlight >= params.loadQueue) ||
+            (holdInstr.kind == InstrKind::Store &&
+             pendingStores >= params.storeQueue));
+}
+
+void
+CoreModel::settle(Cycle through)
+{
+    if (through <= settledThrough)
+        return;
+    if (readyAfterTick) {
+        // The skipped ticks each reset the port counters and, once
+        // fetch was no longer redirect-stalled, retried the held
+        // instruction against its full queue. A refused load keeps
+        // the generation stamp it drew (a store returns it), and the
+        // last refusal leaves the instruction in the ROB tail slot.
+        loadsThisCycle = 0;
+        storesThisCycle = 0;
+        const Cycle first = std::max(settledThrough + 1, fetchStallUntil);
+        if (first <= through && holdBlocked() && !stalledOnBranchDep &&
+            robCount < params.robSize) {
+            if (holdInstr.kind == InstrKind::Load)
+                genCounter += through - first;
+            const bool dispatched = dispatchOne(holdInstr, through);
+            assert(!dispatched);
+            (void)dispatched;
+        }
+    }
+    settledThrough = through;
 }
 
 void
 CoreModel::tick(Cycle now)
 {
+    settle(now - 1);
     horizonStaleFlag = true;
     loadsThisCycle = 0;
     storesThisCycle = 0;
 
     retire(now);
     issueWaiting(now);
-
-    if (stalledOnBranchDep || now < fetchStallUntil)
-        return;
 
     for (unsigned n = 0; n < params.dispatchWidth; ++n) {
         if (robCount >= params.robSize)
@@ -373,39 +414,50 @@ CoreModel::tick(Cycle now)
             break;
 
         if (!holdValid) {
-            holdInstr = trace.next();
+            // The source builds the record straight in the hold slot
+            // (the returned prvalue initializes it, no temporary). An
+            // assignment would copy it through a temporary, reading the
+            // source's field-by-field stores back in wider loads, which
+            // the CPU cannot forward from its store buffer.
+            ::new (static_cast<void *>(&holdInstr)) TraceInstr(trace.next());
             holdValid = true;
         }
         if (!dispatchOne(holdInstr, now))
             break; // structural stall: retry the held instruction
         holdValid = false;
     }
+    settledThrough = now;
+    readyAfterTick = !readyQ.empty();
 }
 
 void
 CoreModel::loadCompleted(std::uint32_t rob_tag, Cycle when)
 {
+    settle(when);
     RobEntry &e = rob[rob_tag];
     assert(e.valid && e.kind == InstrKind::Load && e.issued);
     e.done = true;
     e.readyAt = when;
     // Entries parked on this load become processable: merge them into
     // the ready list at their seq positions.
-    wakeDependents(rob_tag, e.gen, readyQ, 0);
+    wakeDependents(e, readyQ, 0);
     horizonStaleFlag = true;
 }
 
 void
-CoreModel::storeCompleted(int count)
+CoreModel::storeCompleted(int count, Cycle when)
 {
+    settle(when);
     assert(pendingStores >= static_cast<std::size_t>(count));
     pendingStores -= static_cast<std::size_t>(count);
     horizonStaleFlag = true;
 }
 
 void
-CoreModel::serialize(Serializer &s)
+CoreModel::serialize(Serializer &s, Cycle now)
 {
+    if (!s.loading())
+        settle(now);
     const std::size_t rob_size = rob.size();
     predictor.serialize(s);
     s.seq(rob, [](Serializer &sr, RobEntry &e) {
@@ -457,13 +509,49 @@ CoreModel::serialize(Serializer &s)
             s.fail("ROB occupancy out of range");
         if (readyQ.size() > rob_size || blockedQ.size() > rob_size)
             s.fail("waiting-list length out of range");
+        for (const WaitRef &w : readyQ) {
+            if (w.idx >= rob_size)
+                s.fail("ready-list entry out of range");
+        }
+        rebuildBlockedRuns(s);
         robCount = static_cast<std::size_t>(rob_count);
         loadsInFlight = static_cast<std::size_t>(loads64);
         pendingStores = static_cast<std::size_t>(stores64);
+        settledThrough = now;
+        readyAfterTick = !readyQ.empty();
         // The cached event horizon is a pure function of the restored
         // state; force its recomputation rather than trusting a value
         // captured under the saving System's clock.
         horizonStaleFlag = true;
+    }
+}
+
+void
+CoreModel::rebuildBlockedRuns(Serializer &s)
+{
+    for (RobEntry &e : rob)
+        e.blockedCount = 0;
+    const RobEntry *last_producer = nullptr;
+    for (const WaitRef &w : blockedQ) {
+        if (w.idx >= rob.size() || rob[w.idx].depIdx >= rob.size())
+            s.fail("blocked-list entry out of range");
+        if (&w != blockedQ.data() && w.seq <= (&w - 1)->seq)
+            s.fail("blocked list out of seq order");
+        const RobEntry &e = rob[w.idx];
+        RobEntry &producer = rob[e.depIdx];
+        if (!e.valid || e.done || !e.waitingDep || !producer.valid ||
+            producer.kind != InstrKind::Load || producer.done ||
+            producer.gen != e.depGen)
+            s.fail("blocked-list entry not parked on a live load");
+        if (producer.blockedCount == 0) {
+            producer.blockedFirstSeq = w.seq;
+        } else if (&producer != last_producer ||
+                   w.seq != producer.blockedFirstSeq +
+                                producer.blockedCount) {
+            s.fail("blocked dependents of a load not consecutive");
+        }
+        ++producer.blockedCount;
+        last_producer = &producer;
     }
 }
 

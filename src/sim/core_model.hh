@@ -93,8 +93,9 @@ class CoreModel
     /** Hierarchy callback: a pending load's data arrived. */
     void loadCompleted(std::uint32_t rob_tag, Cycle when);
 
-    /** Hierarchy callback: store-queue slots freed by a fill. */
-    void storeCompleted(int count);
+    /** Hierarchy callback: store-queue slots freed by a fill at
+     *  cycle @p when. */
+    void storeCompleted(int count, Cycle when);
 
     // -- observability -----------------------------------------------------
     std::uint64_t retired() const { return retiredCount; }
@@ -108,8 +109,10 @@ class CoreModel
      * hold, port/queue occupancy, counters and the branch predictor.
      * The issueWaiting scratch buffers are empty between ticks and the
      * cached horizon is marked stale on restore instead of saved.
+     * @p now is the System clock: a save first settles the ticks
+     * skipped through it (see settle()), a restore resumes from it.
      */
-    void serialize(Serializer &s);
+    void serialize(Serializer &s, Cycle now);
 
   private:
     struct RobEntry
@@ -117,15 +120,26 @@ class CoreModel
         bool valid = false;
         InstrKind kind = InstrKind::IntOp;
         bool done = false;
-        Cycle readyAt = 0;
-        Addr pc = 0;
-        Addr vaddr = 0;
-        std::uint64_t gen = 0;       ///< generation (stale-dep detection)
         bool waitingDep = false;
-        std::uint32_t depIdx = 0;
-        std::uint64_t depGen = 0;
         bool issued = false;         ///< loads: access sent to the DL1
         bool mispredict = false;     ///< branches: redirect when resolved
+        std::uint32_t depIdx = 0;
+        /**
+         * This entry's dependents parked in blockedQ: their count and
+         * the seq of the first. Not checkpointed; serialize() rebuilds
+         * it from blockedQ.
+         */
+        std::uint32_t blockedCount = 0;
+        std::uint64_t blockedFirstSeq = 0;
+        Cycle readyAt = 0;
+        Addr pc = 0;
+        std::uint64_t gen = 0;       ///< generation (stale-dep detection)
+        /** Not next to pc: dispatchOne then copies the two from the
+         *  trace record in two 8-byte loads, as the trace source wrote
+         *  them, not in one 16-byte load the store buffer cannot
+         *  forward. */
+        Addr vaddr = 0;
+        std::uint64_t depGen = 0;
     };
 
     /**
@@ -140,6 +154,12 @@ class CoreModel
      * merging wakes in seq order reproduces the single-list scan's
      * processing order exactly (a dependent always dispatches, hence
      * stamps, after its producer).
+     *
+     * Every blocked entry waits on the load that was the latest at its
+     * dispatch, and only loads end that role, so one producer's
+     * blocked dependents hold consecutive seq stamps: no other entry
+     * is stamped between them. A wake moves that run as one block,
+     * found through the producer's blockedFirstSeq/blockedCount.
      */
     struct WaitRef
     {
@@ -148,18 +168,38 @@ class CoreModel
     };
 
     bool dispatchOne(const TraceInstr &instr, Cycle now);
+    /** The held instruction is a load or store facing a full queue,
+     *  which only retirement or a storeCompleted() can drain. */
+    bool holdBlocked() const;
+    /**
+     * Account for the ticks through @p through that nextEventAt
+     * skipped for ready loads waiting on a future producer. Checkpoint
+     * bytes are those of a core ticked every cycle while its readyQ is
+     * non-empty. Such ticks change no simulated result but leave
+     * bookkeeping: zeroed port counters and, for a held instruction
+     * facing its full queue, one refused dispatch per tick (a load's
+     * refusal consumes a generation stamp and fills the ROB tail
+     * slot). settle() replays it. It runs before anything else changes
+     * the core: at the next tick, a hierarchy callback, or a save.
+     */
+    void settle(Cycle through);
     void issueWaiting(Cycle now);
     void retire(Cycle now);
     /** True when the dependence of @p e has resolved; sets dep time. */
     bool depResolved(const RobEntry &e, Cycle &dep_ready) const;
 
     /**
-     * Move @p producer's (generation @p gen) blocked dependents into
-     * @p into, keeping it seq-sorted from position @p from on. Used
-     * with readyQ (callback wakes) and the mid-scan woken buffer.
+     * Move @p producer's blocked dependents into @p into, keeping it
+     * seq-sorted from position @p from on. Used with readyQ (callback
+     * wakes) and the mid-scan woken buffer.
      */
-    void wakeDependents(std::uint32_t producer, std::uint64_t gen,
-                        std::vector<WaitRef> &into, std::size_t from);
+    void wakeDependents(RobEntry &producer, std::vector<WaitRef> &into,
+                        std::size_t from);
+    /** Park ROB entry @p idx in blockedQ behind the latest load. */
+    void block(std::uint32_t idx);
+    /** Restore: rebuild the blocked-run index from blockedQ, failing
+     *  @p s if the list breaks the one-run-per-producer shape. */
+    void rebuildBlockedRuns(Serializer &s);
 
     CoreId coreId;
     CoreParams params;
@@ -199,6 +239,9 @@ class CoreModel
 
     /** Set by tick() and the hierarchy callbacks; see horizonStale(). */
     bool horizonStaleFlag = true;
+
+    Cycle settledThrough = 0;    ///< last cycle ticked or settled
+    bool readyAfterTick = false; ///< readyQ non-empty at settledThrough
 };
 
 } // namespace bop

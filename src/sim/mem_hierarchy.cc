@@ -159,8 +159,10 @@ MemHierarchy::coreLoad(CoreId core, Addr vaddr, Addr pc,
     cs.horizonDirty = true;
     const LineAddr line = lineOf(cs.vmem.translate(vaddr));
 
-    // Structural check first so a Retry has no side effects.
-    if (!cs.dl1.probe(line) && !cs.mshr.find(line) && cs.mshr.full())
+    // Structural check first so a Retry has no side effects. Only a
+    // full MSHR file can refuse, so test that before the tag probe and
+    // the MSHR scan.
+    if (cs.mshr.full() && !cs.dl1.probe(line) && !cs.mshr.find(line))
         return {LoadOutcome::Kind::Retry, 0};
 
     std::uint64_t dummy1 = 0, dummy2 = 0;
@@ -216,7 +218,7 @@ MemHierarchy::coreStore(CoreId core, Addr vaddr, Addr pc, Cycle now)
     cs.horizonDirty = true;
     const LineAddr line = lineOf(cs.vmem.translate(vaddr));
 
-    if (!cs.dl1.probe(line) && !cs.mshr.find(line) && cs.mshr.full())
+    if (cs.mshr.full() && !cs.dl1.probe(line) && !cs.mshr.find(line))
         return {false, false};
 
     std::uint64_t dummy1 = 0, dummy2 = 0;
@@ -772,7 +774,7 @@ MemHierarchy::processDl1Deliveries(CoreSide &cs, Cycle now)
             for (const std::uint32_t tag : m->waiters)
                 core->loadCompleted(tag, now);
             if (m->storeWaiters > 0)
-                core->storeCompleted(m->storeWaiters);
+                core->storeCompleted(m->storeWaiters, now);
         }
     }
     cs.dl1Due.resize(keep);
@@ -786,6 +788,7 @@ void
 MemHierarchy::tick(Cycle now)
 {
     horizonStaleFlag = true;
+    uncoreHorizonDirty = true;
     // Jump-safety for the one piece of per-tick state that advances
     // even when the uncore is idle: processPrefetchQueues moves the
     // round-robin pointer by exactly one on every tick that issues
@@ -873,24 +876,36 @@ MemHierarchy::nextEventAt(Cycle now) const
             return next;
     }
 
-    // Sharded L3 demand queues: served in global arrival order, and
-    // arrival order implies readyAt order within a shard, so the
-    // shard heads bound the next serviceable request.
-    for (const auto &q : toL3) {
-        if (!q.empty())
-            fold(q.front().readyAt);
+    // The uncore part (L3 queues, L3 fill queue, controllers) changes
+    // only inside tick(): the core-side entry points touch their own
+    // side alone. So it is computed once per tick, in absolute cycles
+    // like rawHorizon, and reused by the queries a core access causes
+    // before the next tick. A controller's bus-edge horizon depends on
+    // `now` only through the first edge after it, which a query before
+    // the cached horizon cannot pass; a later query would only see a
+    // later edge, so the cached value is never less conservative.
+    if (uncoreHorizonDirty) {
+        Cycle raw = neverCycle;
+        // L2 dirty victims into the L3 drain unconditionally.
+        if (!wbToL3.empty()) {
+            raw = 0;
+        } else {
+            // Sharded L3 demand queues: served in global arrival
+            // order, and arrival order implies readyAt order within a
+            // shard, so the shard heads bound the next serviceable
+            // request.
+            for (const auto &q : toL3) {
+                if (!q.empty())
+                    raw = std::min(raw, q.front().readyAt);
+            }
+            raw = std::min(raw, l3Fill.minReadyAt());
+            for (const auto &mc : mcs)
+                raw = std::min(raw, mc->nextEventAt(now));
+        }
+        uncoreHorizon = raw;
+        uncoreHorizonDirty = false;
     }
-    if (!wbToL3.empty())
-        return next;
-    fold(l3Fill.minReadyAt());
-    if (ev == next)
-        return next;
-
-    for (const auto &mc : mcs) {
-        fold(mc->nextEventAt(now));
-        if (ev == next)
-            return next;
-    }
+    fold(uncoreHorizon);
     return ev;
 }
 
@@ -996,6 +1011,7 @@ MemHierarchy::serialize(Serializer &s)
         if (toL3.size() != channels)
             s.fail("L3 demand shard count mismatch");
         horizonStaleFlag = true;
+        uncoreHorizonDirty = true;
     }
 }
 

@@ -102,8 +102,8 @@ class MemHierarchy : public CoreMemInterface
      */
     Cycle nextEventAt(Cycle now) const;
 
-    /** True when uncore state changed since clearHorizonStale() (own
-     *  tick, or a core-side entry point pushed work in). */
+    /** True when state changed since clearHorizonStale() (own tick,
+     *  or a core-side entry point pushed work into its side). */
     bool horizonStale() const { return horizonStaleFlag; }
     void clearHorizonStale() { horizonStaleFlag = false; }
 
@@ -223,6 +223,10 @@ class MemHierarchy : public CoreMemInterface
     unsigned prefetchRr = 0;   ///< round-robin over cores' prefetch queues
     Cycle lastTicked = 0;      ///< gap detection (fast-forward catch-up)
     bool horizonStaleFlag = true; ///< see horizonStale()
+    /** nextEventAt's uncore sub-cache (absolute cycles, like
+     *  CoreSide::rawHorizon), recomputed after each tick(). */
+    mutable Cycle uncoreHorizon = 0;
+    mutable bool uncoreHorizonDirty = true;
     RunStats stats;            ///< cumulative core-0 + chip counters
     std::vector<char> chanStalled; ///< per-channel scratch (processToL3)
     /** Scratch for the L2 prefetchers' proposals (triggerL2Prefetcher). */

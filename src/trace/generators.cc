@@ -1,21 +1,72 @@
 #include "trace/generators.hh"
 
+#include <bit>
 #include <cassert>
+#include <stdexcept>
 
 namespace bop
 {
 
+namespace
+{
+
+/** 2^53: one past the largest 53-bit draw. */
+constexpr std::uint64_t drawSpan = 1ull << 53;
+
+/**
+ * Smallest 53-bit draw u for which the stream pick's float rule
+ * `u * 2^-53 * total >= cum` holds (drawSpan when none does). With
+ * total >= 0 the rounded product never decreases as u grows, so the
+ * rule holds exactly for u >= the returned value.
+ */
+std::uint64_t
+pickThreshold(double total, double cum)
+{
+    const auto holds = [&](std::uint64_t u) {
+        return static_cast<double>(u) * (1.0 / 9007199254740992.0) *
+                   total >=
+               cum;
+    };
+    std::uint64_t lo = 0;
+    std::uint64_t hi = drawSpan; // holds() is false below lo, true at hi
+    while (lo < hi) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (holds(mid))
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+} // namespace
+
 SyntheticTrace::SyntheticTrace(WorkloadSpec spec_, std::uint64_t seed)
     : spec(std::move(spec_)),
-      rng(seed ^ splitmix64(0xabcdef ^ spec.name.size()))
+      rng(seed ^ splitmix64(0xabcdef ^ spec.name.size())),
+      memBelow(fractionThreshold(spec.memFraction)),
+      branchBelow(
+          fractionThreshold(spec.memFraction + spec.branchFraction)),
+      depChance(spec.depFraction),
+      branchRandom(spec.branchRandomFraction),
+      branchTaken(spec.branchBias),
+      fpChance(spec.fpFraction),
+      opDep(spec.opDepFraction)
 {
     assert(!spec.streams.empty());
 
+    std::vector<double> cum_weights;
     double cum = 0.0;
     for (std::size_t i = 0; i < spec.streams.size(); ++i) {
         const StreamSpec &ss = spec.streams[i];
         StreamState st;
         st.spec = &spec.streams[i];
+        st.reuse = ss.reuseFraction;
+        st.scramble = ss.scramble;
+        st.store = ss.storeRatio;
+        st.chaseNear = fractionThreshold(ss.chaseLocality, 16);
+        st.regionLines = ss.regionBytes >> lineShift;
+        st.linesPow2 = std::has_single_bit(st.regionLines);
 
         // Disjoint 16GB-aligned virtual regions per region id (streams
         // sharing a regionId interleave within one region via phase).
@@ -33,8 +84,16 @@ SyntheticTrace::SyntheticTrace(WorkloadSpec spec_, std::uint64_t seed)
         st.chase = splitmix64(seed + i);
         streams.push_back(st);
         cum += ss.weight;
-        cumWeights.push_back(cum);
+        cum_weights.push_back(cum);
     }
+    if (cum < 0.0) {
+        throw std::invalid_argument(
+            "SyntheticTrace: stream weights of " + spec.name +
+            " sum below zero");
+    }
+    // The last stream is taken when every earlier test fails.
+    for (std::size_t i = 0; i + 1 < cum_weights.size(); ++i)
+        pickAt.push_back(pickThreshold(cum, cum_weights[i]));
     opPc = 0x7f0000;
 }
 
@@ -60,26 +119,21 @@ SyntheticTrace::patternAddr(StreamState &st)
       }
       case StreamPattern::PointerChase: {
         st.chase = splitmix64(st.chase);
-        const std::uint64_t region_lines = ss.regionBytes >> lineShift;
         const std::uint64_t prev_line =
             (st.chasePrev - st.base) >> lineShift;
         std::uint64_t line;
-        if (st.chasePrev != 0 &&
-            static_cast<double>(st.chase & 0xffff) <
-                ss.chaseLocality * 65536.0) {
+        if (st.chasePrev != 0 && (st.chase & 0xffff) < st.chaseNear) {
             // Allocation-order locality: neighbour node, 1..4 lines on.
-            line = (prev_line + 1 + ((st.chase >> 16) & 3)) %
-                   region_lines;
+            line = wrapLine(st, prev_line + 1 + ((st.chase >> 16) & 3));
         } else {
-            line = (st.chase >> 16) % region_lines;
+            line = wrapLine(st, st.chase >> 16);
         }
         const Addr a = st.base + (line << lineShift);
         st.chasePrev = a;
         return a;
       }
       case StreamPattern::Random: {
-        const std::uint64_t line =
-            rng.next() % (ss.regionBytes >> lineShift);
+        const std::uint64_t line = wrapLine(st, rng.next());
         return st.base + (line << lineShift);
       }
     }
@@ -95,7 +149,7 @@ SyntheticTrace::streamAddr(StreamState &st)
     // short-range locality).
     st.lastWasReuse = false;
     if (ss.reuseFraction > 0.0 && !st.recent.empty() &&
-        rng.chance(ss.reuseFraction)) {
+        rng.chance(st.reuse)) {
         st.lastWasReuse = true;
         st.lastSubIndex = static_cast<int>(rng.below(8));
         const Addr elem = st.recent[rng.below(st.recent.size())];
@@ -145,16 +199,14 @@ SyntheticTrace::rememberElement(StreamState &st, Addr elem)
 Addr
 SyntheticTrace::scrambledAddr(StreamState &st)
 {
-    const StreamSpec &ss = *st.spec;
-
     // Scrambling (Sec. 3.1): keep a small pool of upcoming addresses
     // and emit them mildly out of order.
     constexpr std::size_t pool_size = 8;
     while (st.pool.size() < pool_size)
         st.pool.push_back(patternAddr(st));
     std::size_t pick = 0;
-    if (rng.chance(ss.scramble))
-        pick = rng.below(st.pool.size());
+    if (rng.chance(st.scramble))
+        pick = rng.below(pool_size); // == st.pool.size(), a constant
     const Addr a = st.pool[pick];
     st.pool.erase(st.pool.begin() + static_cast<std::ptrdiff_t>(pick));
     return a;
@@ -164,23 +216,22 @@ TraceInstr
 SyntheticTrace::next()
 {
     TraceInstr instr;
-    const double r =
-        static_cast<double>(rng.next() >> 11) * (1.0 / 9007199254740992.0);
+    // 53-bit draws tested against integer thresholds: the same
+    // decisions as the float rules the thresholds are derived from.
+    const std::uint64_t r = rng.next() >> 11;
 
-    if (r < spec.memFraction) {
+    if (r < memBelow) {
         // Pick a stream by weight.
-        const double total = cumWeights.back();
-        const double pick = static_cast<double>(rng.next() >> 11) *
-                            (1.0 / 9007199254740992.0) * total;
+        const std::uint64_t pick = rng.next() >> 11;
         std::size_t idx = 0;
-        while (idx + 1 < cumWeights.size() && pick >= cumWeights[idx])
+        while (idx < pickAt.size() && pick >= pickAt[idx])
             ++idx;
         StreamState &st = streams[idx];
         const StreamSpec &ss = *st.spec;
 
         instr.vaddr = streamAddr(st);
-        instr.kind = rng.chance(ss.storeRatio) ? InstrKind::Store
-                                               : InstrKind::Load;
+        instr.kind =
+            rng.chance(st.store) ? InstrKind::Store : InstrKind::Load;
         // One PC per element field (so each PC's stride is constant);
         // multi-PC streams additionally rotate through pcCount PCs.
         // Reuse accesses are separate instructions in real code, so
@@ -195,13 +246,13 @@ SyntheticTrace::next()
 
         instr.dependsOnPrevLoad =
             ss.pattern == StreamPattern::PointerChase ||
-            rng.chance(spec.depFraction);
-    } else if (r < spec.memFraction + spec.branchFraction) {
+            rng.chance(depChance);
+    } else if (r < branchBelow) {
         instr.kind = InstrKind::Branch;
-        if (rng.chance(spec.branchRandomFraction)) {
+        if (rng.chance(branchRandom)) {
             // Data-dependent, hard-to-predict branch.
             instr.pc = 0x500000;
-            instr.taken = rng.chance(spec.branchBias);
+            instr.taken = rng.chance(branchTaken);
             instr.dependsOnPrevLoad = rng.chance(0.5);
         } else {
             // Loop branch: taken except every loopPeriod-th execution
@@ -213,10 +264,10 @@ SyntheticTrace::next()
             instr.taken = loopCounter != 0;
         }
     } else {
-        instr.kind = rng.chance(spec.fpFraction) ? InstrKind::FpOp
-                                                 : InstrKind::IntOp;
+        instr.kind =
+            rng.chance(fpChance) ? InstrKind::FpOp : InstrKind::IntOp;
         instr.pc = opPc;
-        instr.dependsOnPrevLoad = rng.chance(spec.opDepFraction);
+        instr.dependsOnPrevLoad = rng.chance(opDep);
     }
     return instr;
 }

@@ -158,6 +158,15 @@ class SyntheticTrace : public TraceSource
     struct StreamState
     {
         const StreamSpec *spec = nullptr;
+        /** The spec's probabilities as integer draw tests. */
+        Chance reuse{0.0};
+        Chance scramble{0.0};
+        Chance store{0.0};
+        /** Pointer-chase neighbour test on 16 hash bits:
+         *  (chase & 0xffff) < this  <=>  the chaseLocality rule. */
+        std::uint64_t chaseNear = 0;
+        std::uint64_t regionLines = 0; ///< regionBytes >> lineShift
+        bool linesPow2 = false;        ///< wrap by mask, not modulo
         Addr base = 0;
         std::uint64_t cursor = 0;
         std::uint64_t chase = 0;
@@ -189,12 +198,34 @@ class SyntheticTrace : public TraceSource
     /** Raw in-order next address of the stream's pattern. */
     Addr patternAddr(StreamState &st);
 
+    /** @p line modulo the stream's region line count. */
+    static std::uint64_t
+    wrapLine(const StreamState &st, std::uint64_t line)
+    {
+        return st.linesPow2 ? line & (st.regionLines - 1)
+                            : line % st.regionLines;
+    }
+
     WorkloadSpec spec;
     /** Buffered so per-instruction draw bursts refill in one tight
      *  loop; the draw stream is bit-identical to a plain Rng. */
     BufferedRng rng;
     std::vector<StreamState> streams;
-    std::vector<double> cumWeights;
+    /**
+     * The per-instruction float tests on a 53-bit draw u, as integer
+     * thresholds that decide every u the same way: u < memBelow is
+     * `u * 2^-53 < memFraction`, u < branchBelow the same against
+     * memFraction + branchFraction, and u >= pickAt[i] is the stream
+     * pick's `u * 2^-53 * total >= cumWeight[i]`.
+     */
+    std::uint64_t memBelow = 0;
+    std::uint64_t branchBelow = 0;
+    std::vector<std::uint64_t> pickAt;
+    Chance depChance{0.0};
+    Chance branchRandom{0.0};
+    Chance branchTaken{0.0};
+    Chance fpChance{0.0};
+    Chance opDep{0.0};
     std::uint64_t loopCounter = 0;
     Addr opPc = 0;
 };

@@ -37,12 +37,19 @@ enum class InstrKind : std::uint8_t
     Branch,  ///< conditional branch
 };
 
-/** One trace record. */
+/**
+ * One trace record. A core consumes a fresh record right after the
+ * source wrote it, field by field, so each field is read back with
+ * the width it was written with and the CPU forwards it from its store
+ * buffer. The two addresses lead and the three one-byte fields share
+ * the last word, which keeps the record at 24 bytes. The checkpoint
+ * order below is independent of this layout.
+ */
 struct TraceInstr
 {
-    InstrKind kind = InstrKind::IntOp;
     Addr pc = 0;
     Addr vaddr = 0;          ///< loads/stores only
+    InstrKind kind = InstrKind::IntOp;
     bool taken = false;      ///< branches only
     bool dependsOnPrevLoad = false;
 

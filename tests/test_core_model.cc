@@ -295,7 +295,7 @@ TEST(CoreModel, StoreQueueBackpressure)
     for (Cycle now = 1; now <= 100; ++now)
         core.tick(now);
     EXPECT_LE(mem.stores, 4) << "store queue must throttle at 4";
-    core.storeCompleted(mem.stores);
+    core.storeCompleted(mem.stores, 100);
     for (Cycle now = 101; now <= 120; ++now)
         core.tick(now);
     EXPECT_GT(mem.stores, 4);

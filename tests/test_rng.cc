@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/rng.hh"
 
@@ -125,6 +127,61 @@ TEST(BufferedRng, ReseedRestartsLikeFreshRng)
     Rng fresh(42);
     for (int i = 0; i < 100; ++i)
         ASSERT_EQ(buffered.next(), fresh.next()) << i;
+}
+
+TEST(Chance, ThresholdMatchesTheFloatRuleAtItsEdges)
+{
+    // u < ceil(p * 2^53) must decide every 53-bit draw u exactly as
+    // the float rule u * 2^-53 < p does; the boundary is where an
+    // off-by-one would show. ceil() here is the library's.
+    constexpr std::uint64_t span = 1ull << 53;
+    const double tiny = 1.0 / 9007199254740992.0; // 2^-53
+    for (const double p :
+         {0.0, tiny, 0.1, 0.25, 0.5, 1.0 - tiny, 1.0, 0.3, 1e-300}) {
+        const Chance c(p);
+        const double edge = std::ceil(p * 9007199254740992.0);
+        const auto e = static_cast<std::uint64_t>(edge);
+        std::vector<std::uint64_t> draws = {0, span - 1, e};
+        if (e > 0)
+            draws.push_back(e - 1);
+        for (const std::uint64_t u : draws) {
+            if (u >= span)
+                continue;
+            const bool expect =
+                static_cast<double>(u) * (1.0 / 9007199254740992.0) < p;
+            EXPECT_EQ(c.admits(u), expect) << p << " at " << u;
+        }
+    }
+    EXPECT_EQ(fractionThreshold(0.0), 0u);
+    EXPECT_EQ(fractionThreshold(tiny), 1u);
+    EXPECT_EQ(fractionThreshold(0.5), span / 2);
+    EXPECT_EQ(fractionThreshold(1.0 - tiny), span - 1);
+    EXPECT_EQ(fractionThreshold(1.0), span);
+    EXPECT_EQ(fractionThreshold(-0.5), 0u);
+    EXPECT_EQ(fractionThreshold(2.0), span);
+    EXPECT_EQ(fractionThreshold(std::nan("")), 0u);
+}
+
+TEST(Chance, DrawCountFollowsTheHistoricalRule)
+{
+    // p <= 0 and p >= 1 decide without drawing; anything else, NaN
+    // included, consumes exactly one draw. A drawing test that used
+    // one draw too many or too few would shift every later value.
+    for (const double p : {-1.0, 0.0, 1.0, 7.0}) {
+        Rng rng(5), ref(5);
+        EXPECT_EQ(rng.chance(p), p >= 1.0) << p;
+        EXPECT_FALSE(Chance(p).draws()) << p;
+        EXPECT_EQ(rng.next(), ref.next()) << p << ": no draw consumed";
+    }
+    for (const double p : {1e-300, 0.3, 1.0 - 1e-16, std::nan("")}) {
+        Rng rng(5), ref(5);
+        const std::uint64_t u = ref.next() >> 11;
+        const bool expect =
+            static_cast<double>(u) * (1.0 / 9007199254740992.0) < p;
+        EXPECT_EQ(rng.chance(p), expect) << p;
+        EXPECT_TRUE(Chance(p).draws()) << p;
+        EXPECT_EQ(rng.next(), ref.next()) << p << ": one draw consumed";
+    }
 }
 
 } // namespace
