@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -188,108 +188,22 @@ class RecordParser
     std::size_t pos = 0;
 };
 
+/** A field value as exactDiff prints it: numbers in the shortest
+ *  spelling that reads back as the same double. */
 std::string
-lookupString(const ParsedRunRecord &record, const std::string &name)
+spell(double value)
 {
-    const auto it = record.strings.find(name);
-    return it == record.strings.end() ? std::string() : it->second;
-}
-
-double
-lookupNumber(const ParsedRunRecord &record, const std::string &name,
-             double fallback)
-{
-    const auto it = record.numbers.find(name);
-    return it == record.numbers.end() ? fallback : it->second;
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
 std::string
-checkpointOrDefault(const ParsedRunRecord &record)
+spell(const std::string &value)
 {
-    // Artifacts written before the checkpoint field existed are cold
-    // runs, which modern writers serialise as "none".
-    const std::string value = lookupString(record, "checkpoint");
-    return value.empty() ? "none" : value;
-}
-
-std::string
-traceSourceOrDefault(const ParsedRunRecord &record)
-{
-    // Artifacts written before the trace_source field existed must
-    // keep matching their modern counterparts, which serialise
-    // generator-driven runs as "generator".
-    const std::string value = lookupString(record, "trace_source");
-    return value.empty() ? "generator" : value;
-}
-
-/** Flag |new-old| (relative to @p base when > 0) beyond threshold. */
-void
-compareMetric(const ParsedRunRecord &oldRecord,
-              const ParsedRunRecord &newRecord, const std::string &key,
-              const std::string &metric, bool relative, double threshold,
-              std::vector<BenchDelta> &flagged)
-{
-    const auto oldIt = oldRecord.numbers.find(metric);
-    const auto newIt = newRecord.numbers.find(metric);
-    if (oldIt == oldRecord.numbers.end() ||
-        newIt == newRecord.numbers.end())
-        return;
-    const double oldValue = oldIt->second;
-    const double newValue = newIt->second;
-    double magnitude = std::fabs(newValue - oldValue);
-    if (relative) {
-        if (oldValue == 0.0) {
-            // Any movement off a zero baseline is an infinite
-            // relative change: flag it unconditionally.
-            if (magnitude == 0.0)
-                return;
-            flagged.push_back(
-                {key, metric, oldValue, newValue, newValue - oldValue});
-            return;
-        }
-        magnitude /= std::fabs(oldValue);
-    }
-    if (magnitude > threshold) {
-        flagged.push_back(
-            {key, metric, oldValue, newValue, newValue - oldValue});
-    }
-}
-
-/** Flag a one-sided relative *drop* in @p metric. Records without the
- *  metric (or with a zero value — "not measured") are skipped, so
- *  artifacts from before the field existed keep diffing cleanly. */
-void
-compareDropMetric(const ParsedRunRecord &oldRecord,
-                  const ParsedRunRecord &newRecord,
-                  const std::string &key, const std::string &metric,
-                  double threshold, std::vector<BenchDelta> &flagged)
-{
-    if (threshold <= 0.0)
-        return;
-    const auto oldIt = oldRecord.numbers.find(metric);
-    const auto newIt = newRecord.numbers.find(metric);
-    if (oldIt == oldRecord.numbers.end() ||
-        newIt == newRecord.numbers.end())
-        return;
-    const double oldValue = oldIt->second;
-    const double newValue = newIt->second;
-    if (oldValue <= 0.0 || newValue <= 0.0)
-        return;
-    if ((oldValue - newValue) / oldValue > threshold) {
-        flagged.push_back(
-            {key, metric, oldValue, newValue, newValue - oldValue});
-    }
+    return value;
 }
 
 } // namespace
-
-std::string
-ParsedRunRecord::key() const
-{
-    return lookupString(*this, "workload") + " | " +
-           lookupString(*this, "config") + " | " +
-           traceSourceOrDefault(*this);
-}
 
 std::vector<ParsedRunRecord>
 parseRunRecords(std::istream &in)
@@ -373,141 +287,6 @@ parseRunRecordsFile(const std::string &path, std::string *warning)
     return records;
 }
 
-namespace
-{
-
-/** "kind" of an error record ("unknown" when the field is missing —
- *  serve rejection objects from before the kind field existed). */
-std::string
-errorKindOrDefault(const ParsedRunRecord &record)
-{
-    const std::string kind = lookupString(record, "kind");
-    return kind.empty() ? "unknown" : kind;
-}
-
-/** Pair the error records of both artifacts by job_index and report
- *  kind mismatches; a mismatch is a non-clean finding. Records
- *  without a job_index (-1) cannot be paired and are listed as
- *  one-sided. Last record per index wins, matching the journal's
- *  replay rule. */
-void
-diffErrorRecords(const std::vector<const ParsedRunRecord *> &oldErrors,
-                 const std::vector<const ParsedRunRecord *> &newErrors,
-                 BenchDiffResult &result)
-{
-    std::map<long, std::string> oldByIndex;
-    for (const ParsedRunRecord *record : oldErrors) {
-        const long index =
-            static_cast<long>(lookupNumber(*record, "job_index", -1.0));
-        if (index >= 0)
-            oldByIndex[index] = errorKindOrDefault(*record);
-        else
-            result.errorOnlyOld.push_back(
-                "job ? (" + errorKindOrDefault(*record) + ")");
-    }
-    std::map<long, bool> seen;
-    for (const ParsedRunRecord *record : newErrors) {
-        const long index =
-            static_cast<long>(lookupNumber(*record, "job_index", -1.0));
-        const std::string kind = errorKindOrDefault(*record);
-        if (index < 0) {
-            result.errorOnlyNew.push_back("job ? (" + kind + ")");
-            continue;
-        }
-        const auto it = oldByIndex.find(index);
-        if (it == oldByIndex.end()) {
-            result.errorOnlyNew.push_back(
-                "job " + std::to_string(index) + " (" + kind + ")");
-            continue;
-        }
-        seen[index] = true;
-        ++result.errorsCompared;
-        if (it->second != kind)
-            result.errorMismatches.push_back({index, it->second, kind});
-    }
-    for (const auto &[index, kind] : oldByIndex) {
-        if (!seen.count(index))
-            result.errorOnlyOld.push_back(
-                "job " + std::to_string(index) + " (" + kind + ")");
-    }
-}
-
-} // namespace
-
-BenchDiffResult
-diffRunRecords(const std::vector<ParsedRunRecord> &oldRecords,
-               const std::vector<ParsedRunRecord> &newRecords,
-               const BenchDiffOptions &options)
-{
-    BenchDiffResult result;
-
-    // Error records never enter the metric comparison: an errored run
-    // has no IPC/coverage/throughput to compare, and letting its key
-    // match a success record's would silently skew the stats. They
-    // are split off here and paired by job_index below.
-    std::vector<const ParsedRunRecord *> oldErrors, newErrors;
-    std::map<std::string, const ParsedRunRecord *> byKey;
-    for (const ParsedRunRecord &record : oldRecords) {
-        if (record.isError())
-            oldErrors.push_back(&record);
-        else
-            byKey[record.key()] = &record;
-    }
-
-    std::map<std::string, bool> seen;
-    for (const ParsedRunRecord &newRecord : newRecords) {
-        if (newRecord.isError()) {
-            newErrors.push_back(&newRecord);
-            continue;
-        }
-        const std::string key = newRecord.key();
-        const auto it = byKey.find(key);
-        if (it == byKey.end()) {
-            result.onlyNew.push_back(key);
-            continue;
-        }
-        seen[key] = true;
-        ++result.compared;
-        const ParsedRunRecord &oldRecord = *it->second;
-        compareMetric(oldRecord, newRecord, key, "ipc",
-                      /*relative=*/true, options.ipcRelative,
-                      result.flagged);
-        compareMetric(oldRecord, newRecord, key, "prefetch_coverage",
-                      /*relative=*/false, options.coverageAbsolute,
-                      result.flagged);
-        compareMetric(oldRecord, newRecord, key, "dram_per_1k_instr",
-                      /*relative=*/true, options.dramRelative,
-                      result.flagged);
-        // Engine throughput is only comparable between runs scheduled
-        // under the same sweep-farm jobs count — it oversubscribes the
-        // host the way wall clock notices (records predating the field
-        // read as 1) — AND with the same checkpoint provenance: a
-        // warm-restored run skips the warmup, so its wall clock is
-        // incommensurable with a cold run's even though the simulated
-        // statistics are bit-identical. Records written by older
-        // builds may carry a "threads" field; it is ignored.
-        if (lookupNumber(oldRecord, "jobs", 1.0) ==
-                lookupNumber(newRecord, "jobs", 1.0) &&
-            checkpointOrDefault(oldRecord) ==
-                checkpointOrDefault(newRecord)) {
-            compareDropMetric(oldRecord, newRecord, key,
-                              "sim_mcycles_per_s",
-                              options.throughputDropRelative,
-                              result.flagged);
-        }
-    }
-    for (const ParsedRunRecord &record : oldRecords) {
-        if (record.isError())
-            continue;
-        const std::string key = record.key();
-        if (!seen.count(key))
-            result.onlyOld.push_back(key);
-    }
-
-    diffErrorRecords(oldErrors, newErrors, result);
-    return result;
-}
-
 std::vector<std::string>
 exactDiff(const std::vector<ParsedRunRecord> &oldRecords,
           const std::vector<ParsedRunRecord> &newRecords)
@@ -525,10 +304,7 @@ exactDiff(const std::vector<ParsedRunRecord> &oldRecords,
             const auto it = fields.find(name);
             if (it == fields.end())
                 return std::string("(absent)");
-            std::ostringstream oss;
-            oss.precision(17);
-            oss << it->second;
-            return oss.str();
+            return spell(it->second);
         };
         std::set<std::string> names;
         for (const auto &kv : oldFields)

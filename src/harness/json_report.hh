@@ -38,17 +38,17 @@ struct RunRecord
      * Wall-clock seconds the simulation itself took (0 when not
      * measured, e.g. a hand-assembled record). Serialised together
      * with the derived engine-throughput rates (simulated Mcycles/s,
-     * retired Minstr/s) so BENCH_perf trajectories track simulator
-     * speed per benchmark, not just suite wall clock.
+     * retired Minstr/s) so each record shows how fast it ran. All
+     * three are host fields (hostTimingFields()) that bench_diff
+     * ignores.
      */
     double wallSeconds = 0.0;
 
     /**
      * Sweep-farm worker count the run was scheduled under (1 =
      * serial). A host-side knob: simulated statistics and job_index
-     * are identical for every value, but wall clock is not, so
-     * bench_diff only compares throughput between records with equal
-     * jobs counts.
+     * are identical for every value, so it is a host field that
+     * bench_diff ignores.
      */
     int jobs = 1;
 
@@ -86,9 +86,9 @@ struct RunRecord
      * --save-checkpoint/--restore-checkpoint runs, "warm-shared" when
      * the run consumed or produced a shared warmup prefix
      * (ExperimentRunner checkpoint sharing). Restore bit-identity
-     * keeps the simulated statistics equal across all values, but the
-     * wall clock is not comparable, so bench_diff --throughput only
-     * compares records with equal checkpoint provenance.
+     * keeps the simulated statistics equal across all values; the
+     * field says which warm-up path produced the record, and
+     * bench_diff reports a provenance change like any other field.
      */
     std::string checkpoint{};
 

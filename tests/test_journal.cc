@@ -35,6 +35,7 @@
 
 #include "common/fault.hh"
 #include "common/serializer.hh"
+#include "harness/bench_diff.hh"
 #include "harness/experiment.hh"
 #include "harness/journal.hh"
 #include "harness/serve.hh"
@@ -100,14 +101,16 @@ tinyOptions(const std::string &journal = "", const std::string &resume = "")
 }
 
 /** Mask exactly the host-timing fields the byte-identity contract
- *  excludes (same set as test_chaos.cc / test_sweep_farm.cc), plus
- *  attempts (a crash-resumed job may have taken several). */
+ *  excludes (hostTimingFields(), as in test_chaos.cc /
+ *  test_sweep_farm.cc), plus attempts (a crash-resumed job may have
+ *  taken several). */
 std::string
 maskTiming(const std::string &text)
 {
-    static const std::regex timing(
-        "\"(jobs|wall_seconds|queue_wait_seconds|sim_mcycles_per_s|"
-        "retired_minstr_per_s|attempts)\": [^,\\n}]+");
+    std::string fields = "attempts";
+    for (const std::string &field : hostTimingFields())
+        fields += "|" + field;
+    const std::regex timing("\"(" + fields + ")\": [^,\\n}]+");
     return std::regex_replace(text, timing, "\"$1\": X");
 }
 

@@ -118,7 +118,7 @@ submitFig06Subset(SweepFarm &farm)
 /**
  * Serialize records with the host-timing fields masked: exactly the
  * keys the --jobs byte-identity contract excludes (hostTimingFields(),
- * the list `bench_diff --exact` ignores).
+ * the list `bench_diff` ignores).
  * job_index is NOT masked — it must match across worker counts.
  */
 std::string
