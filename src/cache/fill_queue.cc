@@ -10,6 +10,8 @@ FillQueue::FillQueue(std::string name_, std::size_t capacity_)
     : name(std::move(name_)), capacity(capacity_)
 {
     slots.resize(capacity);
+    tags.assign(capacity, freeTag);
+    ids.assign(capacity, 0);
     fifo.reserve(capacity);
 }
 
@@ -19,30 +21,55 @@ FillQueue::slotOf(std::uint32_t id) const
     // The fifo holds exactly the live slots, so scanning it visits
     // size() entries instead of all capacity slots.
     for (const std::uint32_t s : fifo) {
-        if (slots[s].id == id)
+        if (ids[s] == id)
             return s;
     }
     throw std::logic_error(name + ": unknown fill queue entry id");
+}
+
+void
+FillQueue::freeSlot(std::size_t s)
+{
+    slots[s].valid = false;
+    slots[s].hasData = false;
+    tags[s] = freeTag;
+    --liveEntries;
+    ++contentEpoch;
+}
+
+void
+FillQueue::rebuildFlatArrays()
+{
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+        tags[s] = slots[s].valid ? slots[s].line : freeTag;
+        ids[s] = slots[s].id;
+    }
+    ++contentEpoch;
 }
 
 std::uint32_t
 FillQueue::allocate(LineAddr line, const ReqMeta &meta, bool is_prefetch)
 {
     assert(!full() && "caller must check full() before allocating");
-    for (std::size_t s = 0; s < slots.size(); ++s) {
+    assert(line != freeTag && "line address collides with the free-slot "
+                              "sentinel");
+    for (std::size_t s = 0; s < tags.size(); ++s) {
+        if (tags[s] != freeTag)
+            continue;
         FillQueueEntry &slot = slots[s];
-        if (!slot.valid) {
-            slot.valid = true;
-            slot.line = line;
-            slot.hasData = false;
-            slot.readyAt = 0;
-            slot.isPrefetch = is_prefetch;
-            slot.meta = meta;
-            slot.id = nextId++;
-            fifo.push_back(static_cast<std::uint32_t>(s));
-            ++liveEntries;
-            return slot.id;
-        }
+        slot.valid = true;
+        slot.line = line;
+        slot.hasData = false;
+        slot.readyAt = 0;
+        slot.isPrefetch = is_prefetch;
+        slot.meta = meta;
+        slot.id = nextId++;
+        tags[s] = line;
+        ids[s] = slot.id;
+        fifo.push_back(static_cast<std::uint32_t>(s));
+        ++liveEntries;
+        ++contentEpoch;
+        return slot.id;
     }
     throw std::logic_error(name + ": no free slot despite !full()");
 }
@@ -51,13 +78,11 @@ void
 FillQueue::release(std::uint32_t id)
 {
     for (auto it = fifo.begin(); it != fifo.end(); ++it) {
-        FillQueueEntry &slot = slots[*it];
-        if (slot.id == id) {
+        if (ids[*it] == id) {
+            const FillQueueEntry &slot = slots[*it];
             const bool had_data = slot.hasData;
             const Cycle ready = slot.readyAt;
-            slot.valid = false;
-            slot.hasData = false;
-            --liveEntries;
+            freeSlot(*it);
             // Erase before recomputing the minimum, or the scan would
             // still see the dying entry and pin a stale value.
             fifo.erase(it);
@@ -97,18 +122,13 @@ FillQueueEntry *
 FillQueue::find(LineAddr line)
 {
     // The CAM is probed on every request travelling between cache
-    // levels, so the scan is occupancy-bounded: skip the whole search
-    // when empty and stop once every live entry has been inspected.
+    // levels: skip the search when empty, else scan the flat tags in
+    // slot order so the lowest-index match wins.
     if (liveEntries == 0)
         return nullptr;
-    std::size_t seen = 0;
-    for (auto &slot : slots) {
-        if (!slot.valid)
-            continue;
-        if (slot.line == line)
-            return &slot;
-        if (++seen == liveEntries)
-            break;
+    for (std::size_t s = 0; s < tags.size(); ++s) {
+        if (tags[s] == line)
+            return &slots[s];
     }
     return nullptr;
 }
@@ -141,10 +161,8 @@ FillQueue::popReady(Cycle now)
         FillQueueEntry &slot = slots[*it];
         if (slot.hasData && slot.readyAt <= now) {
             FillQueueEntry copy = slot;
-            slot.valid = false;
-            slot.hasData = false;
+            freeSlot(*it);
             --dataEntries;
-            --liveEntries;
             fifo.erase(it);
             if (copy.readyAt == minDataReady)
                 recomputeMinDataReady();

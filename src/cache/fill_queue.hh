@@ -15,7 +15,10 @@
  *
  * The CAM supports the late-prefetch optimisation: a demand miss that
  * matches an in-flight prefetch entry is dropped and the entry promoted
- * from prefetch to demand.
+ * from prefetch to demand. It is searched by every request travelling
+ * between cache levels, so the line addresses and ids live in flat
+ * arrays beside the slots (the MshrFile pattern): a search scans
+ * 8-byte tags instead of striding through the full entries.
  */
 
 #ifndef BOP_CACHE_FILL_QUEUE_HH
@@ -80,7 +83,11 @@ class FillQueue
     std::uint32_t allocateWithData(LineAddr line, const ReqMeta &meta,
                                    bool is_prefetch, Cycle ready_at);
 
-    /** CAM search by line address; nullptr if absent. */
+    /**
+     * CAM search by line address; nullptr if absent. Returns the
+     * lowest-index matching slot: two cores may each have the same
+     * line in flight, and callers act on the first match only.
+     */
     FillQueueEntry *find(LineAddr line);
     const FillQueueEntry *find(LineAddr line) const;
 
@@ -115,10 +122,20 @@ class FillQueue
     Cycle minReadyAt() const { return minDataReady; }
 
     /**
+     * Content epoch: advances on every change to which lines the queue
+     * holds (allocate, release/remove, pop) and on a checkpoint load,
+     * and on nothing else. While it stands still, find() returns the
+     * same slot for every line, so a caller may memoize a miss.
+     * Host-side only: never serialized.
+     */
+    std::uint64_t epoch() const { return contentEpoch; }
+
+    /**
      * Checkpoint the slots and drain order, including the
      * incrementally maintained occupancy counts and min-ready gate
      * (pure functions of the slots, serialized rather than rebuilt so
-     * the restored queue is field-identical) and the id sequence.
+     * the restored queue is field-identical) and the id sequence. The
+     * flat tag and id arrays are rebuilt from the slots on load.
      */
     void
     serialize(Serializer &s)
@@ -142,16 +159,29 @@ class FillQueue
         if (s.loading()) {
             if (slots.size() != capacity || fifo.size() > capacity)
                 s.fail("fill queue '" + name + "' capacity mismatch");
-            if (live64 > capacity || data64 > live64)
+            if (live64 > capacity || data64 > live64 ||
+                fifo.size() != live64)
                 s.fail("fill queue '" + name +
                        "' occupancy out of range");
+            for (const std::uint32_t slot : fifo) {
+                if (slot >= capacity || !slots[slot].valid)
+                    s.fail("fill queue '" + name +
+                           "' drain order names a free slot");
+            }
             liveEntries = static_cast<std::size_t>(live64);
             dataEntries = static_cast<std::size_t>(data64);
+            rebuildFlatArrays();
         }
     }
 
   private:
     std::size_t slotOf(std::uint32_t id) const;
+
+    /** Mark slot @p s free in the slot and the flat arrays. */
+    void freeSlot(std::size_t s);
+
+    /** Re-derive tags and ids from the slots (checkpoint load). */
+    void rebuildFlatArrays();
 
     /** Re-derive minDataReady after the minimum entry left. */
     void recomputeMinDataReady();
@@ -170,7 +200,14 @@ class FillQueue
     std::size_t dataEntries = 0;
     Cycle minDataReady = neverCycle; ///< min readyAt over data entries
     std::uint32_t nextId = 1;
+    std::uint64_t contentEpoch = 0; ///< see epoch()
     std::vector<FillQueueEntry> slots;
+    /** Sentinel tag for free slots (no line address reaches ~0). */
+    static constexpr LineAddr freeTag = ~static_cast<LineAddr>(0);
+    /** Per-slot line (freeTag when free), parallel to slots. */
+    std::vector<LineAddr> tags;
+    /** Per-slot id, parallel to slots (meaningful for live slots). */
+    std::vector<std::uint32_t> ids;
     /**
      * Live slot indices in allocation order. A flat vector (capacity
      * reserved up front): the per-cycle scans walk one contiguous run,

@@ -102,7 +102,8 @@ MemHierarchy::MemHierarchy(const SystemConfig &cfg_)
       l3Fill("l3fq", cfg.caches.l3FillQueue * channelLanes()),
       toL3(static_cast<std::size_t>(cfg.numChannels)),
       cores(static_cast<std::size_t>(cfg.numCores), nullptr),
-      chanStalled(static_cast<std::size_t>(cfg.numChannels), 0)
+      chanStalled(static_cast<std::size_t>(cfg.numChannels), 0),
+      toL3Blocked(static_cast<std::size_t>(cfg.numChannels))
 {
     for (int c = 0; c < cfg.activeCores; ++c)
         sides.push_back(std::make_unique<CoreSide>(cfg, c));
@@ -467,8 +468,15 @@ MemHierarchy::processToL3(Cycle now)
         CoreSide &cs = side(req.meta.core);
         const bool c0 = req.meta.core == 0;
 
+        // A head refused last time after both lookups missed skips
+        // them while the fill queue's content epoch stands still.
+        BlockedMiss &memo = toL3Blocked[best];
+        const bool known_miss = memo.matches(req.line, l3Fill.epoch());
+
         // L3 fill-queue CAM: promote an in-flight prefetch of ours.
-        if (FillQueueEntry *e = l3Fill.find(req.line)) {
+        FillQueueEntry *const e =
+            known_miss ? nullptr : l3Fill.find(req.line);
+        if (e) {
             if (e->isPrefetch && e->meta.core == req.meta.core) {
                 e->isPrefetch = false;
                 e->meta.needL2 = true;
@@ -497,8 +505,10 @@ MemHierarchy::processToL3(Cycle now)
         // need an entry, so the whole stage stops, as it always has. A
         // full per-core read queue is channel-local congestion: only
         // this channel stalls and the others keep draining.
-        const bool will_hit = l3Cache.probe(req.line);
+        const bool will_hit = !known_miss && l3Cache.probe(req.line);
         if (!will_hit) {
+            if (!e)
+                memo = {req.line, l3Fill.epoch()};
             if (l3Fill.full())
                 break; // retry next cycle
             if (controller(static_cast<int>(best))
@@ -563,7 +573,9 @@ MemHierarchy::processPrefetchQueues(Cycle now)
                 continue;
             const bool c0 = c == 0;
 
-            if (l3Fill.find(req->line)) {
+            const bool known_miss =
+                cs.pfBlocked.matches(req->line, l3Fill.epoch());
+            if (!known_miss && l3Fill.find(req->line)) {
                 // Already being fetched: redundant prefetch.
                 cs.horizonDirty = true;
                 cs.prefetchQueue.popFront(now);
@@ -574,7 +586,8 @@ MemHierarchy::processPrefetchQueues(Cycle now)
             }
 
             // Gate before accessing, so retries have no side effects.
-            const bool will_hit = l3Cache.probe(req->line);
+            const bool will_hit =
+                !known_miss && l3Cache.probe(req->line);
             if (will_hit) {
                 if (cs.l2Fill.full())
                     continue; // leave in queue, retry
@@ -585,8 +598,13 @@ MemHierarchy::processPrefetchQueues(Cycle now)
                 cs.prefetchQueue.popFront(now);
                 issued = true;
             } else {
+                // Both lookups missed: remember that, then gate (the
+                // fill queue first, before computing the channel).
+                cs.pfBlocked = {req->line, l3Fill.epoch()};
+                if (l3Fill.full())
+                    continue; // leave in queue, retry
                 const int ch = channelOf(req->line);
-                if (l3Fill.full() || controller(ch).readQueueFull(c))
+                if (controller(ch).readQueueFull(c))
                     continue; // leave in queue, retry
                 ReqMeta meta = req->meta;
                 meta.l3FillId = l3Fill.allocate(req->line, meta, true);
@@ -1012,6 +1030,9 @@ MemHierarchy::serialize(Serializer &s)
             s.fail("L3 demand shard count mismatch");
         horizonStaleFlag = true;
         uncoreHorizonDirty = true;
+        for (auto &cs : sides)
+            cs->pfBlocked = {};
+        std::fill(toL3Blocked.begin(), toL3Blocked.end(), BlockedMiss{});
     }
 }
 

@@ -154,6 +154,29 @@ class MemHierarchy : public CoreMemInterface
         Cycle at = 0;
     };
 
+    /**
+     * Blocked-miss memo for one request head: the line whose L3
+     * fill-queue search and L3 tag probe both missed before the head
+     * was refused at a gate, and the fill-queue epoch they ran at. L3
+     * tags change only in drainOneL3Fill, right after it removes a
+     * fill-queue entry (which advances the epoch), so while line and
+     * epoch both match, both answers stand and a retry pays only for
+     * its gate checks. Host-side only, like uncoreHorizonDirty: never
+     * serialized, reset on restore.
+     */
+    struct BlockedMiss
+    {
+        static constexpr std::uint64_t noEpoch = ~0ull;
+        LineAddr line = 0;
+        std::uint64_t epoch = noEpoch;
+
+        bool
+        matches(LineAddr l, std::uint64_t e) const
+        {
+            return epoch == e && line == l;
+        }
+    };
+
     /** Everything private to one core. */
     struct CoreSide
     {
@@ -173,6 +196,7 @@ class MemHierarchy : public CoreMemInterface
         std::deque<PendingReq> toL2;     ///< DL1 misses / L1 prefetches
         std::deque<LineAddr> wbToL2;     ///< DL1 dirty victims
         std::deque<Dl1Delivery> dl1Due;  ///< blocks headed into the DL1
+        BlockedMiss pfBlocked;           ///< prefetch-queue head memo
 
         /**
          * Horizon sub-cache: min over this side's time-gated sources
@@ -229,6 +253,7 @@ class MemHierarchy : public CoreMemInterface
     mutable bool uncoreHorizonDirty = true;
     RunStats stats;            ///< cumulative core-0 + chip counters
     std::vector<char> chanStalled; ///< per-channel scratch (processToL3)
+    std::vector<BlockedMiss> toL3Blocked; ///< per-channel toL3 head memo
     /** Scratch for the L2 prefetchers' proposals (triggerL2Prefetcher). */
     std::vector<LineAddr> prefetchScratch;
 

@@ -241,6 +241,39 @@ TEST(CheckpointEquivalence, SaveRestoreSaveByteIdentical)
     }
 }
 
+TEST(CheckpointEquivalence, SaturatedFourCoreRunOnByteIdentical)
+{
+    // 4-core 429.mcf with BO on 4 KB pages keeps the shared L3 fill
+    // queue full on most cycles, so prefetch and demand heads retry
+    // against it and the L3 stage's blocked-miss memos are live at the
+    // save point, as are the fill queue's flat tag and id arrays.
+    // Neither is serialized: a restored System must run on to the same
+    // stats as the uninterrupted one and then save the same bytes.
+    SystemConfig cfg = baselineConfig(4, PageSize::FourKB);
+    cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
+    constexpr std::uint64_t warm = 20000;
+    constexpr std::uint64_t run_on = 20000;
+
+    System saver(cfg, makeTraces("429.mcf", cfg));
+    saver.warmup(warm);
+    ASSERT_FALSE(saver.hierarchy().quiescent());
+    const std::vector<std::uint8_t> bytes = saver.saveCheckpointBytes();
+
+    System restored(cfg, makeTraces("429.mcf", cfg));
+    restored.restoreCheckpointBytes(bytes);
+    const RunStats continued = saver.measure(run_on);
+    const RunStats after_restore = restored.measure(run_on);
+    EXPECT_TRUE(continued == after_restore);
+    EXPECT_EQ(continued.dramReads, after_restore.dramReads);
+    EXPECT_EQ(saver.currentCycle(), restored.currentCycle());
+    EXPECT_EQ(saver.saveCheckpointBytes(), restored.saveCheckpointBytes())
+        << "run-on state must not depend on the restore";
+
+    const RunOutcome cold = coldRun("429.mcf", cfg, warm, run_on);
+    EXPECT_TRUE(cold.stats == after_restore);
+    EXPECT_EQ(cold.finalCycle, restored.currentCycle());
+}
+
 TEST(CheckpointEquivalence, FileRoundTrip)
 {
     // The on-disk path (bopsim --save-checkpoint/--restore-checkpoint)

@@ -6,7 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <stdexcept>
+#include <vector>
+
 #include "cache/fill_queue.hh"
+#include "common/rng.hh"
+#include "common/serializer.hh"
 
 namespace bop
 {
@@ -140,6 +147,383 @@ TEST(FillQueue, IdsAreStableAcrossOtherReleases)
     fq.fillData(b, 7);
     EXPECT_EQ(fq.entry(b).line, 2u);
     EXPECT_TRUE(fq.entry(b).hasData);
+}
+
+// ---------------------------------------------------------------------------
+// Randomized equivalence against a naive reference queue
+// ---------------------------------------------------------------------------
+
+/**
+ * The fill queue's contract written the plain way: a slot array
+ * searched front to back, a list of live slots in allocation order,
+ * and nothing cached.
+ */
+class RefFillQueue
+{
+  public:
+    explicit RefFillQueue(std::size_t cap) : slots(cap) {}
+
+    std::size_t size() const { return order.size(); }
+    bool full() const { return order.size() >= slots.size(); }
+
+    std::uint32_t
+    allocate(LineAddr line, bool is_prefetch)
+    {
+        for (std::size_t s = 0; s < slots.size(); ++s) {
+            if (!slots[s].valid) {
+                slots[s] = FillQueueEntry{};
+                slots[s].valid = true;
+                slots[s].line = line;
+                slots[s].isPrefetch = is_prefetch;
+                slots[s].id = nextId++;
+                order.push_back(s);
+                return slots[s].id;
+            }
+        }
+        throw std::logic_error("reference queue full");
+    }
+
+    void
+    release(std::uint32_t id)
+    {
+        const std::size_t s = slotOf(id);
+        slots[s].valid = false;
+        order.erase(std::find(order.begin(), order.end(), s));
+    }
+
+    void
+    fillData(std::uint32_t id, Cycle at)
+    {
+        const std::size_t s = slotOf(id);
+        slots[s].hasData = true;
+        slots[s].readyAt = at;
+    }
+
+    /** Id of the lowest-index slot holding @p line, 0 if none. */
+    std::uint32_t
+    find(LineAddr line) const
+    {
+        for (const FillQueueEntry &e : slots) {
+            if (e.valid && e.line == line)
+                return e.id;
+        }
+        return 0;
+    }
+
+    /** Id of the oldest entry ready at @p now, 0 if none. */
+    std::uint32_t
+    peekReady(Cycle now) const
+    {
+        for (const std::size_t s : order) {
+            if (slots[s].hasData && slots[s].readyAt <= now)
+                return slots[s].id;
+        }
+        return 0;
+    }
+
+    Cycle
+    minReadyAt() const
+    {
+        Cycle m = neverCycle;
+        for (const std::size_t s : order) {
+            if (slots[s].hasData)
+                m = std::min(m, slots[s].readyAt);
+        }
+        return m;
+    }
+
+    const FillQueueEntry &entryOf(std::uint32_t id) const
+    {
+        return slots[slotOf(id)];
+    }
+
+    std::vector<std::uint32_t>
+    liveIds() const
+    {
+        std::vector<std::uint32_t> ids;
+        for (const std::size_t s : order)
+            ids.push_back(slots[s].id);
+        return ids;
+    }
+
+  private:
+    std::size_t
+    slotOf(std::uint32_t id) const
+    {
+        for (const std::size_t s : order) {
+            if (slots[s].id == id)
+                return s;
+        }
+        throw std::logic_error("reference queue: unknown id");
+    }
+
+    std::vector<FillQueueEntry> slots;
+    std::vector<std::size_t> order;
+    std::uint32_t nextId = 1;
+};
+
+std::uint32_t
+idOrZero(const FillQueueEntry *e)
+{
+    return e ? e->id : 0;
+}
+
+TEST(FillQueue, RandomizedMatchesReference)
+{
+    // Few distinct lines over many slots, so duplicates are common and
+    // find() must pick the lowest-index slot among them, as the L3
+    // stage needs when two cores fetch the same line.
+    constexpr std::size_t cap = 12;
+    constexpr LineAddr lines = 6;
+    Rng rng(20);
+    for (int trial = 0; trial < 20; ++trial) {
+        FillQueue fq("t", cap);
+        RefFillQueue ref(cap);
+        Cycle now = 0;
+        int duplicate_hits = 0;
+        for (int step = 0; step < 2000; ++step) {
+            const std::vector<std::uint32_t> live = ref.liveIds();
+            const auto pick_live = [&] {
+                return live[rng.below(static_cast<std::uint32_t>(
+                    live.size()))];
+            };
+            const LineAddr line = rng.below(lines);
+            switch (rng.below(7)) {
+              case 0:
+              case 1:
+                if (!ref.full()) {
+                    const bool pf = rng.below(2) == 0;
+                    ReqMeta meta;
+                    meta.core = static_cast<CoreId>(line % 4);
+                    EXPECT_EQ(fq.allocate(line, meta, pf),
+                              ref.allocate(line, pf));
+                }
+                break;
+              case 2:
+                if (!ref.full()) {
+                    const Cycle at = now + rng.below(8);
+                    const std::uint32_t id = ref.allocate(line, false);
+                    ref.fillData(id, at);
+                    EXPECT_EQ(fq.allocateWithData(line, {}, false, at),
+                              id);
+                }
+                break;
+              case 3:
+                if (!live.empty()) {
+                    const std::uint32_t id = pick_live();
+                    fq.release(id);
+                    ref.release(id);
+                }
+                break;
+              case 4:
+                // Data arrives once per entry (a DRAM completion or
+                // an L3 hit), so only waiting entries get it.
+                if (!live.empty()) {
+                    const std::uint32_t id = pick_live();
+                    if (ref.entryOf(id).hasData)
+                        break;
+                    const Cycle at = now + rng.below(8);
+                    fq.fillData(id, at);
+                    ref.fillData(id, at);
+                }
+                break;
+              case 5: {
+                const std::uint32_t want = ref.peekReady(now);
+                const auto got = fq.popReady(now);
+                ASSERT_EQ(got.has_value(), want != 0);
+                if (got) {
+                    EXPECT_EQ(got->id, want);
+                    EXPECT_EQ(got->line, ref.entryOf(want).line);
+                    ref.release(want);
+                }
+                break;
+              }
+              default:
+                ++now;
+                break;
+            }
+
+            ASSERT_EQ(fq.size(), ref.size()) << "step " << step;
+            EXPECT_EQ(fq.full(), ref.full());
+            EXPECT_EQ(fq.minReadyAt(), ref.minReadyAt());
+            EXPECT_EQ(idOrZero(fq.peekReady(now)), ref.peekReady(now));
+            for (LineAddr l = 0; l <= lines; ++l) {
+                const std::uint32_t want = ref.find(l);
+                const FillQueueEntry *got = fq.find(l);
+                ASSERT_EQ(idOrZero(got), want)
+                    << "line " << l << " step " << step;
+                if (got) {
+                    EXPECT_EQ(got->line, l);
+                    EXPECT_EQ(got->isPrefetch,
+                              ref.entryOf(want).isPrefetch);
+                }
+            }
+            for (const std::uint32_t id : ref.liveIds()) {
+                EXPECT_EQ(fq.entry(id).line, ref.entryOf(id).line);
+                EXPECT_EQ(fq.entry(id).hasData, ref.entryOf(id).hasData);
+            }
+            const std::vector<std::uint32_t> now_live = ref.liveIds();
+            for (LineAddr l = 0; l < lines; ++l) {
+                int copies = 0;
+                for (const std::uint32_t id : now_live)
+                    copies += ref.entryOf(id).line == l;
+                duplicate_hits += copies > 1;
+            }
+        }
+        EXPECT_GT(duplicate_hits, 0) << "trial never held a duplicate";
+    }
+}
+
+TEST(FillQueue, FindPrefersLowestSlotAmongDuplicates)
+{
+    FillQueue fq("t", 4);
+    const auto a = fq.allocate(9, {}, false); // slot 0
+    const auto b = fq.allocate(5, {}, true);  // slot 1
+    const auto c = fq.allocate(5, {}, false); // slot 2
+    EXPECT_EQ(fq.find(5)->id, b);
+    fq.release(a);
+    const auto d = fq.allocate(5, {}, false); // reuses slot 0
+    EXPECT_EQ(fq.find(5)->id, d) << "slot order, not allocation order";
+    fq.release(d);
+    fq.release(b);
+    EXPECT_EQ(fq.find(5)->id, c);
+    EXPECT_EQ(fq.find(9), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Content epoch
+// ---------------------------------------------------------------------------
+
+TEST(FillQueue, EpochAdvancesOnlyOnContentChanges)
+{
+    FillQueue fq("t", 4);
+    std::uint64_t e = fq.epoch();
+    const auto advanced = [&] {
+        const bool moved = fq.epoch() > e;
+        e = fq.epoch();
+        return moved;
+    };
+
+    const auto a = fq.allocate(1, {}, true);
+    EXPECT_TRUE(advanced()) << "allocate";
+    const auto b = fq.allocateWithData(2, {}, false, 5);
+    EXPECT_TRUE(advanced()) << "allocateWithData";
+    const auto c = fq.allocate(3, {}, false);
+    EXPECT_TRUE(advanced());
+
+    fq.fillData(a, 3);
+    EXPECT_FALSE(advanced()) << "fillData changes no line";
+    EXPECT_NE(fq.find(1), nullptr);
+    EXPECT_EQ(fq.find(7), nullptr);
+    EXPECT_FALSE(advanced()) << "find";
+    EXPECT_NE(fq.peekReady(10), nullptr);
+    EXPECT_EQ(fq.peekReady(0), nullptr);
+    EXPECT_FALSE(advanced()) << "peekReady";
+    fq.entry(a).meta.needL2 = true;
+    fq.entry(a).isPrefetch = false;
+    EXPECT_FALSE(advanced()) << "entry edits (promotion)";
+    EXPECT_FALSE(fq.popReady(0).has_value());
+    EXPECT_FALSE(advanced()) << "popReady with nothing ready";
+    (void)fq.full();
+    (void)fq.size();
+    (void)fq.minReadyAt();
+    (void)fq.canAllocateWaiting();
+    EXPECT_FALSE(advanced()) << "queries";
+
+    ASSERT_TRUE(fq.popReady(3).has_value());
+    EXPECT_TRUE(advanced()) << "popReady";
+    fq.release(c);
+    EXPECT_TRUE(advanced()) << "release";
+    fq.removeById(b);
+    EXPECT_TRUE(advanced()) << "removeById";
+    EXPECT_EQ(fq.size(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint round trip
+// ---------------------------------------------------------------------------
+
+std::vector<std::uint8_t>
+saveQueue(FillQueue &fq)
+{
+    std::vector<std::uint8_t> bytes;
+    Serializer s(bytes);
+    fq.serialize(s);
+    return bytes;
+}
+
+void
+loadQueue(FillQueue &fq, const std::vector<std::uint8_t> &bytes)
+{
+    Serializer s(bytes.data(), bytes.size(), 0);
+    fq.serialize(s);
+    s.finish("fill queue");
+}
+
+TEST(FillQueue, SerializeRoundTripFindsSameEntries)
+{
+    FillQueue fq("t", 6);
+    ReqMeta meta;
+    meta.core = 2;
+    const auto a = fq.allocate(10, meta, true);
+    const auto b = fq.allocateWithData(11, {}, false, 4);
+    const auto c = fq.allocate(10, {}, false); // duplicate line
+    const auto d = fq.allocate(12, {}, false);
+    fq.release(a); // frees slot 0; line 10 now lives only in slot 2
+    fq.fillData(d, 9);
+    const std::vector<std::uint8_t> bytes = saveQueue(fq);
+
+    FillQueue restored("t", 6);
+    const std::uint64_t before = restored.epoch();
+    loadQueue(restored, bytes);
+    EXPECT_GT(restored.epoch(), before) << "a load changes the contents";
+
+    EXPECT_EQ(restored.size(), fq.size());
+    EXPECT_EQ(restored.minReadyAt(), fq.minReadyAt());
+    for (const LineAddr l : {10, 11, 12, 13})
+        EXPECT_EQ(idOrZero(restored.find(l)), idOrZero(fq.find(l)))
+            << "line " << l;
+    for (const auto id : {b, c, d}) {
+        EXPECT_EQ(restored.entry(id).line, fq.entry(id).line);
+        EXPECT_EQ(restored.entry(id).hasData, fq.entry(id).hasData);
+    }
+    EXPECT_EQ(restored.find(10)->id, c);
+    EXPECT_THROW(restored.entry(a), std::logic_error);
+    EXPECT_EQ(saveQueue(restored), bytes) << "re-save is byte-identical";
+
+    // The restored queue keeps working: the freed slot 0 is reused and
+    // becomes the lowest-index match for a duplicate of line 10.
+    const auto e = restored.allocate(10, {}, false);
+    EXPECT_EQ(restored.find(10)->id, e);
+    EXPECT_EQ(restored.popReady(4)->id, b);
+}
+
+TEST(FillQueue, CorruptRestoreRefused)
+{
+    FillQueue fq("t", 4);
+    fq.allocate(1, {}, false);
+    fq.allocateWithData(2, {}, false, 3);
+    const std::vector<std::uint8_t> bytes = saveQueue(fq);
+
+    FillQueue wrong_cap("t", 8);
+    EXPECT_THROW(loadQueue(wrong_cap, bytes), CheckpointError);
+
+    // The stream ends with live count, data count, min-ready (u64
+    // each) and the next id (u32).
+    const std::size_t live_at = bytes.size() - 4 - 3 * 8;
+    for (const std::uint64_t bad_live : {5ull, 1ull, 3ull}) {
+        std::vector<std::uint8_t> corrupt = bytes;
+        std::memcpy(&corrupt[live_at], &bad_live, sizeof bad_live);
+        FillQueue q("t", 4);
+        EXPECT_THROW(loadQueue(q, corrupt), CheckpointError)
+            << "live count " << bad_live;
+    }
+    std::vector<std::uint8_t> corrupt = bytes;
+    const std::uint64_t bad_data = 3;
+    std::memcpy(&corrupt[live_at + 8], &bad_data, sizeof bad_data);
+    FillQueue q("t", 4);
+    EXPECT_THROW(loadQueue(q, corrupt), CheckpointError)
+        << "more data entries than live ones";
 }
 
 } // namespace
