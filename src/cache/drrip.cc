@@ -77,14 +77,6 @@ DrripPolicy::victimPeek(std::size_t set) const
 {
     // The increment-until-saturated loop in victim() always evicts the
     // lowest-index way holding the current maximum RRPV.
-    if (packed) {
-        for (unsigned v = rrpvMax; v > 0; --v) {
-            const unsigned w = findNibble(words[set], v);
-            if (w < numWays)
-                return w;
-        }
-        return findNibble(words[set], 0);
-    }
     unsigned best = 0;
     for (unsigned w = 1; w < numWays; ++w) {
         if (rrpvOf(set, w) > rrpvOf(set, best))

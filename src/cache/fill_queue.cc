@@ -10,8 +10,6 @@ FillQueue::FillQueue(std::string name_, std::size_t capacity_)
     : name(std::move(name_)), capacity(capacity_)
 {
     slots.resize(capacity);
-    tags.assign(capacity, freeTag);
-    ids.assign(capacity, 0);
     fifo.reserve(capacity);
 }
 
@@ -21,55 +19,31 @@ FillQueue::slotOf(std::uint32_t id) const
     // The fifo holds exactly the live slots, so scanning it visits
     // size() entries instead of all capacity slots.
     for (const std::uint32_t s : fifo) {
-        if (ids[s] == id)
+        if (slots[s].id == id)
             return s;
     }
     throw std::logic_error(name + ": unknown fill queue entry id");
-}
-
-void
-FillQueue::freeSlot(std::size_t s)
-{
-    slots[s].valid = false;
-    slots[s].hasData = false;
-    tags[s] = freeTag;
-    --liveEntries;
-    ++contentEpoch;
-}
-
-void
-FillQueue::rebuildFlatArrays()
-{
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-        tags[s] = slots[s].valid ? slots[s].line : freeTag;
-        ids[s] = slots[s].id;
-    }
-    ++contentEpoch;
 }
 
 std::uint32_t
 FillQueue::allocate(LineAddr line, const ReqMeta &meta, bool is_prefetch)
 {
     assert(!full() && "caller must check full() before allocating");
-    assert(line != freeTag && "line address collides with the free-slot "
-                              "sentinel");
-    for (std::size_t s = 0; s < tags.size(); ++s) {
-        if (tags[s] != freeTag)
-            continue;
+    for (std::size_t s = 0; s < slots.size(); ++s) {
         FillQueueEntry &slot = slots[s];
-        slot.valid = true;
-        slot.line = line;
-        slot.hasData = false;
-        slot.readyAt = 0;
-        slot.isPrefetch = is_prefetch;
-        slot.meta = meta;
-        slot.id = nextId++;
-        tags[s] = line;
-        ids[s] = slot.id;
-        fifo.push_back(static_cast<std::uint32_t>(s));
-        ++liveEntries;
-        ++contentEpoch;
-        return slot.id;
+        if (!slot.valid) {
+            slot.valid = true;
+            slot.line = line;
+            slot.hasData = false;
+            slot.readyAt = 0;
+            slot.isPrefetch = is_prefetch;
+            slot.meta = meta;
+            slot.id = nextId++;
+            fifo.push_back(static_cast<std::uint32_t>(s));
+            ++liveEntries;
+            ++contentEpoch;
+            return slot.id;
+        }
     }
     throw std::logic_error(name + ": no free slot despite !full()");
 }
@@ -78,11 +52,14 @@ void
 FillQueue::release(std::uint32_t id)
 {
     for (auto it = fifo.begin(); it != fifo.end(); ++it) {
-        if (ids[*it] == id) {
-            const FillQueueEntry &slot = slots[*it];
+        FillQueueEntry &slot = slots[*it];
+        if (slot.id == id) {
             const bool had_data = slot.hasData;
             const Cycle ready = slot.readyAt;
-            freeSlot(*it);
+            slot.valid = false;
+            slot.hasData = false;
+            --liveEntries;
+            ++contentEpoch;
             // Erase before recomputing the minimum, or the scan would
             // still see the dying entry and pin a stale value.
             fifo.erase(it);
@@ -100,13 +77,17 @@ FillQueue::release(std::uint32_t id)
 void
 FillQueue::fillData(std::uint32_t id, Cycle ready_at)
 {
-    const std::size_t s = slotOf(id);
-    if (!slots[s].hasData)
+    FillQueueEntry &slot = slots[slotOf(id)];
+    const bool refill = slot.hasData;
+    const Cycle old_ready = slot.readyAt;
+    if (!refill)
         ++dataEntries;
-    slots[s].hasData = true;
-    slots[s].readyAt = ready_at;
+    slot.hasData = true;
+    slot.readyAt = ready_at;
     if (ready_at < minDataReady)
         minDataReady = ready_at;
+    else if (refill && old_ready == minDataReady && ready_at > old_ready)
+        recomputeMinDataReady(); // the minimum entry moved later
 }
 
 std::uint32_t
@@ -122,13 +103,18 @@ FillQueueEntry *
 FillQueue::find(LineAddr line)
 {
     // The CAM is probed on every request travelling between cache
-    // levels: skip the search when empty, else scan the flat tags in
-    // slot order so the lowest-index match wins.
+    // levels, so the scan is occupancy-bounded: skip the whole search
+    // when empty and stop once every live entry has been inspected.
     if (liveEntries == 0)
         return nullptr;
-    for (std::size_t s = 0; s < tags.size(); ++s) {
-        if (tags[s] == line)
-            return &slots[s];
+    std::size_t seen = 0;
+    for (auto &slot : slots) {
+        if (!slot.valid)
+            continue;
+        if (slot.line == line)
+            return &slot;
+        if (++seen == liveEntries)
+            break;
     }
     return nullptr;
 }
@@ -161,8 +147,11 @@ FillQueue::popReady(Cycle now)
         FillQueueEntry &slot = slots[*it];
         if (slot.hasData && slot.readyAt <= now) {
             FillQueueEntry copy = slot;
-            freeSlot(*it);
+            slot.valid = false;
+            slot.hasData = false;
             --dataEntries;
+            --liveEntries;
+            ++contentEpoch;
             fifo.erase(it);
             if (copy.readyAt == minDataReady)
                 recomputeMinDataReady();

@@ -15,10 +15,7 @@
  *
  * The CAM supports the late-prefetch optimisation: a demand miss that
  * matches an in-flight prefetch entry is dropped and the entry promoted
- * from prefetch to demand. It is searched by every request travelling
- * between cache levels, so the line addresses and ids live in flat
- * arrays beside the slots (the MshrFile pattern): a search scans
- * 8-byte tags instead of striding through the full entries.
+ * from prefetch to demand.
  */
 
 #ifndef BOP_CACHE_FILL_QUEUE_HH
@@ -134,8 +131,7 @@ class FillQueue
      * Checkpoint the slots and drain order, including the
      * incrementally maintained occupancy counts and min-ready gate
      * (pure functions of the slots, serialized rather than rebuilt so
-     * the restored queue is field-identical) and the id sequence. The
-     * flat tag and id arrays are rebuilt from the slots on load.
+     * the restored queue is field-identical) and the id sequence.
      */
     void
     serialize(Serializer &s)
@@ -163,25 +159,32 @@ class FillQueue
                 fifo.size() != live64)
                 s.fail("fill queue '" + name +
                        "' occupancy out of range");
+            std::vector<char> named(capacity, 0);
             for (const std::uint32_t slot : fifo) {
                 if (slot >= capacity || !slots[slot].valid)
                     s.fail("fill queue '" + name +
                            "' drain order names a free slot");
+                if (named[slot]++)
+                    s.fail("fill queue '" + name +
+                           "' drain order names a slot twice");
             }
+            // With the drain order's length equal to the live count,
+            // this makes it name exactly the valid slots, which find()
+            // and allocate() scan.
+            std::size_t valid = 0;
+            for (const FillQueueEntry &e : slots)
+                valid += e.valid;
+            if (valid != live64)
+                s.fail("fill queue '" + name +
+                       "' live slots disagree with the live count");
             liveEntries = static_cast<std::size_t>(live64);
             dataEntries = static_cast<std::size_t>(data64);
-            rebuildFlatArrays();
+            ++contentEpoch;
         }
     }
 
   private:
     std::size_t slotOf(std::uint32_t id) const;
-
-    /** Mark slot @p s free in the slot and the flat arrays. */
-    void freeSlot(std::size_t s);
-
-    /** Re-derive tags and ids from the slots (checkpoint load). */
-    void rebuildFlatArrays();
 
     /** Re-derive minDataReady after the minimum entry left. */
     void recomputeMinDataReady();
@@ -202,12 +205,6 @@ class FillQueue
     std::uint32_t nextId = 1;
     std::uint64_t contentEpoch = 0; ///< see epoch()
     std::vector<FillQueueEntry> slots;
-    /** Sentinel tag for free slots (no line address reaches ~0). */
-    static constexpr LineAddr freeTag = ~static_cast<LineAddr>(0);
-    /** Per-slot line (freeTag when free), parallel to slots. */
-    std::vector<LineAddr> tags;
-    /** Per-slot id, parallel to slots (meaningful for live slots). */
-    std::vector<std::uint32_t> ids;
     /**
      * Live slot indices in allocation order. A flat vector (capacity
      * reserved up front): the per-cycle scans walk one contiguous run,

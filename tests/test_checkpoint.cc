@@ -246,9 +246,9 @@ TEST(CheckpointEquivalence, SaturatedFourCoreRunOnByteIdentical)
     // 4-core 429.mcf with BO on 4 KB pages keeps the shared L3 fill
     // queue full on most cycles, so prefetch and demand heads retry
     // against it and the L3 stage's blocked-miss memos are live at the
-    // save point, as are the fill queue's flat tag and id arrays.
-    // Neither is serialized: a restored System must run on to the same
-    // stats as the uninterrupted one and then save the same bytes.
+    // save point. They are not serialized: a restored System must run
+    // on to the same stats as the uninterrupted one and then save the
+    // same bytes.
     SystemConfig cfg = baselineConfig(4, PageSize::FourKB);
     cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
     constexpr std::uint64_t warm = 20000;

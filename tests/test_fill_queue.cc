@@ -316,12 +316,11 @@ TEST(FillQueue, RandomizedMatchesReference)
                 }
                 break;
               case 4:
-                // Data arrives once per entry (a DRAM completion or
-                // an L3 hit), so only waiting entries get it.
+                // Waiting entries get their data, and entries that
+                // already carry data may have it moved (earlier or
+                // later), which minReadyAt() must follow.
                 if (!live.empty()) {
                     const std::uint32_t id = pick_live();
-                    if (ref.entryOf(id).hasData)
-                        break;
                     const Cycle at = now + rng.below(8);
                     fq.fillData(id, at);
                     ref.fillData(id, at);
@@ -498,6 +497,18 @@ TEST(FillQueue, SerializeRoundTripFindsSameEntries)
     EXPECT_EQ(restored.popReady(4)->id, b);
 }
 
+/** Offset of the first 8-byte little-endian @p pattern in @p bytes. */
+std::size_t
+offsetOf(const std::vector<std::uint8_t> &bytes, std::uint64_t pattern)
+{
+    for (std::size_t i = 0; i + 8 <= bytes.size(); ++i) {
+        if (std::memcmp(&bytes[i], &pattern, 8) == 0)
+            return i;
+    }
+    ADD_FAILURE() << "pattern not found";
+    return 0;
+}
+
 TEST(FillQueue, CorruptRestoreRefused)
 {
     FillQueue fq("t", 4);
@@ -524,6 +535,36 @@ TEST(FillQueue, CorruptRestoreRefused)
     FillQueue q("t", 4);
     EXPECT_THROW(loadQueue(q, corrupt), CheckpointError)
         << "more data entries than live ones";
+
+    // Slots that disagree with the counts: slots 0 and 1 live, slot 2
+    // freed (its line stays in the slot).
+    constexpr LineAddr freed_line = 0x0a0b0c0d0e0f0102ull;
+    FillQueue holes("t", 4);
+    holes.allocate(1, {}, false);
+    holes.allocate(2, {}, false);
+    holes.release(holes.allocate(freed_line, {}, false));
+    const std::vector<std::uint8_t> good = saveQueue(holes);
+    const std::size_t good_live_at = good.size() - 4 - 3 * 8;
+    {
+        FillQueue ok("t", 4);
+        EXPECT_NO_THROW(loadQueue(ok, good));
+    }
+
+    // A slot is serialized as its valid byte, then its line.
+    corrupt = good;
+    corrupt[offsetOf(good, freed_line) - 1] = 1;
+    FillQueue b("t", 4);
+    EXPECT_THROW(loadQueue(b, corrupt), CheckpointError)
+        << "more valid slots than the live count and drain order name";
+
+    // The drain order (u32 slot indices) ends right before the live
+    // count: name slot 0 twice instead of slots 0 and 1.
+    corrupt = good;
+    const std::uint32_t slot0 = 0;
+    std::memcpy(&corrupt[good_live_at - 4], &slot0, 4);
+    FillQueue c("t", 4);
+    EXPECT_THROW(loadQueue(c, corrupt), CheckpointError)
+        << "a drain order naming one slot twice";
 }
 
 } // namespace
