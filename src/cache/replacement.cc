@@ -65,14 +65,4 @@ LruPolicy::onFill(std::size_t set, unsigned way, const FillInfo &info)
     touchMru(set, way);
 }
 
-void
-BipPolicy::onFill(std::size_t set, unsigned way, const FillInfo &info)
-{
-    (void)info;
-    if (rng.below(invProb) == 0)
-        touchMru(set, way);
-    else
-        touchLru(set, way);
-}
-
 } // namespace bop

@@ -1,7 +1,7 @@
 /**
  * @file
- * Cache replacement policy interface plus the simple stack-based policies
- * (LRU, BIP). The paper's 5P policy and DRRIP live in their own files.
+ * Cache replacement policy interface plus the simple stack-based policy
+ * (LRU). The paper's 5P policy and DRRIP live in their own files.
  *
  * Policies manage a per-set recency/age state and answer three questions:
  * which way to evict, what to do on a hit, and where to insert a fill.
@@ -28,7 +28,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.hh"
+#include "common/serializer.hh"
 #include "common/types.hh"
 
 namespace bop
@@ -92,8 +92,8 @@ class ReplacementPolicy
 
     /**
      * Checkpoint the per-set state (packed words or wide bytes).
-     * Policies with extra mutable state (BIP's RNG, DRRIP's PSEL +
-     * RNG, 5P's counters) extend this; geometry/config fields are
+     * Policies with extra mutable state (DRRIP's PSEL + RNG, 5P's RNG
+     * and counters) extend this; geometry/config fields are
      * rebuilt by reset() at construction and are not serialized.
      */
     virtual void
@@ -271,33 +271,6 @@ class LruPolicy final : public StackPolicy
     LruPolicy() { mruFill = true; }
 
     void onFill(std::size_t set, unsigned way, const FillInfo &info) override;
-};
-
-/**
- * Bimodal insertion (BIP): insert at LRU, promoting to MRU with
- * probability 1/32 [Qureshi et al., ISCA'07]. Used standalone and as the
- * IP2 component of the 5P policy.
- */
-class BipPolicy final : public StackPolicy
-{
-  public:
-    explicit BipPolicy(std::uint64_t seed = 0xb1b0, unsigned inv_prob = 32)
-        : rng(seed), invProb(inv_prob)
-    {
-    }
-
-    void onFill(std::size_t set, unsigned way, const FillInfo &info) override;
-
-    void
-    serialize(Serializer &s) override
-    {
-        ReplacementPolicy::serialize(s);
-        rng.serialize(s);
-    }
-
-  private:
-    Rng rng;
-    unsigned invProb;
 };
 
 } // namespace bop

@@ -6,22 +6,40 @@
 namespace bop
 {
 
+BoConfig
+dpc2BoConfig()
+{
+    BoConfig cfg;
+    cfg.rrBanks = 2;
+    cfg.badScore = 10;
+    cfg.delayQueueEntries = 15;
+    cfg.delayCycles = 60;
+    return cfg;
+}
+
 BestOffsetPrefetcher::BestOffsetPrefetcher(PageSize page_size, BoConfig cfg_)
     : L2Prefetcher(page_size),
       cfg(cfg_),
-      rr(cfg_.rrEntries, cfg_.rrTagBits),
+      rr(cfg_.rrEntries, cfg_.rrTagBits, cfg_.rrBanks),
       rrAny(cfg_.rrEntries, cfg_.rrTagBits),
       dynBadScore(cfg_.badScore)
 {
-    if (!cfg.offsetOverride.empty())
-        offsets = cfg.offsetOverride;
-    else if (cfg.includeNegative)
+    if (cfg.includeNegative)
         offsets = makeSignedOffsetList(cfg.maxOffset);
     else
         offsets = makeOffsetList(cfg.maxOffset);
     assert(!offsets.empty());
     scores.assign(offsets.size(), 0);
     bestOffsetInPhase = offsets.front();
+}
+
+void
+BestOffsetPrefetcher::drainDelayQueue(Cycle now)
+{
+    while (!delayQueue.empty() && delayQueue.front().due <= now) {
+        rr.insert(delayQueue.front().line);
+        delayQueue.pop_front();
+    }
 }
 
 void
@@ -136,12 +154,21 @@ BestOffsetPrefetcher::onAccess(const L2AccessEvent &ev,
     if (ev.prefetchedHit)
         ++usefulInPhase;
 
+    drainDelayQueue(ev.cycle);
     learnStep(ev.line);
 
     // The coverage table records every eligible access (after the
     // learning step, so an access never scores against itself).
     if (cfg.coverageWeight > 0)
         rrAny.insert(ev.line);
+
+    // The delay queue takes this access too; `delayCycles` later it
+    // becomes timeliness evidence in the RR table.
+    if (cfg.delayQueueEntries > 0) {
+        if (delayQueue.size() >= cfg.delayQueueEntries)
+            delayQueue.pop_front();
+        delayQueue.push_back({ev.line, ev.cycle + cfg.delayCycles});
+    }
 
     if (!prefetchOn)
         return;
@@ -177,9 +204,10 @@ BestOffsetPrefetcher::onFill(const L2FillEvent &ev)
             inSamePage(ev.line, static_cast<LineAddr>(base))) {
             rr.insert(static_cast<LineAddr>(base));
         }
-    } else {
+    } else if (cfg.delayQueueEntries == 0) {
         // Prefetch off: record every fetched line Y (i.e. D = 0), so
         // learning keeps working and prefetch can be turned on again.
+        // A delay queue carries that signal instead.
         rr.insert(ev.line);
     }
 }

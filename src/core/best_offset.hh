@@ -16,12 +16,29 @@
  * the prefetcher turns itself off — but learning continues, with the RR
  * table then recording every fetched line (as if D=0), so prefetching
  * can resume when the access pattern becomes regular again.
+ *
+ * DPC-2 variant (paper footnote 1; dpc2BoConfig()). The author's entry
+ * to the 2nd Data Prefetching Championship kept this learning
+ * algorithm and tuned the machinery around it for scarcer memory
+ * bandwidth. It is the same learner with three config changes:
+ *
+ *  - the RR table is split into two 128-entry banks selected by line
+ *    bit 1 (same capacity, fewer conflicts between insertion streams);
+ *  - a delay queue: every eligible access enters a 15-entry FIFO and
+ *    reaches the RR table 60 cycles later (drained lazily on the next
+ *    access; a full queue drops its oldest entry). A delayed entry
+ *    means "accessed at least one prefetch latency ago", timeliness
+ *    evidence independent of D. It replaces the D=0 insert-on-fill
+ *    rule while prefetch is off;
+ *  - BADSCORE 10 (vs 1, Sec. 6.1): weakly scoring offsets cost more
+ *    than they return under tight bandwidth.
  */
 
 #ifndef BOP_CORE_BEST_OFFSET_HH
 #define BOP_CORE_BEST_OFFSET_HH
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "core/offset_list.hh"
@@ -42,8 +59,10 @@ struct BoConfig
     int maxOffset = 256;          ///< offset-list generation bound
     bool includeNegative = false; ///< extension: test negative offsets
     int degree = 1;               ///< 1 = paper; 2 = best + 2nd best
-    /** Non-empty overrides the generated offset list. */
-    std::vector<int> offsetOverride;
+    std::size_t rrBanks = 1;      ///< RR banks (DPC-2: 2)
+    /** Delay-queue depth; 0 = no queue (DPC-2: 15). */
+    std::size_t delayQueueEntries = 0;
+    Cycle delayCycles = 0;        ///< delay-queue latency (DPC-2: 60)
 
     // -- future-work extensions (paper Sec. 7), all off by default -------
 
@@ -74,6 +93,9 @@ struct BoConfig
     int coverageWeight = 0;
 };
 
+/** The DPC-2 tuned preset (`bo-dpc2`, paper footnote 1). */
+BoConfig dpc2BoConfig();
+
 /** The Best-Offset L2 prefetcher. */
 class BestOffsetPrefetcher : public L2Prefetcher
 {
@@ -102,15 +124,17 @@ class BestOffsetPrefetcher : public L2Prefetcher
     int secondBestOffset() const { return secondOffset; }
     /** Current throttling threshold (== cfg value unless adaptive). */
     int effectiveBadScore() const { return dynBadScore; }
+    std::size_t delayQueueSize() const { return delayQueue.size(); }
 
     /** Directly seed the RR table (tests / standalone experiments). */
     void recordCompletedPrefetchBase(LineAddr base) { rr.insert(base); }
 
     /**
      * Checkpoint the learning state: score table, both RR tables, the
-     * round-robin test position, the live offset/on-off decision and
-     * the adaptive-threshold state. The offset list itself is
-     * config-derived and not serialized.
+     * delay queue when configured (in-flight inserts carry absolute
+     * due cycles), the round-robin test position, the live
+     * offset/on-off decision and the adaptive-threshold state. The
+     * offset list itself is config-derived and not serialized.
      */
     void
     serialize(Serializer &s) override
@@ -121,6 +145,14 @@ class BestOffsetPrefetcher : public L2Prefetcher
             s.fail("BO score table size mismatch");
         rr.serialize(s);
         rrAny.serialize(s);
+        if (cfg.delayQueueEntries > 0) {
+            s.seq(delayQueue, [](Serializer &sr, DelayedInsert &d) {
+                sr.value(d.line);
+                sr.value(d.due);
+            });
+            if (s.loading() && delayQueue.size() > cfg.delayQueueEntries)
+                s.fail("BO delay queue over capacity");
+        }
         std::uint64_t test64 = testIndex;
         s.value(test64);
         if (s.loading()) {
@@ -149,6 +181,8 @@ class BestOffsetPrefetcher : public L2Prefetcher
     void learnStep(LineAddr x);
     /** Close the current learning phase and start a new one. */
     void endPhase();
+    /** Move due delay-queue entries into the RR table. */
+    void drainDelayQueue(Cycle now);
 
     /**
      * Score granularity: 1 in the paper's scheme, 2 under hybrid
@@ -161,6 +195,13 @@ class BestOffsetPrefetcher : public L2Prefetcher
     std::vector<int> scores;
     RrTable rr;
     RrTable rrAny;              ///< every recent eligible access (hybrid)
+
+    struct DelayedInsert
+    {
+        LineAddr line;
+        Cycle due;
+    };
+    std::deque<DelayedInsert> delayQueue;
 
     std::size_t testIndex = 0;  ///< next offset to test in this round
     int round = 0;

@@ -14,6 +14,11 @@
  * least-significant line-address bits with the next 8 bits), holding a
  * 12-bit partial tag (the line-address bits just above the 8 skipped
  * LSBs).
+ *
+ * The DPC-2 variant (paper footnote 1) splits the same capacity into
+ * banks selected by line-address bit 1 (and up, for more than two);
+ * each bank hashes and tags exactly like a table of its own size.
+ * One bank is the paper's table.
  */
 
 #ifndef BOP_CORE_RR_TABLE_HH
@@ -33,10 +38,13 @@ class RrTable
 {
   public:
     /**
-     * @param entries  number of entries (power of two; paper: 256)
+     * @param entries  number of entries over all banks (power of two;
+     *                 paper: 256)
      * @param tag_bits partial tag width (paper: 12)
+     * @param banks    power of two dividing @p entries (paper: 1)
      */
-    explicit RrTable(std::size_t entries = 256, unsigned tag_bits = 12);
+    explicit RrTable(std::size_t entries = 256, unsigned tag_bits = 12,
+                     std::size_t banks = 1);
 
     /** Record that @p line was the base of a completed prefetch. */
     void insert(LineAddr line);
@@ -50,7 +58,7 @@ class RrTable
     std::size_t numEntries() const { return valid.size(); }
     unsigned tagBits() const { return numTagBits; }
 
-    /** Exposed for tests: index/tag computation. */
+    /** Exposed for tests: index (bank offset included)/tag computation. */
     std::size_t indexOf(LineAddr line) const;
     std::uint32_t tagOf(LineAddr line) const;
 
@@ -67,8 +75,9 @@ class RrTable
     }
 
   private:
-    unsigned indexBits;
+    unsigned indexBits;         ///< per-bank index width
     unsigned numTagBits;
+    std::size_t bankMask;       ///< banks - 1
     std::vector<std::uint32_t> tags;
     std::vector<bool> valid;
 };

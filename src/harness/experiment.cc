@@ -75,6 +75,9 @@ gridLabel(int cores, PageSize page)
 std::string
 configFingerprint(const SystemConfig &cfg)
 {
+    // The bo-dpc2 preset is fixed, but its segment stays in every
+    // fingerprint so journals and stored warm prefixes keep matching.
+    const BoConfig dpc2 = dpc2BoConfig();
     std::ostringstream oss;
     oss << cfg.describe() << "|seed=" << cfg.seed
         << "|bo=" << cfg.bo.rrEntries << "," << cfg.bo.scoreMax << ","
@@ -87,8 +90,7 @@ configFingerprint(const SystemConfig &cfg)
         << "|ghb=" << cfg.ghb.adaptiveZones << ","
         << cfg.ghb.zoneLineBitsCandidates.front() << "," << cfg.ghb.degree
         << "|sbuf=" << cfg.streamBuf.buffers << "," << cfg.streamBuf.depth
-        << "|dpc2=" << cfg.boDpc2.badScore << ","
-        << cfg.boDpc2.delayCycles
+        << "|dpc2=" << dpc2.badScore << "," << dpc2.delayCycles
         << "|D=" << cfg.fixedOffset;
     return oss.str();
 }
@@ -143,8 +145,18 @@ ExperimentRunner::prefixPath(const std::string &pkey) const
     return opts.checkpointDir + "/" + name;
 }
 
+void
+ExperimentRunner::buildSystem(std::optional<System> &system,
+                              const JobSpec &job) const
+{
+    system.emplace(job.cfg, makeTraces(job.benchmark, job.cfg));
+    system->setJobDeadline(opts.jobTimeout);
+}
+
 bool
-ExperimentRunner::loadPrefix(System &system, const std::string &pkey) const
+ExperimentRunner::loadPrefix(std::optional<System> &system,
+                             const JobSpec &job,
+                             const std::string &pkey) const
 {
     std::vector<std::uint8_t> entry;
     if (opts.checkpointDir.empty() || !readFileBytes(prefixPath(pkey), entry))
@@ -157,7 +169,7 @@ ExperimentRunner::loadPrefix(System &system, const std::string &pkey) const
         if (!container.empty() &&
             FaultPlan::global().fireCounted("ckpt_cache_corrupt"))
             container[container.size() / 2] ^= 0xff;
-        system.restoreCheckpointBytes(container);
+        system->restoreCheckpointBytes(container);
         return true;
     } catch (const CheckpointError &e) {
         // The cold warm-up that follows overwrites the entry.
@@ -165,6 +177,7 @@ ExperimentRunner::loadPrefix(System &system, const std::string &pkey) const
                      "checkpoint-cache: refusing entry for \"%s\": %s — "
                      "falling back to cold warmup\n",
                      pkey.c_str(), e.what());
+        buildSystem(system, job);
         return false;
     }
 }
@@ -188,7 +201,8 @@ ExperimentRunner::savePrefix(const std::string &pkey,
 }
 
 void
-ExperimentRunner::warmPrefix(System &system, const JobSpec &job) const
+ExperimentRunner::warmPrefix(std::optional<System> &system,
+                             const JobSpec &job) const
 {
     using Bytes = std::vector<std::uint8_t>;
     const std::string pkey = prefixKey(job);
@@ -197,11 +211,11 @@ ExperimentRunner::warmPrefix(System &system, const JobSpec &job) const
         [&] {
             // The bytes memory keeps: none when the directory has them.
             Bytes bytes;
-            if (loadPrefix(system, pkey))
+            if (loadPrefix(system, job, pkey))
                 return bytes;
-            system.warmup(job.budget.warmup);
+            system->warmup(job.budget.warmup);
             ++prefixSims;
-            bytes = system.saveCheckpointBytes();
+            bytes = system->saveCheckpointBytes();
             if (savePrefix(pkey, bytes))
                 bytes.clear();
             return bytes;
@@ -212,7 +226,7 @@ ExperimentRunner::warmPrefix(System &system, const JobSpec &job) const
             return nullptr; // the system is warm already
         });
     if (kept)
-        system.restoreCheckpointBytes(*kept);
+        system->restoreCheckpointBytes(*kept);
 }
 
 std::size_t
@@ -312,14 +326,14 @@ ExperimentRunner::simulateRecord(const JobSpec &job) const
         throw TransientIoError("injected fault job_io at job " +
                                std::to_string(fjob));
 
-    System system(cfg, makeTraces(job.benchmark, cfg));
-    system.setJobDeadline(opts.jobTimeout);
+    std::optional<System> system;
+    buildSystem(system, job);
     const auto t0 = std::chrono::steady_clock::now();
     if (job.share)
         warmPrefix(system, job);
     else
-        system.warmup(b.warmup);
-    const RunStats stats = system.measure(b.measure);
+        system->warmup(b.warmup);
+    const RunStats stats = system->measure(b.measure);
 
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <string>
@@ -282,6 +283,10 @@ class ExperimentRunner
     /** Warm-prefix store key. */
     static std::string prefixKey(const JobSpec &job);
 
+    /** Build @p job's system cold in @p system, deadline armed. */
+    void buildSystem(std::optional<System> &system,
+                     const JobSpec &job) const;
+
     /**
      * The warm-prefix store: bring @p system, freshly built, to the
      * warm state of @p job's prefix. An entry lives in the options'
@@ -289,11 +294,17 @@ class ExperimentRunner
      * the directory refused the save; a lookup tries memory, then the
      * directory. Only the first arrival for a prefix simulates it.
      */
-    void warmPrefix(System &system, const JobSpec &job) const;
+    void warmPrefix(std::optional<System> &system, const JobSpec &job) const;
 
-    /** Restore @p system from the directory; false on a miss or a
-     *  refused entry (validate-before-apply leaves it untouched). */
-    bool loadPrefix(System &system, const std::string &pkey) const;
+    /**
+     * Restore @p system from the directory; false on a miss or a
+     * refused entry. Header and CRC checks refuse before anything
+     * applies, but a section whose layout does not match (an entry
+     * from another build) is refused mid-restore, after earlier
+     * sections applied; the system is then rebuilt cold.
+     */
+    bool loadPrefix(std::optional<System> &system, const JobSpec &job,
+                    const std::string &pkey) const;
 
     /** Save to the directory; false when there is none or it refused. */
     bool savePrefix(const std::string &pkey,

@@ -15,7 +15,6 @@
 #include <string>
 
 #include "core/best_offset.hh"
-#include "core/best_offset_dpc2.hh"
 #include "dram/dram_timing.hh"
 #include "prefetch/fdp.hh"
 #include "prefetch/ghb.hh"
@@ -40,7 +39,7 @@ enum class L2PrefetcherKind
     Fdp,         ///< extension: feedback-directed prefetching [37]
     Acdc,        ///< extension: GHB CZone/delta-correlation [22]
     StreamBuffer,///< extension: Jouppi stream buffers [15]
-    BestOffsetDpc2, ///< extension: DPC-2 tuned BO (footnote 1)
+    BestOffsetDpc2, ///< extension: BO with dpc2BoConfig() (footnote 1)
 };
 
 /** L3 replacement policy selection (Fig. 3). */
@@ -131,7 +130,6 @@ struct SystemConfig
     FdpConfig fdp;
     GhbConfig ghb;
     StreamBufferConfig streamBuf;
-    BoDpc2Config boDpc2;
 
     std::uint64_t seed = 42;      ///< run seed (vmem, policies, traces)
 

@@ -58,8 +58,8 @@ makeL2Prefetcher(const SystemConfig &cfg)
         return std::make_unique<StreamBufferPrefetcher>(cfg.pageSize,
                                                         cfg.streamBuf);
       case L2PrefetcherKind::BestOffsetDpc2:
-        return std::make_unique<BestOffsetDpc2Prefetcher>(cfg.pageSize,
-                                                          cfg.boDpc2);
+        return std::make_unique<BestOffsetPrefetcher>(cfg.pageSize,
+                                                      dpc2BoConfig());
     }
     return std::make_unique<NullPrefetcher>(cfg.pageSize);
 }

@@ -1,15 +1,14 @@
 /**
  * @file
- * Tests for the DPC-2 tuned Best-Offset variant (paper footnote 1):
- * dual-bank RR behaviour, the delay queue's timeliness semantics, the
- * aggressive BADSCORE default, and agreement with the base prefetcher
- * on clean streams.
+ * Tests for the DPC-2 tuned Best-Offset preset (paper footnote 1,
+ * dpc2BoConfig()): dual-bank RR behaviour, the delay queue's timeliness
+ * semantics, the aggressive BADSCORE default, and agreement with the
+ * paper's configuration on clean streams.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/best_offset.hh"
-#include "core/best_offset_dpc2.hh"
 
 namespace bop
 {
@@ -17,7 +16,7 @@ namespace
 {
 
 std::vector<LineAddr>
-access(BestOffsetDpc2Prefetcher &pf, LineAddr line, Cycle cycle,
+access(BestOffsetPrefetcher &pf, LineAddr line, Cycle cycle,
        bool miss = true, bool pref_hit = false)
 {
     std::vector<LineAddr> out;
@@ -27,16 +26,17 @@ access(BestOffsetDpc2Prefetcher &pf, LineAddr line, Cycle cycle,
 
 TEST(BoDpc2, DefaultsMatchTheChampionshipTuning)
 {
-    const BoDpc2Config cfg;
+    const BoConfig cfg = dpc2BoConfig();
     EXPECT_EQ(cfg.badScore, 10);
-    EXPECT_EQ(cfg.rrEntriesPerBank * 2, 256u); // Table 2 total capacity
+    EXPECT_EQ(cfg.rrBanks, 2u);
+    EXPECT_EQ(cfg.rrEntries, 256u); // Table 2 total capacity
     EXPECT_EQ(cfg.delayQueueEntries, 15u);
     EXPECT_EQ(cfg.delayCycles, 60u);
 }
 
 TEST(BoDpc2, StartsAsNextLine)
 {
-    BestOffsetDpc2Prefetcher pf(PageSize::FourKB);
+    BestOffsetPrefetcher pf(PageSize::FourKB, dpc2BoConfig());
     EXPECT_EQ(pf.currentOffset(), 1);
     EXPECT_TRUE(pf.prefetchEnabled());
     const auto out = access(pf, 10, 0);
@@ -46,29 +46,29 @@ TEST(BoDpc2, StartsAsNextLine)
 
 TEST(BoDpc2, DelayQueueInsertsOnlyAfterDelay)
 {
-    BoDpc2Config cfg;
+    BoConfig cfg = dpc2BoConfig();
     cfg.delayCycles = 100;
-    BestOffsetDpc2Prefetcher pf(PageSize::FourMB, cfg);
+    BestOffsetPrefetcher pf(PageSize::FourMB, cfg);
 
     access(pf, 500, 0);
     EXPECT_EQ(pf.delayQueueSize(), 1u);
-    EXPECT_FALSE(pf.rrContains(500));
+    EXPECT_FALSE(pf.rrTable().contains(500));
 
     // Before the delay elapses the address is still invisible.
     access(pf, 600, 50);
-    EXPECT_FALSE(pf.rrContains(500));
+    EXPECT_FALSE(pf.rrTable().contains(500));
 
     // After the delay it becomes timeliness evidence.
     access(pf, 700, 101);
-    EXPECT_TRUE(pf.rrContains(500));
+    EXPECT_TRUE(pf.rrTable().contains(500));
 }
 
 TEST(BoDpc2, DelayQueueDropsOldestWhenFull)
 {
-    BoDpc2Config cfg;
+    BoConfig cfg = dpc2BoConfig();
     cfg.delayQueueEntries = 4;
     cfg.delayCycles = 1000000; // never drains during the test
-    BestOffsetDpc2Prefetcher pf(PageSize::FourMB, cfg);
+    BestOffsetPrefetcher pf(PageSize::FourMB, cfg);
 
     for (LineAddr x = 0; x < 10; ++x)
         access(pf, 100 + x, 0);
@@ -78,28 +78,28 @@ TEST(BoDpc2, DelayQueueDropsOldestWhenFull)
 TEST(BoDpc2, BanksSplitTheAddressSpace)
 {
     // Insert through the delay queue and observe both banks work.
-    BoDpc2Config cfg;
+    BoConfig cfg = dpc2BoConfig();
     cfg.delayCycles = 1;
-    BestOffsetDpc2Prefetcher pf2(PageSize::FourMB, cfg);
+    BestOffsetPrefetcher pf2(PageSize::FourMB, cfg);
     access(pf2, 100, 0); // bank of (100>>1)&1 = 0
     access(pf2, 102, 0); // bank 1
     access(pf2, 999, 10);
     access(pf2, 998, 10);
-    EXPECT_TRUE(pf2.rrContains(100));
-    EXPECT_TRUE(pf2.rrContains(102));
+    EXPECT_TRUE(pf2.rrTable().contains(100));
+    EXPECT_TRUE(pf2.rrTable().contains(102));
 }
 
 TEST(BoDpc2, LearnsOffsetFromDelayedDemandStream)
 {
     // A fast sequential demand stream with no prefetch fills at all:
-    // the base prefetcher can only learn through completed prefetches
-    // or the off-state D=0 rule; the DPC-2 variant learns timeliness
-    // straight from the delay queue.
-    BoDpc2Config cfg;
+    // the paper's configuration can only learn through completed
+    // prefetches or the off-state D=0 rule; the DPC-2 preset learns
+    // timeliness straight from the delay queue.
+    BoConfig cfg = dpc2BoConfig();
     cfg.delayCycles = 20;
     cfg.roundMax = 4;
     cfg.badScore = 0;
-    BestOffsetDpc2Prefetcher pf(PageSize::FourMB, cfg);
+    BestOffsetPrefetcher pf(PageSize::FourMB, cfg);
 
     LineAddr x = 0;
     Cycle t = 0;
@@ -117,9 +117,9 @@ TEST(BoDpc2, LearnsOffsetFromDelayedDemandStream)
 
 TEST(BoDpc2, AggressiveBadScoreTurnsPrefetchOffOnNoise)
 {
-    BoDpc2Config cfg;
+    BoConfig cfg = dpc2BoConfig();
     cfg.roundMax = 2;
-    BestOffsetDpc2Prefetcher pf(PageSize::FourMB, cfg);
+    BestOffsetPrefetcher pf(PageSize::FourMB, cfg);
 
     // Pseudo-random accesses: no offset can reach a score above 10.
     std::uint64_t state = 12345;
@@ -132,23 +132,46 @@ TEST(BoDpc2, AggressiveBadScoreTurnsPrefetchOffOnNoise)
     EXPECT_FALSE(pf.prefetchEnabled());
     // And with prefetch off, no candidates are produced.
     EXPECT_TRUE(access(pf, 42, t + 1).empty());
+    // Nor does a fill train the RR table as if D = 0: the delay queue
+    // carries that signal instead.
+    pf.onFill({5000, false, t + 2});
+    EXPECT_FALSE(pf.rrTable().contains(5000));
+}
+
+TEST(BoDpc2, PaperConfigTrainsOnFillsWhilePrefetchOff)
+{
+    // The same noise with the paper's config but BADSCORE 10: prefetch
+    // turns off, and fills then record the fetched line (D = 0).
+    BoConfig cfg;
+    cfg.roundMax = 2;
+    cfg.badScore = 10;
+    BestOffsetPrefetcher pf(PageSize::FourMB, cfg);
+    std::uint64_t state = 12345;
+    Cycle t = 0;
+    for (int i = 0; i < 52 * 3; ++i) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        access(pf, (state >> 20) & 0xffffff, t += 7);
+    }
+    ASSERT_FALSE(pf.prefetchEnabled());
+    pf.onFill({5000, false, t + 2});
+    EXPECT_TRUE(pf.rrTable().contains(5000));
 }
 
 TEST(BoDpc2, FillsTrainRrWhenPrefetchOn)
 {
-    BestOffsetDpc2Prefetcher pf(PageSize::FourMB);
+    BestOffsetPrefetcher pf(PageSize::FourMB, dpc2BoConfig());
     // currentOffset is 1 initially; a completed prefetch of Y trains
     // base Y-1.
     pf.onFill({301, true, 0});
-    EXPECT_TRUE(pf.rrContains(300));
+    EXPECT_TRUE(pf.rrTable().contains(300));
     // Non-prefetch fills do not train.
     pf.onFill({401, false, 0});
-    EXPECT_FALSE(pf.rrContains(400));
+    EXPECT_FALSE(pf.rrTable().contains(400));
 }
 
 TEST(BoDpc2, UsesTheSame52OffsetList)
 {
-    BestOffsetDpc2Prefetcher pf(PageSize::FourMB);
+    BestOffsetPrefetcher pf(PageSize::FourMB, dpc2BoConfig());
     EXPECT_EQ(pf.offsetList().size(), 52u);
     EXPECT_EQ(pf.offsetList().front(), 1);
     EXPECT_EQ(pf.offsetList().back(), 256);
@@ -161,13 +184,13 @@ TEST(BoDpc2, AgreesWithBaseBoOnCleanStridedStream)
     BoConfig base_cfg;
     base_cfg.roundMax = 8;
     BestOffsetPrefetcher base(PageSize::FourMB, base_cfg);
-    BoDpc2Config dpc2_cfg;
+    BoConfig dpc2_cfg = dpc2BoConfig();
     dpc2_cfg.roundMax = 8;
     dpc2_cfg.delayCycles = 0; // isolate the learning-rule comparison
     // With roundMax = 8 the maximum reachable score is 8; the DPC-2
     // default BADSCORE of 10 would throttle unconditionally.
     dpc2_cfg.badScore = 1;
-    BestOffsetDpc2Prefetcher dpc2(PageSize::FourMB, dpc2_cfg);
+    BestOffsetPrefetcher dpc2(PageSize::FourMB, dpc2_cfg);
 
     LineAddr x = 0;
     Cycle t = 0;

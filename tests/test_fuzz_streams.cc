@@ -18,9 +18,7 @@
 
 #include "common/rng.hh"
 #include "core/best_offset.hh"
-#include "core/best_offset_dpc2.hh"
 #include "core/offset_list.hh"
-#include "prefetch/ampm.hh"
 #include "prefetch/fdp.hh"
 #include "prefetch/ghb.hh"
 #include "prefetch/fixed_offset.hh"
@@ -48,14 +46,14 @@ makeZoo(PageSize page)
         cov.adaptiveBadScore = true;
         zoo.push_back(std::make_unique<BestOffsetPrefetcher>(page, cov));
     }
-    zoo.push_back(std::make_unique<BestOffsetDpc2Prefetcher>(page));
+    zoo.push_back(
+        std::make_unique<BestOffsetPrefetcher>(page, dpc2BoConfig()));
     zoo.push_back(std::make_unique<SandboxPrefetcher>(
         page, makeOffsetList()));
     zoo.push_back(std::make_unique<StreamPrefetcher>(page));
     zoo.push_back(std::make_unique<StreamBufferPrefetcher>(page));
     zoo.push_back(std::make_unique<FdpPrefetcher>(page));
     zoo.push_back(std::make_unique<GhbAcdcPrefetcher>(page));
-    zoo.push_back(std::make_unique<AmpmPrefetcher>(page));
     return zoo;
 }
 

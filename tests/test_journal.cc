@@ -36,6 +36,7 @@
 #include "common/fault.hh"
 #include "common/serializer.hh"
 #include "harness/bench_diff.hh"
+#include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
 #include "harness/journal.hh"
 #include "harness/serve.hh"
@@ -820,6 +821,74 @@ TEST(CheckpointCache, OlderFormatVersionEntryFallsBackCold)
 
     ExperimentRunner second(cacheOptions(dir.path()));
     const RunStats &warm = second.run("429.mcf", cfg);
+    EXPECT_EQ(second.prefixSimulations(), 1u);
+    EXPECT_TRUE(warm == cold);
+}
+
+TEST(CheckpointCache, EntryRefusedMidRestoreFallsBackCold)
+{
+    // An entry whose headers and CRCs hold but whose last section is
+    // one byte short of its layout (as an entry from a build with
+    // another layout can be) is refused only after the earlier
+    // sections applied. The fallback must warm a rebuilt system, not
+    // the half-restored one.
+    TempCacheDir dir("mid_restore");
+    const SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
+
+    ExperimentRunner first(cacheOptions(dir.path()));
+    const RunStats cold = first.run("429.mcf", cfg);
+
+    std::size_t entries = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir.path())) {
+        std::ifstream in(entry.path(), std::ios::binary);
+        std::vector<std::uint8_t> bytes(
+            (std::istreambuf_iterator<char>(in)),
+            std::istreambuf_iterator<char>());
+        in.close();
+        const std::uint32_t key_len = bytes[8] | bytes[9] << 8 |
+                                      bytes[10] << 16 |
+                                      std::uint32_t{bytes[11]} << 24;
+        const std::string key(bytes.begin() + 12,
+                              bytes.begin() + 12 + key_len);
+        std::vector<std::uint8_t> container =
+            decodeCacheEntry(std::move(bytes), key);
+
+        // Walk to the last section's header and drop its last byte.
+        std::size_t pos = checkpointHeaderBytes;
+        std::uint64_t length = 0;
+        for (std::size_t s = 0; s < checkpointSectionCount; ++s) {
+            length = 0;
+            for (int b = 7; b >= 0; --b)
+                length = length << 8 | container[pos + 4 + b];
+            if (s + 1 < checkpointSectionCount)
+                pos += checkpointSectionHeaderBytes + length;
+        }
+        ASSERT_EQ(pos + checkpointSectionHeaderBytes + length,
+                  container.size());
+        container.pop_back();
+        --length;
+        for (int b = 0; b < 8; ++b)
+            container[pos + 4 + b] =
+                static_cast<std::uint8_t>(length >> (8 * b));
+        const std::uint32_t crc =
+            crc32(container.data() + pos + checkpointSectionHeaderBytes,
+                  length);
+        for (int b = 0; b < 4; ++b)
+            container[pos + 12 + b] =
+                static_cast<std::uint8_t>(crc >> (8 * b));
+
+        std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
+        const std::vector<std::uint8_t> rewritten =
+            encodeCacheEntry(key, container);
+        out.write(reinterpret_cast<const char *>(rewritten.data()),
+                  static_cast<std::streamsize>(rewritten.size()));
+        ASSERT_TRUE(out.good()) << entry.path();
+        ++entries;
+    }
+    ASSERT_EQ(entries, 1u);
+
+    ExperimentRunner second(cacheOptions(dir.path()));
+    const RunStats warm = second.run("429.mcf", cfg);
     EXPECT_EQ(second.prefixSimulations(), 1u);
     EXPECT_TRUE(warm == cold);
 }

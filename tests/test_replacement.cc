@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the stack-based replacement policies (LRU, BIP).
+ * Tests for the stack-based replacement policy (LRU).
  */
 
 #include <gtest/gtest.h>
@@ -42,34 +42,6 @@ TEST(Lru, PositionTracking)
         lru.onFill(0, w, {});
     EXPECT_EQ(lru.positionOf(0, 3), 0u); // most recent fill = MRU
     EXPECT_EQ(lru.positionOf(0, 0), 3u); // oldest = LRU
-}
-
-TEST(Bip, MostInsertionsGoToLru)
-{
-    BipPolicy bip(123, 32);
-    bip.reset(1, 8);
-    int lru_insertions = 0;
-    const int trials = 1000;
-    for (int i = 0; i < trials; ++i) {
-        bip.onFill(0, 4, {});
-        if (bip.positionOf(0, 4) == 7)
-            ++lru_insertions;
-    }
-    // Expect ~31/32 of insertions at LRU position.
-    EXPECT_GT(lru_insertions, trials * 9 / 10);
-    EXPECT_LT(lru_insertions, trials);
-}
-
-TEST(Bip, OccasionallyInsertsAtMru)
-{
-    BipPolicy bip(99, 32);
-    bip.reset(1, 8);
-    bool saw_mru = false;
-    for (int i = 0; i < 2000 && !saw_mru; ++i) {
-        bip.onFill(0, 3, {});
-        saw_mru = bip.positionOf(0, 3) == 0;
-    }
-    EXPECT_TRUE(saw_mru);
 }
 
 TEST(StackPolicy, HitPromotesToMru)

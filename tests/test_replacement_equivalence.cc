@@ -101,29 +101,6 @@ struct RefLru : RefStack
     }
 };
 
-/** Reference BIP with its own identically seeded RNG. */
-struct RefBip : RefStack
-{
-    explicit RefBip(std::uint64_t seed, unsigned inv_prob = 32)
-        : rng(seed), invProb(inv_prob)
-    {
-    }
-
-    void onHit(std::size_t set, unsigned way) { touchMru(set, way); }
-
-    void
-    onFill(std::size_t set, unsigned way, const FillInfo &)
-    {
-        if (rng.below(invProb) == 0)
-            touchMru(set, way);
-        else
-            touchLru(set, way);
-    }
-
-    Rng rng;
-    unsigned invProb;
-};
-
 /** Reference 5P: the full selection logic on the naive stack. */
 struct Ref5P : RefStack
 {
@@ -384,16 +361,6 @@ TEST(ReplacementEquivalence, LruMatchesNaiveStacks)
     }
 }
 
-TEST(ReplacementEquivalence, BipMatchesNaiveStacksWithSameRngStream)
-{
-    for (const auto &g : geometries) {
-        BipPolicy real(0xb1b0);
-        PeekAdapter<RefBip> ref(0xb1b0);
-        drivePolicies(real, ref, g.sets, g.ways, 20000,
-                      0xabc1 + g.ways, true);
-    }
-}
-
 TEST(ReplacementEquivalence, Policy5PMatchesNaiveStacksWithSameRngStream)
 {
     for (const auto &g : geometries) {
@@ -642,12 +609,6 @@ TEST(CacheEquivalence, SoaMatchesNaiveAosWithLru)
 {
     driveCacheEquivalence(std::make_unique<LruPolicy>(),
                           std::make_unique<LruPolicy>(), 0xcafe01);
-}
-
-TEST(CacheEquivalence, SoaMatchesNaiveAosWithBip)
-{
-    driveCacheEquivalence(std::make_unique<BipPolicy>(0xb1b0),
-                          std::make_unique<BipPolicy>(0xb1b0), 0xcafe02);
 }
 
 TEST(CacheEquivalence, SoaMatchesNaiveAosWith5P)

@@ -80,6 +80,27 @@ TEST(RrTable, PartialTagAliasing)
     EXPECT_TRUE(rr.contains(aliased));
 }
 
+TEST(RrTable, BanksSplitOnLineBit1)
+{
+    // DPC-2 banking: each bank indexes and tags like a table of its
+    // own size, and line bit 1 picks the bank.
+    RrTable banked(256, 12, 2);
+    const RrTable half(128, 12);
+    EXPECT_EQ(banked.numEntries(), 256u);
+    for (LineAddr line = 0; line < 100000; line += 7) {
+        const std::size_t bank = (line >> 1) & 1;
+        EXPECT_EQ(banked.indexOf(line), bank * 128 + half.indexOf(line));
+        EXPECT_EQ(banked.tagOf(line), half.tagOf(line));
+    }
+    // Lines 0 and 258 (bit 1 set) conflict in one 128-entry table but
+    // sit in different banks here.
+    ASSERT_EQ(half.indexOf(0), half.indexOf(258));
+    banked.insert(0);
+    banked.insert(258);
+    EXPECT_TRUE(banked.contains(0));
+    EXPECT_TRUE(banked.contains(258));
+}
+
 TEST(RrTable, ClearInvalidatesEverything)
 {
     RrTable rr(64, 10);

@@ -146,6 +146,17 @@ TEST(System, AllPrefetcherKindsRun)
     }
 }
 
+TEST(System, BoDpc2ReportsItsLearner)
+{
+    // bo-dpc2 is the BO learner with the DPC-2 preset, so its runs
+    // report the learner's counters like bo's.
+    SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
+    cfg.l2Prefetcher = L2PrefetcherKind::BestOffsetDpc2;
+    const RunStats s = runBench("462.libquantum", cfg, 20000, 60000);
+    EXPECT_GT(s.boLearningPhases, 0u);
+    EXPECT_NE(s.boFinalOffset, 0);
+}
+
 TEST(System, AllL3PoliciesRun)
 {
     for (const auto policy : {L3PolicyKind::P5, L3PolicyKind::Lru,

@@ -397,7 +397,8 @@ main(int argc, char **argv)
         std::printf("  coverage   : %.3f\n", s.prefetchCoverage());
         std::printf("  accuracy   : %.3f\n", s.prefetchAccuracy());
         std::printf("  timeliness : %.3f\n", s.prefetchTimeliness());
-        if (cfg.l2Prefetcher == L2PrefetcherKind::BestOffset) {
+        if (cfg.l2Prefetcher == L2PrefetcherKind::BestOffset ||
+            cfg.l2Prefetcher == L2PrefetcherKind::BestOffsetDpc2) {
             std::printf("\n");
             std::printf("BO phases    : %llu (%llu with prefetch off)\n",
                         static_cast<unsigned long long>(

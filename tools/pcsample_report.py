@@ -9,21 +9,27 @@ outside the executable included):
 
   by file      the innermost source file of each sample (inlined code
                counts where it was written, not where it was inlined)
-  by function  the innermost function whose source is in this repo, so
+  by function  the innermost function whose source is in the project, so
                a sample in an inlined std:: helper is charged to the
                simulator function that called it
-  by line      the innermost repo file:line
+  by line      the innermost project file:line
 
-Paths are shown relative to the repo root (the parent of tools/).
+A source belongs to the project when its path runs through one of the
+project's top-level directories (src/, tools/, bench/, examples/,
+tests/) and is shown from there, so a binary built in any checkout is
+attributed, not only one built next to this script.
+
+Exits with status 77 (a ctest skip) when the executable carries no line
+information: a build without -g, such as CMAKE_BUILD_TYPE=Release.
 """
 
 import argparse
 import collections
-import os
 import subprocess
 import sys
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PROJECT_DIRS = ("src", "tools", "bench", "examples", "tests")
+NO_LINE_INFO = 77
 
 
 def read_samples(path):
@@ -68,12 +74,14 @@ def symbolize(executable, offsets):
     return frames
 
 
-def in_repo(path):
-    return path.startswith(REPO + os.sep)
-
-
-def rel(path):
-    return os.path.relpath(path, REPO) if in_repo(path) else path
+def project_path(path):
+    """@p path from its last project top-level directory on, or None
+    when it runs through none (system headers, libc, "??")."""
+    parts = path.split("/")
+    for i in range(len(parts) - 2, -1, -1):
+        if parts[i] in PROJECT_DIRS:
+            return "/".join(parts[i:])
+    return None
 
 
 def report(executable, samples_path, top):
@@ -83,20 +91,25 @@ def report(executable, samples_path, top):
         print("no samples")
         return 1
     frames = symbolize(executable, sorted(counts))
+    if frames and not any(f[2].isdigit() and f[2] != "0"
+                          for stack in frames.values() for f in stack):
+        print("%s has no line information (built without -g?); "
+              "nothing to attribute" % executable)
+        return NO_LINE_INFO
 
     by_file = collections.Counter()
     by_func = collections.Counter()
     by_line = collections.Counter()
     for offset, n in counts.items():
         stack = frames.get(offset) or [("??", "??", "0")]
-        by_file[rel(stack[0][1])] += n
-        repo_frame = next((f for f in stack if in_repo(f[1])), None)
-        if repo_frame:
-            by_func[repo_frame[0]] += n
-            by_line["%s:%s" % (rel(repo_frame[1]), repo_frame[2])] += n
+        by_file[project_path(stack[0][1]) or stack[0][1]] += n
+        frame = next((f for f in stack if project_path(f[1])), None)
+        if frame:
+            by_func[frame[0]] += n
+            by_line["%s:%s" % (project_path(frame[1]), frame[2])] += n
         else:
-            by_func["(outside the repo)"] += n
-            by_line["(outside the repo)"] += n
+            by_func["(outside the project)"] += n
+            by_line["(outside the project)"] += n
     if extra.get("outside"):
         for table in (by_file, by_func, by_line):
             table["(outside the executable)"] += extra["outside"]
