@@ -66,6 +66,61 @@ TEST(Harness, FingerprintDistinguishesConfigs)
     EXPECT_NE(configFingerprint(a), configFingerprint(c));
 }
 
+TEST(Harness, FingerprintsArePinned)
+{
+    // Journals, memo keys and BOP_CKPT_DIR warm prefixes are keyed by
+    // these strings, so a refactor of the configuration must leave
+    // them byte-identical (or bump the formats that store them).
+    const std::string tail = "|bo=256,31,100,1,256,1,0,0,0|sbp=256,2"
+                             "|fdp=2,2048|ghb=1,6,4|sbuf=4,8|dpc2=10,60";
+    const std::string base = "1-core, 4KB pages, L2 ";
+    const std::string rest = ", L3 5P, DL1 stride|seed=42" + tail + "|D=1";
+    using K = L2PrefetcherKind;
+    const std::vector<std::pair<K, std::string>> kinds = {
+        {K::None, "none"},
+        {K::NextLine, "next-line"},
+        {K::FixedOffset, "fixed-offset(D=1)"},
+        {K::BestOffset, "best-offset"},
+        {K::Sandbox, "sandbox"},
+        {K::Stream, "stream"},
+        {K::Fdp, "fdp"},
+        {K::Acdc, "acdc"},
+        {K::StreamBuffer, "streambuf"},
+        {K::BestOffsetDpc2, "bo-dpc2"},
+    };
+    for (const auto &[kind, name] : kinds) {
+        SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
+        cfg.l2Prefetcher = kind;
+        EXPECT_EQ(configFingerprint(cfg), base + name + rest);
+    }
+
+    SystemConfig bo = baselineConfig(1, PageSize::FourKB);
+    bo.l2Prefetcher = K::BestOffset;
+    bo.bo.badScore = 7;
+    bo.bo.rrEntries = 64;
+    bo.bo.degree = 2;
+    bo.bo.adaptiveBadScore = true;
+    bo.bo.coverageWeight = 2;
+    EXPECT_EQ(configFingerprint(bo),
+              "1-core, 4KB pages, L2 best-offset, L3 5P, DL1 stride"
+              "|seed=42|bo=64,31,100,7,256,2,0,1,2|sbp=256,2|fdp=2,2048"
+              "|ghb=1,6,4|sbuf=4,8|dpc2=10,60|D=1");
+
+    SystemConfig fixed = baselineConfig(2, PageSize::FourMB);
+    fixed.l2Prefetcher = K::FixedOffset;
+    fixed.fixedOffset = 5;
+    fixed.numCores = 4;
+    fixed.numChannels = 4;
+    fixed.l3Policy = L3PolicyKind::Drrip;
+    fixed.dl1StridePrefetcher = false;
+    fixed.seed = 7;
+    EXPECT_EQ(configFingerprint(fixed),
+              "2-core/4cpu, 4-chan, 4MB pages, L2 fixed-offset(D=5), "
+              "L3 DRRIP, no DL1 prefetch|seed=7" + tail + "|D=5");
+    fixed.l3Policy = L3PolicyKind::Lru;
+    EXPECT_NE(configFingerprint(fixed).find(", L3 LRU,"), std::string::npos);
+}
+
 TEST(Harness, MakeTracesAddsThrashers)
 {
     const SystemConfig cfg = baselineConfig(4, PageSize::FourKB);
