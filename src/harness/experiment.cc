@@ -12,6 +12,10 @@
 #include "common/serializer.hh"
 #include "dram/address_map.hh"
 #include "harness/checkpoint.hh"
+#include "prefetch/fdp.hh"
+#include "prefetch/ghb.hh"
+#include "prefetch/sandbox.hh"
+#include "prefetch/stream_buffer.hh"
 #include "trace/workloads.hh"
 
 namespace bop
@@ -67,17 +71,21 @@ std::string
 gridLabel(int cores, PageSize page)
 {
     std::ostringstream oss;
-    oss << cores << "-core/"
-        << (page == PageSize::FourKB ? "4KB" : "4MB");
+    oss << cores << "-core/" << enumName(page).label;
     return oss.str();
 }
 
 std::string
 configFingerprint(const SystemConfig &cfg)
 {
-    // The bo-dpc2 preset is fixed, but its segment stays in every
+    // The other prefetchers run with their default configs and
+    // bo-dpc2 with its fixed preset, but their segments stay in every
     // fingerprint so journals and stored warm prefixes keep matching.
     const BoConfig dpc2 = dpc2BoConfig();
+    const SbpConfig sbp;
+    const FdpConfig fdp;
+    const GhbConfig ghb;
+    const StreamBufferConfig sbuf;
     std::ostringstream oss;
     oss << cfg.describe() << "|seed=" << cfg.seed
         << "|bo=" << cfg.bo.rrEntries << "," << cfg.bo.scoreMax << ","
@@ -85,11 +93,11 @@ configFingerprint(const SystemConfig &cfg)
         << cfg.bo.maxOffset << "," << cfg.bo.degree << ","
         << cfg.bo.includeNegative << ","
         << cfg.bo.adaptiveBadScore << "," << cfg.bo.coverageWeight
-        << "|sbp=" << cfg.sbp.evalPeriod << "," << cfg.sbp.maxActiveOffsets
-        << "|fdp=" << cfg.fdp.initialLevel << "," << cfg.fdp.sampleInterval
-        << "|ghb=" << cfg.ghb.adaptiveZones << ","
-        << cfg.ghb.zoneLineBitsCandidates.front() << "," << cfg.ghb.degree
-        << "|sbuf=" << cfg.streamBuf.buffers << "," << cfg.streamBuf.depth
+        << "|sbp=" << sbp.evalPeriod << "," << sbp.maxActiveOffsets
+        << "|fdp=" << fdp.initialLevel << "," << fdp.sampleInterval
+        << "|ghb=" << ghb.adaptiveZones << ","
+        << ghb.zoneLineBitsCandidates.front() << "," << ghb.degree
+        << "|sbuf=" << sbuf.buffers << "," << sbuf.depth
         << "|dpc2=" << dpc2.badScore << "," << dpc2.delayCycles
         << "|D=" << cfg.fixedOffset;
     return oss.str();

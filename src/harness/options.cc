@@ -52,13 +52,13 @@ seconds(Arg name, Arg text)
 using U64 = std::uint64_t;
 
 const OptionRow rows[] = {
-    {"--warmup", Bopsim, "BOP_WARMUP", Bench, "N",
-     "warm-up instructions per job (default 100000)",
+    {nullptr, None, "BOP_WARMUP", Bench, "N",
+     "warm-up instructions per job (default 100000; bopsim: --warmup)",
      [](RunnerOptions &o, Arg n, Arg v) {
          o.budget.warmup = wholeOption<U64>(n, v);
      }},
-    {"--instr", Bopsim, "BOP_INSTR", Bench, "N",
-     "measured instructions per job (default 400000)",
+    {nullptr, None, "BOP_INSTR", Bench, "N",
+     "measured instructions per job (default 400000; bopsim: --instr)",
      [](RunnerOptions &o, Arg n, Arg v) {
          o.budget.measure = wholeOption<U64>(n, v);
      }},
@@ -136,20 +136,27 @@ printRunnerOptionsUsage(std::ostream &os, OptionReader reader)
         std::string help = row.help;
         if (flag && env)
             help += "; also " + std::string(row.env);
-        // Word-wrap the help into a hanging indent at column 22.
-        std::string line = "  " + name;
-        std::istringstream words(help);
-        std::string word;
-        while (words >> word) {
-            if (line.size() > 22 && line.size() + 1 + word.size() > 76) {
-                os << line << "\n";
-                line.clear();
-            }
-            line.resize(std::max<std::size_t>(line.size() + 1, 22), ' ');
-            line += word;
-        }
-        os << line << "\n";
+        printUsageLine(os, name, help);
     }
+}
+
+void
+printUsageLine(std::ostream &os, const std::string &name,
+               const std::string &help)
+{
+    // Word-wrap the help into a hanging indent at column 22.
+    std::string line = "  " + name;
+    std::istringstream words(help);
+    std::string word;
+    while (words >> word) {
+        if (line.size() > 22 && line.size() + 1 + word.size() > 76) {
+            os << line << "\n";
+            line.clear();
+        }
+        line.resize(std::max<std::size_t>(line.size() + 1, 22), ' ');
+        line += word;
+    }
+    os << line << "\n";
 }
 
 std::string

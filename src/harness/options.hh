@@ -47,7 +47,7 @@ struct Budget
 /** Everything ExperimentRunner, SweepFarm and serveLoop are told. */
 struct RunnerOptions
 {
-    Budget budget; ///< --warmup / --instr, BOP_WARMUP / BOP_INSTR
+    Budget budget; ///< BOP_WARMUP / BOP_INSTR; bopsim's --warmup / --instr
     double jobTimeout = 0.0;   ///< seconds, 0 = none (--job-timeout)
     int retries = 0;           ///< extra attempts on transient failure
     std::string checkpointDir; ///< warm-prefix directory, "" = none
@@ -74,6 +74,13 @@ struct RunnerOptions
 
 /** Usage lines for the runner flags and variables @p reader reads. */
 void printRunnerOptionsUsage(std::ostream &os, OptionReader reader);
+
+/**
+ * One usage line: "  NAME  help", the help word-wrapped into a
+ * hanging indent at column 22 (bopsim --help's layout).
+ */
+void printUsageLine(std::ostream &os, const std::string &name,
+                    const std::string &help);
 
 /** The same rows as a Markdown table (README "Runner options"). */
 std::string runnerOptionsMarkdown();

@@ -16,35 +16,6 @@
 namespace bop
 {
 
-bool
-parseL2PrefetcherName(const std::string &name, L2PrefetcherKind &kind)
-{
-    using K = L2PrefetcherKind;
-    if (name == "none")
-        kind = K::None;
-    else if (name == "next-line" || name == "nl")
-        kind = K::NextLine;
-    else if (name == "fixed")
-        kind = K::FixedOffset;
-    else if (name == "bo")
-        kind = K::BestOffset;
-    else if (name == "bo-dpc2")
-        kind = K::BestOffsetDpc2;
-    else if (name == "sbp" || name == "sandbox")
-        kind = K::Sandbox;
-    else if (name == "stream")
-        kind = K::Stream;
-    else if (name == "streambuf")
-        kind = K::StreamBuffer;
-    else if (name == "fdp")
-        kind = K::Fdp;
-    else if (name == "acdc" || name == "ghb")
-        kind = K::Acdc;
-    else
-        return false;
-    return true;
-}
-
 namespace
 {
 
@@ -58,117 +29,227 @@ knownBenchmark(const std::string &name)
     return false;
 }
 
+/** A whole-number field's value, from a flag's text or a job line. */
+template <typename T>
+bool
+whole(const FieldValue &value, T &out)
+{
+    if (const double *number = std::get_if<double>(&value))
+        return wholeNumber(*number, out);
+    return wholeNumber(std::get<std::string>(value), out);
+}
+
+const std::string &
+text(const FieldValue &value)
+{
+    return std::get<std::string>(value);
+}
+
+bool
+setSwitch(const FieldValue &value, bool &out)
+{
+    out = std::get<double>(value) != 0.0;
+    return true;
+}
+
+using enum FieldKind;
+using V = const FieldValue &;
+constexpr auto BO = L2PrefetcherKind::BestOffset;
+
+// key, flag, kind, metavar, help, setter[, choices[, onlyWith]]
+const ConfigField fields[] = {
+    {"workload", "--workload", Text, "NAME",
+     "built-in SPEC CPU2006-like generator (--list)",
+     [](JobSpec &j, V v) {
+         j.benchmark = text(v);
+         return true;
+     }},
+    {"prefetcher", "--prefetcher", Text, "KIND", "L2 prefetcher (default bo):",
+     [](JobSpec &j, V v) {
+         return parseEnumName(text(v), j.cfg.l2Prefetcher);
+     },
+     enumNameList<L2PrefetcherKind>},
+    {"offset", "--offset", Whole, "D", "offset D of fixed (default 1)",
+     [](JobSpec &j, V v) { return whole(v, j.cfg.fixedOffset); }, nullptr,
+     L2PrefetcherKind::FixedOffset},
+    {"cores", "--cores", Whole, "N",
+     "active cores (default 1; paper: 1, 2, 4)",
+     [](JobSpec &j, V v) { return whole(v, j.cfg.activeCores); }},
+    {"num_cores", "--num-cores", Whole, "N",
+     "chip topology core count (default: same as --cores)",
+     [](JobSpec &j, V v) { return whole(v, j.cfg.numCores); }},
+    {"channels", "--channels", Whole, "M",
+     "DRAM channels, power of two (default 2)",
+     [](JobSpec &j, V v) { return whole(v, j.cfg.numChannels); }},
+    {"page", "--page", Text, "SIZE", "page size (default 4k):",
+     [](JobSpec &j, V v) { return parseEnumName(text(v), j.cfg.pageSize); },
+     enumNameList<PageSize>},
+    {"l3", "--l3", Text, "POLICY", "L3 replacement policy (default 5p):",
+     [](JobSpec &j, V v) { return parseEnumName(text(v), j.cfg.l3Policy); },
+     enumNameList<L3PolicyKind>},
+    {"dl1_stride", "--no-dl1-stride", Switch, nullptr,
+     "disable the DL1 stride prefetcher (job line: 0)",
+     [](JobSpec &j, V v) { return setSwitch(v, j.cfg.dl1StridePrefetcher); }},
+    {"bo_badscore", "--bo-badscore", Whole, "N",
+     "BO throttling threshold (default 1)",
+     [](JobSpec &j, V v) { return whole(v, j.cfg.bo.badScore); }, nullptr, BO},
+    {"bo_rr", "--bo-rr", Whole, "N", "BO RR table entries (default 256)",
+     [](JobSpec &j, V v) { return whole(v, j.cfg.bo.rrEntries); }, nullptr,
+     BO},
+    {"bo_degree", "--bo-degree", Whole, "N", "BO degree, 1 or 2 (default 1)",
+     [](JobSpec &j, V v) { return whole(v, j.cfg.bo.degree); }, nullptr, BO},
+    {"bo_adaptive", "--bo-adaptive", Switch, nullptr,
+     "BO adaptive BADSCORE (Sec. 7 future work)",
+     [](JobSpec &j, V v) { return setSwitch(v, j.cfg.bo.adaptiveBadScore); },
+     nullptr, BO},
+    {"bo_coverage", "--bo-coverage", Whole, "W",
+     "BO hybrid coverage scoring weight (0-2)",
+     [](JobSpec &j, V v) { return whole(v, j.cfg.bo.coverageWeight); },
+     nullptr, BO},
+    {"seed", "--seed", Whole, "S", "run seed (default 42)",
+     [](JobSpec &j, V v) { return whole(v, j.cfg.seed); }},
+    {"warmup", "--warmup", Whole, "N",
+     "warm-up instructions (default 100000; with --serve, each line's)",
+     [](JobSpec &j, V v) { return whole(v, j.budget.warmup); }},
+    {"instr", "--instr", Whole, "N",
+     "measured instructions (default 400000; with --serve, each line's)",
+     [](JobSpec &j, V v) { return whole(v, j.budget.measure); }},
+    // "share" takes the warm-up from the runner's warm-prefix store;
+    // "cold", like no field, runs cold.
+    {"checkpoint", nullptr, Text, "MODE", "warm-up sharing (default cold):",
+     [](JobSpec &j, V v) {
+         j.share = text(v) == "share";
+         return j.share || text(v) == "cold";
+     },
+     [] { return std::string("share | cold"); }},
+};
+
+static_assert(std::size(fields) <= 8 * sizeof(FieldsGiven));
+
+FieldsGiven
+bit(const ConfigField &row)
+{
+    return FieldsGiven{1} << (&row - fields);
+}
+
+/** Why @p row refused @p value, naming the field as @p name. */
+std::string
+refusal(const ConfigField &row, const std::string &name,
+        const FieldValue &value)
+{
+    std::ostringstream oss;
+    if (const double *number = std::get_if<double>(&value))
+        oss << "field \"" << name << "\" must be a whole number in range, "
+            << "got " << *number;
+    else if (row.kind == Whole)
+        oss << name << ": '" << text(value)
+            << "' is not a whole number in range";
+    else
+        oss << name << " must be " << row.choices() << ", got '"
+            << text(value) << "'";
+    return oss.str();
+}
+
 } // namespace
+
+std::span<const ConfigField>
+configFields()
+{
+    return fields;
+}
+
+JobSpec
+defaultJob(const Budget &budget)
+{
+    JobSpec job;
+    job.cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
+    job.budget = budget;
+    return job;
+}
+
+bool
+parseConfigFlag(int argc, char **argv, int &i, JobSpec &job,
+                FieldsGiven &given)
+{
+    const std::string arg = argv[i];
+    for (const ConfigField &row : fields) {
+        if (row.flag == nullptr || arg != row.flag)
+            continue;
+        FieldValue value = arg.starts_with("--no-") ? 0.0 : 1.0;
+        if (row.kind != Switch) {
+            if (i + 1 >= argc)
+                throw std::invalid_argument(arg + " needs an argument");
+            value = std::string(argv[++i]);
+        }
+        if (!row.set(job, value))
+            throw std::invalid_argument(refusal(row, arg, value));
+        given |= bit(row);
+        return true;
+    }
+    return false;
+}
+
+const ConfigField *
+unreadField(const JobSpec &job, FieldsGiven given)
+{
+    for (const ConfigField &row : fields) {
+        if ((given & bit(row)) && row.onlyWith &&
+            *row.onlyWith != job.cfg.l2Prefetcher)
+            return &row;
+    }
+    return nullptr;
+}
+
+void
+printConfigFieldUsage(std::ostream &os)
+{
+    for (const ConfigField &row : fields) {
+        if (row.flag == nullptr)
+            continue;
+        const std::string flag = row.flag;
+        printUsageLine(os, row.metavar ? flag + " " + row.metavar : flag,
+                       row.help + (row.choices ? " " + row.choices() : ""));
+    }
+}
 
 bool
 parseServeJobLine(const std::string &line, const RunnerOptions &defaults,
                   JobSpec &job, std::string &error)
 {
-    ParsedRunRecord fields;
+    ParsedRunRecord record;
     try {
         std::istringstream is(line);
-        fields = parseFlatRecord(is);
+        record = parseFlatRecord(is);
     } catch (const std::exception &e) {
         error = e.what();
         return false;
     }
 
-    // bopsim's defaults: paper baseline topology, BO prefetcher.
-    job.cfg = SystemConfig{};
-    job.cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
-    job.budget = defaults.budget;
-    job.share = false;
-    job.benchmark.clear();
-
-    for (const auto &kv : fields.strings) {
-        const std::string &key = kv.first;
-        const std::string &value = kv.second;
-        if (key == "workload") {
-            job.benchmark = value;
-        } else if (key == "prefetcher") {
-            if (!parseL2PrefetcherName(value, job.cfg.l2Prefetcher)) {
-                error = "unknown prefetcher '" + value + "'";
+    job = defaultJob(defaults.budget);
+    FieldsGiven given = 0;
+    auto take = [&](const std::string &key, const FieldValue &value) {
+        const bool number = std::holds_alternative<double>(value);
+        for (const ConfigField &row : fields) {
+            if (key != row.key || (row.kind == Text) == number)
+                continue;
+            if (!row.set(job, value)) {
+                error = refusal(row, key, value);
                 return false;
             }
-        } else if (key == "page") {
-            if (value == "4k" || value == "4K")
-                job.cfg.pageSize = PageSize::FourKB;
-            else if (value == "4m" || value == "4M")
-                job.cfg.pageSize = PageSize::FourMB;
-            else {
-                error = "page must be \"4k\" or \"4m\"";
-                return false;
-            }
-        } else if (key == "checkpoint") {
-            // "share": take the warm-up from the runner's warm-prefix
-            // store (jobs with the same workload/config/warmup
-            // simulate it once); "cold", like no field, runs cold.
-            if (value == "share")
-                job.share = true;
-            else if (value == "cold")
-                job.share = false;
-            else {
-                error = "checkpoint must be \"share\" or \"cold\"";
-                return false;
-            }
-        } else if (key == "l3") {
-            if (value == "5p")
-                job.cfg.l3Policy = L3PolicyKind::P5;
-            else if (value == "lru")
-                job.cfg.l3Policy = L3PolicyKind::Lru;
-            else if (value == "drrip")
-                job.cfg.l3Policy = L3PolicyKind::Drrip;
-            else {
-                error = "l3 must be \"5p\", \"lru\" or \"drrip\"";
-                return false;
-            }
-        } else {
-            error = "unknown string field \"" + key + "\"";
-            return false;
+            given |= bit(row);
+            return true;
         }
+        error = "unknown " + std::string(number ? "numeric" : "string") +
+                " field \"" + key + "\"";
+        return false;
+    };
+    for (const auto &[key, value] : record.strings) {
+        if (!take(key, value))
+            return false;
     }
-
-    for (const auto &kv : fields.numbers) {
-        const std::string &key = kv.first;
-        const double value = kv.second;
-        bool fits = true;
-        if (key == "offset")
-            fits = wholeNumber(value, job.cfg.fixedOffset);
-        else if (key == "cores")
-            fits = wholeNumber(value, job.cfg.activeCores);
-        else if (key == "num_cores")
-            fits = wholeNumber(value, job.cfg.numCores);
-        else if (key == "channels")
-            fits = wholeNumber(value, job.cfg.numChannels);
-        else if (key == "dl1_stride")
-            job.cfg.dl1StridePrefetcher = value != 0.0;
-        else if (key == "seed")
-            fits = wholeNumber(value, job.cfg.seed);
-        else if (key == "bo_badscore")
-            fits = wholeNumber(value, job.cfg.bo.badScore);
-        else if (key == "bo_rr")
-            fits = wholeNumber(value, job.cfg.bo.rrEntries);
-        else if (key == "bo_degree")
-            fits = wholeNumber(value, job.cfg.bo.degree);
-        else if (key == "bo_adaptive")
-            job.cfg.bo.adaptiveBadScore = value != 0.0;
-        else if (key == "bo_coverage")
-            fits = wholeNumber(value, job.cfg.bo.coverageWeight);
-        else if (key == "warmup")
-            fits = wholeNumber(value, job.budget.warmup);
-        else if (key == "instr")
-            fits = wholeNumber(value, job.budget.measure);
-        else {
-            error = "unknown numeric field \"" + key + "\"";
+    for (const auto &[key, value] : record.numbers) {
+        if (!take(key, value))
             return false;
-        }
-        if (!fits) {
-            std::ostringstream oss;
-            oss << "field \"" << key << "\" must be a whole number in "
-                << "range, got " << value;
-            error = oss.str();
-            return false;
-        }
     }
 
     if (job.benchmark.empty()) {
@@ -177,6 +258,12 @@ parseServeJobLine(const std::string &line, const RunnerOptions &defaults,
     }
     if (!knownBenchmark(job.benchmark)) {
         error = "unknown workload '" + job.benchmark + "'";
+        return false;
+    }
+    if (const ConfigField *row = unreadField(job, given)) {
+        error = "field \"" + std::string(row->key) +
+                "\" is read only with \"prefetcher\": \"" +
+                enumName(*row->onlyWith).names[0] + "\"";
         return false;
     }
     return true;

@@ -31,28 +31,85 @@
 #define BOP_HARNESS_SERVE_HH
 
 #include <atomic>
+#include <cstdint>
 #include <istream>
+#include <optional>
 #include <ostream>
+#include <span>
 #include <string>
+#include <variant>
 
 #include "harness/experiment.hh"
 
 namespace bop
 {
 
-/** Parse an L2 prefetcher name (bopsim's --prefetcher vocabulary). */
-bool parseL2PrefetcherName(const std::string &name,
-                           L2PrefetcherKind &kind);
+/** How a field takes its value: a name (a flag's argument, a job
+ *  line's string), a whole number, or a switch (a flag without a
+ *  value; a job line's number, 0 = off). */
+enum class FieldKind { Text, Whole, Switch };
+
+/** A value as read: text, or a job line's number. */
+using FieldValue = std::variant<std::string, double>;
 
 /**
- * Decode one job line into @p job. The field vocabulary mirrors
- * bopsim's CLI options (snake_cased); a line that leaves out its
+ * One settable field of a design point (a JobSpec): the serve job-line
+ * key and the bopsim flag that set it, read by both front ends through
+ * this row. A switch flag turns its field on, or off when spelled
+ * `--no-...`.
+ */
+struct ConfigField
+{
+    const char *key;
+    const char *flag; ///< nullptr: job lines only
+    FieldKind kind;
+    const char *metavar; ///< the value in usage text; nullptr: switch
+    const char *help;
+    /** Store @p value; false when the field does not take it. */
+    bool (*set)(JobSpec &job, const FieldValue &value);
+    std::string (*choices)() = nullptr; ///< a fixed vocabulary
+    /** The one prefetcher that reads the field, if only one does. */
+    std::optional<L2PrefetcherKind> onlyWith = std::nullopt;
+};
+
+/** Every settable field, in help order. */
+std::span<const ConfigField> configFields();
+
+/** The rows of configFields() a reader has set: bit i is row i. */
+using FieldsGiven = std::uint32_t;
+
+/** What bopsim and a job line start from: the paper's baseline with
+ *  the BO prefetcher, and @p budget. */
+JobSpec defaultJob(const Budget &budget);
+
+/**
+ * RunnerOptions::parseFlag for the design-point flags: store argv[i]'s
+ * value into @p job and mark its row in @p given. Throws
+ * std::invalid_argument naming the flag on a missing or bad value.
+ */
+bool parseConfigFlag(int argc, char **argv, int &i, JobSpec &job,
+                     FieldsGiven &given);
+
+/**
+ * The first field in @p given that @p job's prefetcher does not read
+ * (bo_* without "bo", offset without "fixed"), or nullptr. Checked
+ * once every field is in, so their order does not matter.
+ */
+const ConfigField *unreadField(const JobSpec &job, FieldsGiven given);
+
+/** bopsim --help's line for every design-point flag. */
+void printConfigFieldUsage(std::ostream &os);
+
+/**
+ * Decode one job line into @p job through configFields(), the table
+ * bopsim's flags read too; a line that leaves out its
  * budget takes @p defaults' budget, and it shares its warm-up only
  * when it says "checkpoint": "share" (no field, or "cold", runs cold). A
  * line that is not a flat JSON object, names an unknown field or
- * workload, or carries a number that is not a whole number in its
- * field's range returns false with a diagnostic in @p error, so a
- * typo never silently simulates the wrong design point. Never throws.
+ * workload, carries a number that is not a whole number in its
+ * field's range, or sets a field its prefetcher does not read returns
+ * false with a diagnostic in @p error, so a typo never silently
+ * simulates the wrong design point. Never throws.
  */
 bool parseServeJobLine(const std::string &line,
                        const RunnerOptions &defaults, JobSpec &job,

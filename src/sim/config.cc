@@ -12,49 +12,50 @@ namespace bop
 namespace
 {
 
-const char *
-prefetcherName(L2PrefetcherKind kind)
-{
-    switch (kind) {
-      case L2PrefetcherKind::None:
-        return "none";
-      case L2PrefetcherKind::NextLine:
-        return "next-line";
-      case L2PrefetcherKind::FixedOffset:
-        return "fixed-offset";
-      case L2PrefetcherKind::BestOffset:
-        return "best-offset";
-      case L2PrefetcherKind::Sandbox:
-        return "sandbox";
-      case L2PrefetcherKind::Stream:
-        return "stream";
-      case L2PrefetcherKind::Fdp:
-        return "fdp";
-      case L2PrefetcherKind::Acdc:
-        return "acdc";
-      case L2PrefetcherKind::StreamBuffer:
-        return "streambuf";
-      case L2PrefetcherKind::BestOffsetDpc2:
-        return "bo-dpc2";
-    }
-    return "?";
-}
+using K = L2PrefetcherKind;
+const EnumName<K> l2Names[] = {
+    {K::None, "none", {"none", nullptr}},
+    {K::NextLine, "next-line", {"next-line", "nl"}},
+    {K::FixedOffset, "fixed-offset", {"fixed", nullptr}},
+    {K::BestOffset, "best-offset", {"bo", nullptr}},
+    {K::BestOffsetDpc2, "bo-dpc2", {"bo-dpc2", nullptr}},
+    {K::Sandbox, "sandbox", {"sbp", "sandbox"}},
+    {K::Stream, "stream", {"stream", nullptr}},
+    {K::StreamBuffer, "streambuf", {"streambuf", nullptr}},
+    {K::Fdp, "fdp", {"fdp", nullptr}},
+    {K::Acdc, "acdc", {"acdc", "ghb"}},
+};
 
-const char *
-policyName(L3PolicyKind kind)
-{
-    switch (kind) {
-      case L3PolicyKind::P5:
-        return "5P";
-      case L3PolicyKind::Lru:
-        return "LRU";
-      case L3PolicyKind::Drrip:
-        return "DRRIP";
-    }
-    return "?";
-}
+const EnumName<L3PolicyKind> l3Names[] = {
+    {L3PolicyKind::P5, "5P", {"5p", nullptr}},
+    {L3PolicyKind::Lru, "LRU", {"lru", nullptr}},
+    {L3PolicyKind::Drrip, "DRRIP", {"drrip", nullptr}},
+};
+
+const EnumName<PageSize> pageNames[] = {
+    {PageSize::FourKB, "4KB", {"4k", "4K"}},
+    {PageSize::FourMB, "4MB", {"4m", "4M"}},
+};
 
 } // namespace
+
+std::span<const EnumName<L2PrefetcherKind>>
+enumNames(L2PrefetcherKind)
+{
+    return l2Names;
+}
+
+std::span<const EnumName<L3PolicyKind>>
+enumNames(L3PolicyKind)
+{
+    return l3Names;
+}
+
+std::span<const EnumName<PageSize>>
+enumNames(PageSize)
+{
+    return pageNames;
+}
 
 void
 SystemConfig::validate() const
@@ -103,12 +104,11 @@ SystemConfig::describe() const
         oss << "/" << coreCount() << "cpu";
     if (numChannels != 2)
         oss << ", " << numChannels << "-chan";
-    oss << ", "
-        << (pageSize == PageSize::FourKB ? "4KB" : "4MB") << " pages, L2 "
-        << prefetcherName(l2Prefetcher);
+    oss << ", " << enumName(pageSize).label << " pages, L2 "
+        << enumName(l2Prefetcher).label;
     if (l2Prefetcher == L2PrefetcherKind::FixedOffset)
         oss << "(D=" << fixedOffset << ")";
-    oss << ", L3 " << policyName(l3Policy)
+    oss << ", L3 " << enumName(l3Policy).label
         << (dl1StridePrefetcher ? ", DL1 stride" : ", no DL1 prefetch");
     return oss.str();
 }

@@ -6,22 +6,20 @@
  * core counts, page size, cache/DRAM parameters, which L2 prefetcher to
  * use and its parameters, L3 replacement policy, and the DL1 stride
  * prefetcher switch. The benchmark harness builds these per figure.
+ * The prefetchers other than BO and fixed-offset run with their
+ * default configs.
  */
 
 #ifndef BOP_SIM_CONFIG_HH
 #define BOP_SIM_CONFIG_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "core/best_offset.hh"
 #include "dram/dram_timing.hh"
-#include "prefetch/fdp.hh"
-#include "prefetch/ghb.hh"
-#include "prefetch/sandbox.hh"
-#include "prefetch/stream.hh"
-#include "prefetch/stream_buffer.hh"
-#include "prefetch/stride.hh"
 #include "common/types.hh"
 
 namespace bop
@@ -49,6 +47,66 @@ enum class L3PolicyKind
     Lru,
     Drrip,
 };
+
+/**
+ * One value of a configuration enum: @c label is what describe()
+ * prints, @c names the spellings flags and job lines accept (the first
+ * is the one help lists; the second may be nullptr).
+ */
+template <typename E>
+struct EnumName
+{
+    E value;
+    const char *label;
+    const char *names[2];
+};
+
+/** The name tables (the argument only picks the enum). */
+std::span<const EnumName<L2PrefetcherKind>> enumNames(L2PrefetcherKind);
+std::span<const EnumName<L3PolicyKind>> enumNames(L3PolicyKind);
+std::span<const EnumName<PageSize>> enumNames(PageSize);
+
+/** The row of @p value in its enum's name table. */
+template <typename E>
+const EnumName<E> &
+enumName(E value)
+{
+    return *std::ranges::find(enumNames(value), value, &EnumName<E>::value);
+}
+
+/** Read @p text as one of E's spellings; false when it is none. */
+template <typename E>
+bool
+parseEnumName(const std::string &text, E &out)
+{
+    for (const EnumName<E> &row : enumNames(E{})) {
+        for (const char *name : row.names) {
+            if (name != nullptr && text == name) {
+                out = row.value;
+                return true;
+            }
+        }
+    }
+    return false;
+}
+
+/** E's spellings as help lists them: "a | b | c". */
+template <typename E>
+std::string
+enumNameList()
+{
+    std::string list;
+    for (const EnumName<E> &row : enumNames(E{}))
+        list += (list.empty() ? "" : " | ") + std::string(row.names[0]);
+    return list;
+}
+
+/** Parse an L2 prefetcher name (bopsim's --prefetcher vocabulary). */
+inline bool
+parseL2PrefetcherName(const std::string &name, L2PrefetcherKind &kind)
+{
+    return parseEnumName(name, kind);
+}
 
 /** Core pipeline parameters (loosely Haswell, Table 1). */
 struct CoreParams
@@ -120,16 +178,10 @@ struct SystemConfig
     L3PolicyKind l3Policy = L3PolicyKind::P5;
 
     bool dl1StridePrefetcher = true;
-    StrideConfig stride;
 
     L2PrefetcherKind l2Prefetcher = L2PrefetcherKind::NextLine;
     int fixedOffset = 1;          ///< for L2PrefetcherKind::FixedOffset
-    BoConfig bo;
-    SbpConfig sbp;
-    StreamConfig stream;          ///< extension prefetcher parameters
-    FdpConfig fdp;
-    GhbConfig ghb;
-    StreamBufferConfig streamBuf;
+    BoConfig bo; ///< BestOffset's config (SBP takes its maxOffset)
 
     std::uint64_t seed = 42;      ///< run seed (vmem, policies, traces)
 

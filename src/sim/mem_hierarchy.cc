@@ -8,8 +8,12 @@
 #include "cache/policy_5p.hh"
 #include "core/best_offset.hh"
 #include "core/offset_list.hh"
+#include "prefetch/fdp.hh"
 #include "prefetch/fixed_offset.hh"
+#include "prefetch/ghb.hh"
 #include "prefetch/sandbox.hh"
+#include "prefetch/stream.hh"
+#include "prefetch/stream_buffer.hh"
 
 namespace bop
 {
@@ -45,18 +49,15 @@ makeL2Prefetcher(const SystemConfig &cfg)
                                                       cfg.bo);
       case L2PrefetcherKind::Sandbox:
         return std::make_unique<SandboxPrefetcher>(
-            cfg.pageSize, makeOffsetList(cfg.bo.maxOffset), cfg.sbp);
+            cfg.pageSize, makeOffsetList(cfg.bo.maxOffset));
       case L2PrefetcherKind::Stream:
-        return std::make_unique<StreamPrefetcher>(cfg.pageSize,
-                                                  cfg.stream);
+        return std::make_unique<StreamPrefetcher>(cfg.pageSize);
       case L2PrefetcherKind::Fdp:
-        return std::make_unique<FdpPrefetcher>(cfg.pageSize, cfg.fdp);
+        return std::make_unique<FdpPrefetcher>(cfg.pageSize);
       case L2PrefetcherKind::Acdc:
-        return std::make_unique<GhbAcdcPrefetcher>(cfg.pageSize,
-                                                   cfg.ghb);
+        return std::make_unique<GhbAcdcPrefetcher>(cfg.pageSize);
       case L2PrefetcherKind::StreamBuffer:
-        return std::make_unique<StreamBufferPrefetcher>(cfg.pageSize,
-                                                        cfg.streamBuf);
+        return std::make_unique<StreamBufferPrefetcher>(cfg.pageSize);
       case L2PrefetcherKind::BestOffsetDpc2:
         return std::make_unique<BestOffsetPrefetcher>(cfg.pageSize,
                                                       dpc2BoConfig());
@@ -83,10 +84,10 @@ MemHierarchy::CoreSide::CoreSide(const SystemConfig &cfg, CoreId id_)
     if (id == 0) {
         l2pf = makeL2Prefetcher(cfg);
         if (cfg.dl1StridePrefetcher)
-            stride.emplace(cfg.stride);
+            stride.emplace();
     } else {
         l2pf = std::make_unique<NextLinePrefetcher>(cfg.pageSize);
-        stride.emplace(cfg.stride);
+        stride.emplace();
     }
 }
 

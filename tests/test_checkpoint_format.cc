@@ -41,8 +41,10 @@ const char *const kFixtureBench = "429.mcf";
 /**
  * The fixture's configuration: the default topology with the caches
  * shrunk so the checked-in checkpoint stays tens of kilobytes. Any
- * change here invalidates tests/data/smoke.ckpt (the topology
- * fingerprint covers the cache geometry via describe()).
+ * change here invalidates tests/data/smoke.ckpt: the topology
+ * fingerprint covers the prefetcher and seed, and the loaders' capacity
+ * checks refuse other cache sizes (the fingerprint does not cover
+ * cache geometry).
  */
 SystemConfig
 fixtureConfig()

@@ -156,10 +156,9 @@ TEST(FuzzInputs, ServeJobLineNumbersAtTheEdgesOfEveryIntegerField)
     // Every integer field against values that are fractional, negative,
     // at and past the edges of int / uint64, or unparseable: each line
     // is accepted only when the value fits, and never cast blindly.
-    const std::vector<std::string> fields = {
-        "offset",      "cores",     "num_cores", "channels",
-        "seed",        "bo_badscore", "bo_rr",   "bo_degree",
-        "bo_coverage", "warmup",    "instr"};
+    // A prefetcher-specific field gets its prefetcher, so the line is
+    // refused for the number alone.
+    int fields = 0;
     const std::vector<std::string> values = {
         "0",           "1",          "-1",         "1.5",
         "-0.5",        "2147483647", "2147483648", "-2147483648",
@@ -167,13 +166,22 @@ TEST(FuzzInputs, ServeJobLineNumbersAtTheEdgesOfEveryIntegerField)
         "18446744073709551616", "1e30", "-1e30", "1e308", "1e999",
         "1e-400",      "-",          "e5",         "1e",
         "--1",         "1.2.3",      "+7"};
-    for (const std::string &field : fields) {
+    for (const ConfigField &row : configFields()) {
+        if (row.kind != FieldKind::Whole)
+            continue;
+        ++fields;
+        std::string head = "{\"workload\": \"429.mcf\", ";
+        if (row.onlyWith) {
+            head += "\"prefetcher\": \"" +
+                    std::string(enumName(*row.onlyWith).names[0]) + "\", ";
+        }
         for (const std::string &value : values) {
-            const std::string line = "{\"workload\": \"429.mcf\", \"" +
-                                     field + "\": " + value + "}";
-            expectJobLineHandled(line, field + "=" + value);
+            const std::string line =
+                head + "\"" + row.key + "\": " + value + "}";
+            expectJobLineHandled(line, row.key + ("=" + value));
         }
     }
+    EXPECT_GE(fields, 11); // the whole-number fields at this writing
 
     JobSpec job;
     std::string error;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the experiment harness (baseline configs, memoisation,
- * speedup computation) and the runner options parsed from the
- * environment and flags.
+ * speedup computation), the runner options parsed from the
+ * environment and flags, and the design-point field table that
+ * bopsim's flags and serve job lines share.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/options.hh"
+#include "harness/serve.hh"
 
 namespace bop
 {
@@ -187,16 +189,24 @@ class ScopedEnv
     const char *name_;
 };
 
-/** Parse @p args as @p reader's flags on top of @p options. */
+/**
+ * Parse @p args as @p reader's flags on top of @p options; with a
+ * @p job, design-point flags go into it first, as in bopsim.
+ */
 RunnerOptions
 parseFlags(RunnerOptions options, std::vector<std::string> args,
-           OptionReader reader = OptionReader::Bopsim)
+           OptionReader reader = OptionReader::Bopsim,
+           JobSpec *job = nullptr, FieldsGiven *given = nullptr)
 {
     std::vector<char *> argv = {const_cast<char *>("prog")};
     for (std::string &arg : args)
         argv.push_back(arg.data());
     const int argc = static_cast<int>(argv.size());
+    FieldsGiven ignored = 0;
     for (int i = 1; i < argc; ++i) {
+        if (job && parseConfigFlag(argc, argv.data(), i, *job,
+                                   given ? *given : ignored))
+            continue;
         if (!options.parseFlag(reader, argc, argv.data(), i))
             throw std::logic_error("not a runner flag: " +
                                    std::string(argv[static_cast<std::size_t>(i)]));
@@ -259,17 +269,26 @@ TEST(RunnerOptions, EachBinaryKeepsItsOwnOptions)
                      std::logic_error)
             << flag;
     }
-    const RunnerOptions bopsim = parseFlags(
-        {}, {"--warmup", "5", "--backlog", "8", "--job-timeout", "1.5"});
-    EXPECT_EQ(bopsim.budget.warmup, 5u);
+    // bopsim's budgets are design-point fields (its job's budget).
+    JobSpec job;
+    const RunnerOptions bopsim =
+        parseFlags({}, {"--warmup", "5", "--backlog", "8", "--job-timeout",
+                        "1.5"},
+                   OptionReader::Bopsim, &job);
+    EXPECT_EQ(job.budget.warmup, 5u);
     EXPECT_EQ(bopsim.backlog, 8u);
     EXPECT_EQ(bopsim.jobTimeout, 1.5);
+    EXPECT_THROW(parseFlags({}, {"--warmup", "5"}), std::logic_error);
 }
 
 TEST(RunnerOptions, WarmupWithAUnitSuffixIsRefused)
 {
     // `--warmup 1k` used to run a 1-instruction warmup.
-    EXPECT_EQ(refusal([] { parseFlags({}, {"--warmup", "1k"}); }),
+    JobSpec job;
+    EXPECT_EQ(refusal([&] {
+                  parseFlags({}, {"--warmup", "1k"}, OptionReader::Bopsim,
+                             &job);
+              }),
               "--warmup: '1k' is not a whole number in range");
 }
 
@@ -300,9 +319,15 @@ TEST(RunnerOptions, RangesAndMissingValuesAreRefused)
               "--retries: '-1' is not a whole number >= 0");
     EXPECT_NE(refusal([] { parseFlags({}, {"--job-timeout", "soon"}); }),
               "");
-    EXPECT_NE(refusal([] { parseFlags({}, {"--instr", "99999999999999999999"}); }),
+    JobSpec job;
+    EXPECT_NE(refusal([&] {
+                  parseFlags({}, {"--instr", "99999999999999999999"},
+                             OptionReader::Bopsim, &job);
+              }),
               "");
-    EXPECT_EQ(refusal([] { parseFlags({}, {"--instr"}); }),
+    EXPECT_EQ(refusal([&] {
+                  parseFlags({}, {"--instr"}, OptionReader::Bopsim, &job);
+              }),
               "--instr needs an argument");
 }
 
@@ -317,6 +342,176 @@ TEST(RunnerOptions, ReadmeTableIsGeneratedFromTheOptions)
     EXPECT_NE(readme.str().find(runnerOptionsMarkdown()), std::string::npos)
         << "README.md is missing this table:\n"
         << runnerOptionsMarkdown();
+}
+
+/** The values a field's tests try: every name of a fixed vocabulary,
+ *  two whole numbers, a switch's flag, a workload. */
+std::vector<std::string>
+sampleValues(const ConfigField &row)
+{
+    switch (row.kind) {
+      case FieldKind::Switch:
+        return {""};
+      case FieldKind::Whole:
+        return {"2", "3"};
+      case FieldKind::Text:
+        break;
+    }
+    if (!row.choices)
+        return {"470.lbm"};
+    std::vector<std::string> names;
+    std::istringstream list(row.choices());
+    for (std::string name; list >> name;) {
+        if (name != "|")
+            names.push_back(name);
+    }
+    return names;
+}
+
+/** @p row set to @p value as a serve job line reads it, on top of
+ *  429.mcf and the prefetcher the field needs. */
+JobSpec
+jobFromLine(const ConfigField &row, const std::string &value)
+{
+    std::string line = "{";
+    if (std::string(row.key) != "workload")
+        line += "\"workload\": \"429.mcf\", ";
+    if (row.onlyWith) {
+        line += "\"prefetcher\": \"" +
+                std::string(enumName(*row.onlyWith).names[0]) + "\", ";
+    }
+    line += "\"" + std::string(row.key) + "\": ";
+    if (row.kind == FieldKind::Text)
+        line += "\"" + value + "\"";
+    else if (row.kind == FieldKind::Switch)
+        line += std::string(row.flag).starts_with("--no-") ? "0" : "1";
+    else
+        line += value;
+    line += "}";
+    JobSpec job;
+    std::string error;
+    EXPECT_TRUE(parseServeJobLine(line, shortRuns(), job, error))
+        << line << ": " << error;
+    return job;
+}
+
+TEST(ConfigFields, FlagAndJobLineFormsAgree)
+{
+    for (const ConfigField &row : configFields()) {
+        if (row.flag == nullptr)
+            continue;
+        for (const std::string &value : sampleValues(row)) {
+            std::vector<std::string> args;
+            if (std::string(row.key) != "workload")
+                args = {"--workload", "429.mcf"};
+            if (row.onlyWith) {
+                args.push_back("--prefetcher");
+                args.push_back(enumName(*row.onlyWith).names[0]);
+            }
+            args.push_back(row.flag);
+            if (row.kind != FieldKind::Switch)
+                args.push_back(value);
+            JobSpec flags = defaultJob(shortRuns().budget);
+            FieldsGiven given = 0;
+            parseFlags({}, args, OptionReader::Bopsim, &flags, &given);
+            EXPECT_EQ(unreadField(flags, given), nullptr) << row.flag;
+
+            const JobSpec line = jobFromLine(row, value);
+            const std::string label = std::string(row.flag) + " " + value;
+            EXPECT_EQ(flags.benchmark, line.benchmark) << label;
+            EXPECT_EQ(configFingerprint(flags.cfg),
+                      configFingerprint(line.cfg))
+                << label;
+            EXPECT_EQ(flags.budget.warmup, line.budget.warmup) << label;
+            EXPECT_EQ(flags.budget.measure, line.budget.measure) << label;
+        }
+    }
+}
+
+TEST(ConfigFields, EveryFieldChangesTheRunKey)
+{
+    // The run key is the memo key: the workload, configFingerprint(),
+    // the budget and the warm-up sharing. A field whose value it does
+    // not see would answer one design point with another's record.
+    for (const ConfigField &row : configFields()) {
+        JobSpec base = defaultJob(shortRuns().budget);
+        base.benchmark = "429.mcf";
+        if (row.onlyWith)
+            base.cfg.l2Prefetcher = *row.onlyWith;
+        bool changed = false;
+        for (const std::string &value : sampleValues(row)) {
+            const JobSpec job = jobFromLine(row, value);
+            changed = changed || ExperimentRunner::runKey(job) !=
+                                     ExperimentRunner::runKey(base);
+        }
+        EXPECT_TRUE(changed) << row.key;
+    }
+}
+
+TEST(ConfigFields, FieldsThePrefetcherDoesNotReadAreRefused)
+{
+    // bo-dpc2 builds its fixed preset, so a bo_* field under it used
+    // to simulate the default run (and split the memo key).
+    JobSpec job;
+    std::string error;
+    for (const char *line :
+         {"{\"workload\": \"462.libquantum\", \"prefetcher\": \"bo-dpc2\", "
+          "\"bo_badscore\": 3}",
+          "{\"bo_rr\": 64, \"prefetcher\": \"sbp\", \"workload\": "
+          "\"429.mcf\"}",
+          "{\"workload\": \"429.mcf\", \"bo_adaptive\": 0, "
+          "\"prefetcher\": \"fixed\"}",
+          "{\"workload\": \"429.mcf\", \"offset\": 5}",
+          "{\"workload\": \"429.mcf\", \"prefetcher\": \"bo-dpc2\", "
+          "\"offset\": 5}"}) {
+        EXPECT_FALSE(parseServeJobLine(line, shortRuns(), job, error))
+            << line;
+        EXPECT_NE(error.find("is read only with \"prefetcher\""),
+                  std::string::npos)
+            << error;
+    }
+    EXPECT_TRUE(parseServeJobLine(
+        "{\"workload\": \"429.mcf\", \"prefetcher\": \"bo\", \"bo_rr\": 64}",
+        shortRuns(), job, error))
+        << error;
+    EXPECT_TRUE(parseServeJobLine(
+        "{\"offset\": 5, \"workload\": \"429.mcf\", \"prefetcher\": "
+        "\"fixed\"}",
+        shortRuns(), job, error))
+        << error;
+
+    // Flags: refused whatever their order, once all are read.
+    for (const std::vector<std::string> &args :
+         std::vector<std::vector<std::string>>{
+             {"--bo-badscore", "3", "--prefetcher", "bo-dpc2"},
+             {"--prefetcher", "bo-dpc2", "--bo-badscore", "3"},
+             {"--prefetcher", "none", "--bo-adaptive"},
+             {"--offset", "5"}}) {
+        JobSpec flags = defaultJob(shortRuns().budget);
+        FieldsGiven given = 0;
+        parseFlags({}, args, OptionReader::Bopsim, &flags, &given);
+        EXPECT_NE(unreadField(flags, given), nullptr) << args.front();
+    }
+}
+
+TEST(ConfigFields, ReadmeListsEveryJobLineKey)
+{
+    // README's "Sweep farm & serve mode" lists every job-line key with
+    // its bopsim flag, one table row each.
+    std::ifstream in(std::string(BOP_TEST_DATA_DIR) + "/../../README.md");
+    ASSERT_TRUE(in) << "README.md not found";
+    std::stringstream readme;
+    readme << in.rdbuf();
+    for (const ConfigField &row : configFields()) {
+        std::string cells = "| `" + std::string(row.key) + "` | ";
+        if (row.flag != nullptr) {
+            cells += "`" + std::string(row.flag) +
+                     (row.metavar ? " " + std::string(row.metavar) : "") +
+                     "` |";
+        }
+        EXPECT_NE(readme.str().find(cells), std::string::npos)
+            << "README.md is missing the row for " << cells;
+    }
 }
 
 } // namespace

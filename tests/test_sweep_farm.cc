@@ -689,6 +689,39 @@ TEST(Serve, MalformedLinesRejectedWithDiagnostics)
     EXPECT_EQ(runner.records().size(), 1u);
 }
 
+TEST(Serve, FieldsThePrefetcherDoesNotReadAnswerParse)
+{
+    // bo-dpc2 runs its fixed preset: a bo_* field under it used to
+    // simulate the default run. Now the line is refused as a parse
+    // error, and the same line without the field still runs.
+    std::istringstream in(
+        "{\"workload\": \"462.libquantum\", \"prefetcher\": "
+        "\"bo-dpc2\", \"bo_badscore\": 3}\n"
+        "{\"workload\": \"462.libquantum\", \"offset\": 5}\n"
+        "{\"workload\": \"462.libquantum\", \"prefetcher\": "
+        "\"bo-dpc2\"}\n");
+    std::ostringstream out, diag;
+    ExperimentRunner runner(testOptions(1));
+
+    EXPECT_EQ(serveLoop(in, out, runner, diag), 2);
+    const std::string response = out.str();
+    for (const int line : {1, 2}) {
+        EXPECT_NE(response.find("\"kind\": \"parse\", \"line\": " +
+                                std::to_string(line)),
+                  std::string::npos)
+            << response;
+    }
+    EXPECT_NE(diag.str().find("\"bo_badscore\" is read only with "
+                              "\"prefetcher\": \"bo\""),
+              std::string::npos)
+        << diag.str();
+    EXPECT_NE(diag.str().find("\"offset\" is read only with "
+                              "\"prefetcher\": \"fixed\""),
+              std::string::npos)
+        << diag.str();
+    EXPECT_EQ(runner.records().size(), 1u);
+}
+
 TEST(Serve, ThousandJobBatchDedupsAndDrains)
 {
     // 1000 jobs cycling over 4 distinct design points, 4 workers,

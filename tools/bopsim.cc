@@ -42,72 +42,52 @@ namespace
 void
 usage(const char *argv0)
 {
-    std::printf(
-        "usage: %s [options]\n"
-        "\n"
-        "workload selection (one of):\n"
-        "  --workload NAME     built-in SPEC CPU2006-like generator\n"
-        "  --trace FILE[,FILE...]\n"
-        "                      trace file(s): BOPTRACE or ChampSim/DPC,\n"
-        "                      .gz/.xz ok, format autodetected; with\n"
-        "                      --cores N, file i drives core i and any\n"
-        "                      remaining cores run the thrasher\n"
-        "  --skip N            discard the first N trace instructions\n"
-        "                      (a seek for BOPTRACE; ChampSim decodes\n"
-        "                      and discards); requires --trace\n"
-        "  --sample M          replay a window of at most M trace\n"
-        "                      instructions (SimPoint-style slicing);\n"
-        "                      requires --trace\n"
-        "  --list              list built-in workloads and exit\n"
-        "\n"
-        "configuration (defaults: paper baseline, Table 1):\n"
-        "  --prefetcher KIND   none | next-line | fixed | bo | bo-dpc2\n"
-        "                      | sbp | stream | streambuf | fdp | acdc\n"
-        "  --offset D          fixed-offset D (with --prefetcher fixed)\n"
-        "  --cores N           active cores (default 1; paper: 1, 2, 4)\n"
-        "  --num-cores N       chip topology core count (default: same\n"
-        "                      as --cores)\n"
-        "  --channels M        DRAM channels, power of two (default 2)\n"
-        "  --page SIZE         4k or 4m (default 4k)\n"
-        "  --l3 POLICY         5p | lru | drrip (default 5p)\n"
-        "  --no-dl1-stride     disable the DL1 stride prefetcher\n"
-        "\n"
-        "BO parameters (Table 2 defaults):\n"
-        "  --bo-badscore N     throttling threshold (default 1)\n"
-        "  --bo-rr N           RR table entries (default 256)\n"
-        "  --bo-degree N       1 or 2 (default 1)\n"
-        "  --bo-adaptive       adaptive BADSCORE (Sec. 7 future work)\n"
-        "  --bo-coverage W     hybrid coverage scoring weight (0-2)\n"
-        "\n"
-        "batch service:\n"
-        "  --serve             read newline-delimited JSON job objects\n"
-        "                      from stdin, stream one run record back\n"
-        "                      per job as it completes; see README\n"
-        "                      \"Sweep farm & serve mode\".\n"
-        "                      SIGINT/SIGTERM drain gracefully: no new\n"
-        "                      lines accepted, in-flight jobs answer\n"
-        "\n"
-        "checkpointing (format: docs/CHECKPOINT_FORMAT.md):\n"
-        "  --save-checkpoint FILE\n"
-        "                      write the warm state to FILE at the\n"
-        "                      warmup/measure boundary, then measure\n"
-        "  --restore-checkpoint FILE\n"
-        "                      restore the warm state from FILE instead\n"
-        "                      of simulating the warmup, then measure;\n"
-        "                      statistics are bit-identical to the\n"
-        "                      uninterrupted run's\n"
-        "\n"
-        "run control:\n"
-        "  --seed S            run seed (default 42)\n"
-        "  --no-fast-forward   tick every cycle (reference engine; the\n"
-        "                      simulated stats are bit-identical either\n"
-        "                      way — also BOP_DISABLE_FASTFORWARD=1)\n"
-        "  --json PATH         write a machine-readable run record\n"
-        "\n"
-        "runner options (for --serve; --warmup and --instr also set\n"
-        "a single run's budgets):\n",
-        argv0);
-    std::fflush(stdout);
+    std::cout
+        << "usage: " << argv0 << " [options]\n\n"
+        << "design point (the same fields as --serve job lines; defaults:\n"
+           "paper baseline, Table 1; BO parameters need --prefetcher bo):\n";
+    bop::printConfigFieldUsage(std::cout);
+    std::cout
+        << "\n"
+           "trace replay (instead of --workload):\n"
+           "  --trace FILE[,FILE...]\n"
+           "                      trace file(s): BOPTRACE or ChampSim/DPC,\n"
+           "                      .gz/.xz ok, format autodetected; with\n"
+           "                      --cores N, file i drives core i and any\n"
+           "                      remaining cores run the thrasher\n"
+           "  --skip N            discard the first N trace instructions\n"
+           "                      (a seek for BOPTRACE; ChampSim decodes\n"
+           "                      and discards); requires --trace\n"
+           "  --sample M          replay a window of at most M trace\n"
+           "                      instructions (SimPoint-style slicing);\n"
+           "                      requires --trace\n"
+           "  --list              list built-in workloads and exit\n"
+           "\n"
+           "batch service:\n"
+           "  --serve             read newline-delimited JSON job objects\n"
+           "                      from stdin, stream one run record back\n"
+           "                      per job as it completes; see README\n"
+           "                      \"Sweep farm & serve mode\".\n"
+           "                      SIGINT/SIGTERM drain gracefully: no new\n"
+           "                      lines accepted, in-flight jobs answer\n"
+           "\n"
+           "checkpointing (format: docs/CHECKPOINT_FORMAT.md):\n"
+           "  --save-checkpoint FILE\n"
+           "                      write the warm state to FILE at the\n"
+           "                      warmup/measure boundary, then measure\n"
+           "  --restore-checkpoint FILE\n"
+           "                      restore the warm state from FILE instead\n"
+           "                      of simulating the warmup, then measure;\n"
+           "                      statistics are bit-identical to the\n"
+           "                      uninterrupted run's\n"
+           "\n"
+           "run control:\n"
+           "  --no-fast-forward   tick every cycle (reference engine; the\n"
+           "                      simulated stats are bit-identical either\n"
+           "                      way — also BOP_DISABLE_FASTFORWARD=1)\n"
+           "  --json PATH         write a machine-readable run record\n"
+           "\n"
+           "runner options (for --serve):\n";
     bop::printRunnerOptionsUsage(std::cout, bop::OptionReader::Bopsim);
 }
 
@@ -127,15 +107,6 @@ onStopSignal(int)
     stop_requested.store(true, std::memory_order_relaxed);
 }
 
-bop::L2PrefetcherKind
-parsePrefetcher(const std::string &name)
-{
-    bop::L2PrefetcherKind kind;
-    if (!bop::parseL2PrefetcherName(name, kind))
-        die("unknown prefetcher '" + name + "'");
-    return kind;
-}
-
 } // namespace
 
 int
@@ -143,18 +114,17 @@ main(int argc, char **argv)
 {
     using namespace bop;
 
-    std::string workload;
     std::string trace_file;
     std::string json_path;
     std::string save_ckpt;
     std::string restore_ckpt;
-    SystemConfig cfg;
-    cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
     std::uint64_t skip = 0;
     std::uint64_t sample = 0;
     bool serve = false;
     bool serve_only = false; ///< --journal/--resume/--retries given
     RunnerOptions opts;
+    JobSpec job;
+    FieldsGiven given = 0;
 
     auto next_arg = [&](int &i) -> std::string {
         if (i + 1 >= argc)
@@ -170,7 +140,10 @@ main(int argc, char **argv)
 
     try {
         opts = RunnerOptions::fromEnv(OptionReader::Bopsim);
+        job = defaultJob(opts.budget);
         for (int i = 1; i < argc; ++i) {
+            if (parseConfigFlag(argc, argv, i, job, given))
+                continue; // a design-point field
             const std::string arg = argv[i];
             if (arg == "--help" || arg == "-h") {
                 usage(argv[0]);
@@ -182,8 +155,6 @@ main(int argc, char **argv)
             } else if (opts.parseFlag(OptionReader::Bopsim, argc, argv, i)) {
                 serve_only = serve_only || arg == "--journal" ||
                              arg == "--resume" || arg == "--retries";
-            } else if (arg == "--workload") {
-                workload = next_arg(i);
             } else if (arg == "--trace") {
                 trace_file = next_arg(i);
             } else if (arg == "--skip") {
@@ -193,49 +164,7 @@ main(int argc, char **argv)
             } else if (arg == "--serve") {
                 serve = true;
             } else if (arg == "--no-fast-forward") {
-                cfg.fastForward = false;
-            } else if (arg == "--prefetcher") {
-                cfg.l2Prefetcher = parsePrefetcher(next_arg(i));
-            } else if (arg == "--offset") {
-                whole(i, cfg.fixedOffset);
-            } else if (arg == "--cores") {
-                whole(i, cfg.activeCores);
-            } else if (arg == "--num-cores") {
-                whole(i, cfg.numCores);
-            } else if (arg == "--channels") {
-                whole(i, cfg.numChannels);
-            } else if (arg == "--page") {
-                const std::string v = next_arg(i);
-                if (v == "4k" || v == "4K")
-                    cfg.pageSize = PageSize::FourKB;
-                else if (v == "4m" || v == "4M")
-                    cfg.pageSize = PageSize::FourMB;
-                else
-                    die("--page must be 4k or 4m");
-            } else if (arg == "--l3") {
-                const std::string v = next_arg(i);
-                if (v == "5p")
-                    cfg.l3Policy = L3PolicyKind::P5;
-                else if (v == "lru")
-                    cfg.l3Policy = L3PolicyKind::Lru;
-                else if (v == "drrip")
-                    cfg.l3Policy = L3PolicyKind::Drrip;
-                else
-                    die("--l3 must be 5p, lru or drrip");
-            } else if (arg == "--no-dl1-stride") {
-                cfg.dl1StridePrefetcher = false;
-            } else if (arg == "--bo-badscore") {
-                whole(i, cfg.bo.badScore);
-            } else if (arg == "--bo-rr") {
-                whole(i, cfg.bo.rrEntries);
-            } else if (arg == "--bo-degree") {
-                whole(i, cfg.bo.degree);
-            } else if (arg == "--bo-adaptive") {
-                cfg.bo.adaptiveBadScore = true;
-            } else if (arg == "--bo-coverage") {
-                whole(i, cfg.bo.coverageWeight);
-            } else if (arg == "--seed") {
-                whole(i, cfg.seed);
+                job.cfg.fastForward = false;
             } else if (arg == "--save-checkpoint") {
                 save_ckpt = next_arg(i);
             } else if (arg == "--restore-checkpoint") {
@@ -250,6 +179,14 @@ main(int argc, char **argv)
     } catch (const std::invalid_argument &e) {
         die(e.what());
     }
+    if (const ConfigField *row = unreadField(job, given)) {
+        die(std::string(row->flag) + " is read only with --prefetcher " +
+            enumName(*row->onlyWith).names[0]);
+    }
+    // The budgets are also the default of every --serve job line.
+    opts.budget = job.budget;
+    const std::string &workload = job.benchmark;
+    const SystemConfig &cfg = job.cfg;
     const std::uint64_t warmup = opts.budget.warmup;
     const std::uint64_t instr = opts.budget.measure;
 
