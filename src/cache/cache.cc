@@ -28,8 +28,8 @@ SetAssocCache::SetAssocCache(std::string name_, std::uint64_t size_bytes,
 {
     if (!policy)
         throw std::invalid_argument(name + ": null replacement policy");
-    if (ways == 0 || ways > 64)
-        throw std::invalid_argument(name + ": way count must be 1..64");
+    if (ways == 0 || ways > 16)
+        throw std::invalid_argument(name + ": way count must be 1..16");
     if (sets == 0 || !isPowerOfTwo(sets))
         throw std::invalid_argument(name + ": set count must be a power "
                                            "of two and non-zero");
@@ -44,7 +44,7 @@ SetAssocCache::SetAssocCache(std::string name_, std::uint64_t size_bytes,
 std::uint64_t
 SetAssocCache::fullSetMask() const
 {
-    return ways == 64 ? ~0ull : (1ull << ways) - 1;
+    return (1ull << ways) - 1;
 }
 
 unsigned
@@ -126,10 +126,7 @@ SetAssocCache::insert(LineAddr line, const CacheFill &fill)
     fillCores[idx] = fill.core;
     validMask[set] |= 1ull << way;
 
-    if (policy->fillIsMruTouch())
-        policy->onHit(set, way);
-    else
-        policy->onFill(set, way, FillInfo{fill.core, fill.demand});
+    policy->onFill(set, way, FillInfo{fill.core, fill.demand});
     return victim;
 }
 

@@ -83,7 +83,8 @@ class SetAssocCache
     /**
      * @param name        debug name
      * @param size_bytes  total capacity; must be sets*ways*64
-     * @param ways        associativity (1..64)
+     * @param ways        associativity (1..16: one replacement word
+     *                    per set)
      * @param policy      replacement policy (owned)
      */
     SetAssocCache(std::string name, std::uint64_t size_bytes, unsigned ways,

@@ -6,13 +6,7 @@ namespace bop
 void
 DrripPolicy::reset(std::size_t sets, unsigned ways)
 {
-    resetFlatState(sets, ways, rrpvMax);
-    if (packed) {
-        // Every in-range nibble at rrpvMax, filler nibbles at 0xF.
-        const std::uint64_t init =
-            ((nibbleOnes * rrpvMax) & packedWaysMask()) | ~packedWaysMask();
-        words.assign(sets, init);
-    }
+    resetWords(sets, ways, nibbleOnes * rrpvMax);
     psel = pselMax / 2;
     leaderTable.resize(sets);
     for (std::size_t set = 0; set < sets; ++set) {
@@ -47,42 +41,38 @@ DrripPolicy::useBrrip(std::size_t set) const
     return psel > pselMax / 2;
 }
 
+bool
+DrripPolicy::validWord(std::uint64_t word) const
+{
+    // rrpvMax is 3, so an RRPV above it has bit 2 or 3 of its nibble set.
+    static_assert(rrpvMax == 3);
+    return (word & waysMask() & (nibbleOnes * 0xc)) == 0;
+}
+
 unsigned
 DrripPolicy::victim(std::size_t set)
 {
-    // Evict the lowest-index way at the distant RRPV, aging every way
-    // until one saturates. All RRPVs are <= rrpvMax - 1 whenever the
-    // aging step runs, so the packed per-nibble add cannot carry.
-    if (packed) {
-        for (;;) {
-            const unsigned w = findNibble(words[set], rrpvMax);
-            if (w < numWays)
-                return w;
-            words[set] += nibbleOnes & packedWaysMask();
-        }
-    }
-    std::uint8_t *vals = &wide[set * numWays];
-    for (;;) {
-        for (unsigned w = 0; w < numWays; ++w) {
-            if (vals[w] == rrpvMax)
-                return w;
-        }
-        for (unsigned w = 0; w < numWays; ++w)
-            ++vals[w];
-    }
+    // SRRIP ages every way until one reaches the distant RRPV and
+    // evicts the lowest-index such way. That way is the lowest-index
+    // one at the current maximum, and the aging adds the same
+    // rrpvMax - max to every way, which no in-range nibble carries out
+    // of (each is at most max). Filler nibbles get no add.
+    const unsigned way = DrripPolicy::victimPeek(set);
+    words[set] += (nibbleOnes * (rrpvMax - rrpvOf(set, way))) & waysMask();
+    return way;
 }
 
 unsigned
 DrripPolicy::victimPeek(std::size_t set) const
 {
-    // The increment-until-saturated loop in victim() always evicts the
-    // lowest-index way holding the current maximum RRPV.
-    unsigned best = 0;
-    for (unsigned w = 1; w < numWays; ++w) {
-        if (rrpvOf(set, w) > rrpvOf(set, best))
-            best = w;
+    // Lowest-index way at the highest RRPV, one level at a time from
+    // rrpvMax down; filler nibbles (0xF) match no level.
+    for (unsigned rrpv = rrpvMax; rrpv > 0; --rrpv) {
+        const unsigned way = findNibble(words[set], rrpv);
+        if (way < numWays)
+            return way;
     }
-    return best;
+    return 0; // every RRPV is 0
 }
 
 void

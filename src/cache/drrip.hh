@@ -8,10 +8,12 @@
  * dueling between SRRIP and BRRIP leader sets drives a PSEL counter that
  * selects the policy used by follower sets.
  *
- * RRPVs live in the flat base-class state: one packed 64-bit word per
- * set (way w's RRPV in nibble w) for up to 16 ways, a flat byte array
- * beyond that. Hits clear the RRPV through the base class's non-virtual
- * onHit fast path.
+ * RRPVs live in the base-class state: one 64-bit word per set, way w's
+ * RRPV in nibble w. Hits clear the RRPV through the base class's
+ * non-virtual onHit fast path. The victim is the lowest-index way at
+ * the highest RRPV, found with one nibble scan per RRPV level, and
+ * evicting it ages every way by the distance of that RRPV from the
+ * maximum in one add.
  */
 
 #ifndef BOP_CACHE_DRRIP_HH
@@ -77,23 +79,21 @@ class DrripPolicy final : public ReplacementPolicy
 
     bool useBrrip(std::size_t set) const;
 
+    /** Every in-range RRPV is at most rrpvMax. */
+    bool validWord(std::uint64_t word) const override;
+
     std::uint8_t
     rrpvOf(std::size_t set, unsigned way) const
     {
-        if (packed)
-            return static_cast<std::uint8_t>(
-                (words[set] >> (4u * way)) & nibbleMask);
-        return wide[set * numWays + way];
+        return static_cast<std::uint8_t>((words[set] >> (4u * way)) &
+                                         nibbleMask);
     }
 
     void
     setRrpv(std::size_t set, unsigned way, std::uint8_t value)
     {
-        if (packed)
-            words[set] = (words[set] & ~(nibbleMask << (4u * way))) |
-                         (static_cast<std::uint64_t>(value) << (4u * way));
-        else
-            wide[set * numWays + way] = value;
+        words[set] = (words[set] & ~(nibbleMask << (4u * way))) |
+                     (static_cast<std::uint64_t>(value) << (4u * way));
     }
 
     Rng rng;

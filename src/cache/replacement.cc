@@ -1,6 +1,7 @@
 #include "cache/replacement.hh"
 
 #include <cassert>
+#include <string>
 
 namespace bop
 {
@@ -14,25 +15,49 @@ constexpr std::uint64_t identityNibbles = 0xfedcba9876543210ull;
 } // namespace
 
 void
+ReplacementPolicy::serialize(Serializer &s)
+{
+    // The layout of Serializer::valueVec, read without resizing: a
+    // count other than the set count is refused before any word moves.
+    std::uint64_t count = words.size();
+    s.value(count);
+    if (s.loading() && count != words.size())
+        s.fail("replacement state holds " + std::to_string(count) +
+               " set words, expected " + std::to_string(words.size()));
+    for (std::uint64_t &word : words) {
+        s.value(word);
+        if (s.loading() && ((word | waysMask()) != ~0ull || !validWord(word)))
+            s.fail("replacement word is not a state the policy can reach");
+    }
+    // Element count of a retired byte-array layout for caches wider
+    // than 16 ways; kept as a written zero so checkpoint bytes stay
+    // the same.
+    std::uint64_t retired = 0;
+    s.value(retired);
+    if (s.loading() && retired != 0)
+        s.fail("replacement state for more than 16 ways");
+}
+
+void
 StackPolicy::reset(std::size_t sets, unsigned ways)
 {
-    resetFlatState(sets, ways, 0);
-    if (packed) {
-        // Identity order (way w at position w), filler nibbles at 0xF.
-        const std::uint64_t init =
-            (identityNibbles & packedWaysMask()) | ~packedWaysMask();
-        words.assign(sets, init);
-    } else {
-        for (std::size_t s = 0; s < sets; ++s)
-            for (unsigned w = 0; w < ways; ++w)
-                wide[s * ways + w] = static_cast<std::uint8_t>(w);
-    }
+    // Identity order: way w at position w.
+    resetWords(sets, ways, identityNibbles);
+}
+
+bool
+StackPolicy::validWord(std::uint64_t word) const
+{
+    std::uint32_t seen = 0;
+    for (unsigned p = 0; p < numWays; ++p)
+        seen |= 1u << ((word >> (4u * p)) & nibbleMask);
+    return seen == (1u << numWays) - 1;
 }
 
 unsigned
 StackPolicy::victim(std::size_t set)
 {
-    return lruWay(set);
+    return StackPolicy::victimPeek(set);
 }
 
 unsigned
@@ -44,18 +69,9 @@ StackPolicy::victimPeek(std::size_t set) const
 unsigned
 StackPolicy::positionOf(std::size_t set, unsigned way) const
 {
-    if (packed) {
-        const unsigned p = findNibble(words[set], way);
-        assert(p < numWays && "way not present in recency stack");
-        return p;
-    }
-    const std::uint8_t *stack = &wide[set * numWays];
-    for (unsigned p = 0; p < numWays; ++p) {
-        if (stack[p] == way)
-            return p;
-    }
-    assert(false && "way not present in recency stack");
-    return 0;
+    const unsigned p = findNibble(words[set], way);
+    assert(p < numWays && "way not present in recency stack");
+    return p;
 }
 
 void

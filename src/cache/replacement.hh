@@ -7,17 +7,21 @@
  * which way to evict, what to do on a hit, and where to insert a fill.
  * The cache itself prefers invalid ways before consulting the policy.
  *
- * Hot-path layout: every policy keeps its per-set state in flat arrays
- * sized once in reset() — no per-access allocation, no nested vectors.
- * For arrays of up to 16 ways the whole per-set state packs into one
- * 64-bit word (4 bits per way), so the dominant operations — promoting
- * a way to MRU on a hit, clearing an RRPV — are a handful of shifts and
- * masks on one cached word. Wider arrays fall back to a flat
- * sets*ways byte array with identical semantics. The hit update is
- * deliberately *non-virtual*: every policy's hit behavior is one of two
- * flat-word updates (stack MRU-promotion or RRPV-clear), selected by a
- * tag the concrete policy sets at construction, so SetAssocCache::access
- * pays no virtual dispatch on the hit path.
+ * Hot-path layout: every policy keeps its per-set state in one flat
+ * array sized once in reset(): one 64-bit word per set, 4 bits per way.
+ * Every cache the paper specifies fits (8-way DL1 and L2, 16-way L3,
+ * Table 1), and SetAssocCache refuses more than 16 ways, so each
+ * operation — promoting a way to MRU on a hit, clearing an RRPV,
+ * picking a victim — is a handful of shifts and masks on one cached
+ * word, with one implementation. The hit update is deliberately
+ * *non-virtual*: every policy's hit behavior is one of two word updates
+ * (stack MRU-promotion or RRPV-clear), selected by a tag the concrete
+ * policy sets at construction, so SetAssocCache::access pays no virtual
+ * dispatch on the hit path.
+ *
+ * A restore refuses any word the policy's own operations could not
+ * have produced (serialize() and the validWord() overrides), so no
+ * checkpoint can steer a lookup outside its set.
  */
 
 #ifndef BOP_CACHE_REPLACEMENT_HH
@@ -77,31 +81,20 @@ class ReplacementPolicy
     {
         if (hitUpdate == HitUpdate::StackMru)
             touchMru(set, way);
-        else if (packed)
-            words[set] &= ~(nibbleMask << (way * 4u)); // RRPV -> 0
         else
-            wide[set * numWays + way] = 0;
+            words[set] &= ~(nibbleMask << (way * 4u)); // RRPV -> 0
     }
 
     /**
-     * True when onFill is unconditionally the same MRU-touch as onHit
-     * (classical LRU), letting the cache route fills through the
-     * non-virtual hit path too.
-     */
-    bool fillIsMruTouch() const { return mruFill; }
-
-    /**
-     * Checkpoint the per-set state (packed words or wide bytes).
-     * Policies with extra mutable state (DRRIP's PSEL + RNG, 5P's RNG
-     * and counters) extend this; geometry/config fields are
-     * rebuilt by reset() at construction and are not serialized.
+     * Checkpoint the per-set words. Policies with extra mutable state
+     * (DRRIP's PSEL + RNG, 5P's RNG and counters) extend this;
+     * geometry/config fields are rebuilt by reset() at construction and
+     * are not serialized. A load refuses a word count other than the
+     * set count, a filler nibble other than 0xF and any word
+     * validWord() rejects.
      */
     virtual void
-    serialize(Serializer &s)
-    {
-        s.valueVec(words);
-        s.valueVec(wide);
-    }
+    serialize(Serializer &s);
 
   protected:
     /** The two hit-update flavors shared by all concrete policies. */
@@ -113,40 +106,38 @@ class ReplacementPolicy
 
     explicit ReplacementPolicy(HitUpdate hit) : hitUpdate(hit) {}
 
-    /** Widest geometry whose per-set state fits one packed word. */
-    static constexpr unsigned maxPackedWays = 16;
+    /** Widest geometry whose per-set state fits one word. */
+    static constexpr unsigned maxWays = 16;
     static constexpr std::uint64_t nibbleMask = 0xf;
     /** 1 in every nibble: per-nibble broadcast/increment constant. */
     static constexpr std::uint64_t nibbleOnes = 0x1111111111111111ull;
 
     /**
-     * Size the flat state for a sets x ways array. Chooses the packed
-     * one-word-per-set layout when ways <= maxPackedWays (the caller
-     * then fills `words` with its per-policy init word), else the flat
-     * byte array filled with @p wide_init.
+     * Size the state for a sets x ways array: every set's word is
+     * @p in_range in the low @p ways nibbles and 0xF in the filler
+     * nibbles above them.
      */
     void
-    resetFlatState(std::size_t sets, unsigned ways, std::uint8_t wide_init)
+    resetWords(std::size_t sets, unsigned ways, std::uint64_t in_range)
     {
+        assert(ways >= 1 && ways <= maxWays && "one word holds 16 ways");
         numWays = ways;
-        packed = ways <= maxPackedWays;
-        if (packed) {
-            words.clear();
-            wide.clear();
-        } else {
-            wide.assign(sets * ways, wide_init);
-            words.clear();
-        }
+        words.assign(sets, (in_range & waysMask()) | ~waysMask());
     }
 
-    /** Mask covering the low numWays nibbles of a packed word. */
+    /** Mask covering the low numWays nibbles of a word. */
     std::uint64_t
-    packedWaysMask() const
+    waysMask() const
     {
-        return numWays == maxPackedWays
-                   ? ~0ull
-                   : (1ull << (4u * numWays)) - 1;
+        return numWays == maxWays ? ~0ull : (1ull << (4u * numWays)) - 1;
     }
+
+    /**
+     * False when the low numWays nibbles of @p word hold a state this
+     * policy's operations cannot produce (serialize() checks that the
+     * filler nibbles are 0xF).
+     */
+    virtual bool validWord(std::uint64_t word) const = 0;
 
     /**
      * Index of the LOWEST nibble holding @p value, or >= 16 when no
@@ -173,67 +164,37 @@ class ReplacementPolicy
     void
     touchMru(std::size_t set, unsigned way)
     {
-        if (packed) {
-            std::uint64_t &word = words[set];
-            const unsigned p = findNibble(word, way);
-            assert(p < numWays && "way not present in recency stack");
-            const std::uint64_t low = word & ((1ull << (4u * p)) - 1);
-            // Keep nibbles above p (double shift avoids UB at p == 15).
-            word = (word & ((~0ull << (4u * p)) << 4)) | (low << 4) | way;
-        } else {
-            std::uint8_t *stack = &wide[set * numWays];
-            unsigned p = 0;
-            while (stack[p] != way) {
-                ++p;
-                assert(p < numWays && "way not present in recency stack");
-            }
-            for (; p > 0; --p)
-                stack[p] = stack[p - 1];
-            stack[0] = static_cast<std::uint8_t>(way);
-        }
+        std::uint64_t &word = words[set];
+        const unsigned p = findNibble(word, way);
+        assert(p < numWays && "way not present in recency stack");
+        const std::uint64_t low = word & ((1ull << (4u * p)) - 1);
+        // Keep nibbles above p (double shift avoids UB at p == 15).
+        word = (word & ((~0ull << (4u * p)) << 4)) | (low << 4) | way;
     }
 
     /** Demote @p way to the LRU position (recency-stack policies). */
     void
     touchLru(std::size_t set, unsigned way)
     {
-        if (packed) {
-            std::uint64_t &word = words[set];
-            const unsigned p = findNibble(word, way);
-            assert(p < numWays && "way not present in recency stack");
-            const std::uint64_t low = word & ((1ull << (4u * p)) - 1);
-            const std::uint64_t mid =
-                ((word >> (4u * p)) >> 4) &
-                ((1ull << (4u * (numWays - 1 - p))) - 1);
-            word = (word & ~packedWaysMask()) |
-                   (static_cast<std::uint64_t>(way)
-                    << (4u * (numWays - 1))) |
-                   (mid << (4u * p)) | low;
-        } else {
-            std::uint8_t *stack = &wide[set * numWays];
-            unsigned p = 0;
-            while (stack[p] != way) {
-                ++p;
-                assert(p < numWays && "way not present in recency stack");
-            }
-            for (; p + 1 < numWays; ++p)
-                stack[p] = stack[p + 1];
-            stack[numWays - 1] = static_cast<std::uint8_t>(way);
-        }
+        std::uint64_t &word = words[set];
+        const unsigned p = findNibble(word, way);
+        assert(p < numWays && "way not present in recency stack");
+        const std::uint64_t low = word & ((1ull << (4u * p)) - 1);
+        const std::uint64_t mid = ((word >> (4u * p)) >> 4) &
+                                  ((1ull << (4u * (numWays - 1 - p))) - 1);
+        word = (word & ~waysMask()) |
+               (static_cast<std::uint64_t>(way) << (4u * (numWays - 1))) |
+               (mid << (4u * p)) | low;
     }
 
     HitUpdate hitUpdate;
-    bool mruFill = false; ///< set by LruPolicy; see fillIsMruTouch()
-    bool packed = true;
     unsigned numWays = 0;
     /**
-     * Packed layout: one word per set. Recency-stack policies store the
-     * way at recency position p in nibble p (position 0 = MRU); unused
-     * high nibbles hold 0xF. DRRIP stores way w's RRPV in nibble w.
+     * One word per set. Recency-stack policies store the way at recency
+     * position p in nibble p (position 0 = MRU); DRRIP stores way w's
+     * RRPV in nibble w. Nibbles at or above numWays hold 0xF.
      */
     std::vector<std::uint64_t> words;
-    /** Wide layout (> maxPackedWays): sets*ways entries, same meaning. */
-    std::vector<std::uint8_t> wide;
 };
 
 /**
@@ -257,19 +218,18 @@ class StackPolicy : public ReplacementPolicy
     unsigned
     lruWay(std::size_t set) const
     {
-        if (packed)
-            return static_cast<unsigned>(
-                (words[set] >> (4u * (numWays - 1))) & nibbleMask);
-        return wide[set * numWays + numWays - 1];
+        return static_cast<unsigned>((words[set] >> (4u * (numWays - 1))) &
+                                     nibbleMask);
     }
+
+    /** The low numWays nibbles hold each way once. */
+    bool validWord(std::uint64_t word) const override;
 };
 
 /** Classical LRU: always insert at MRU. */
 class LruPolicy final : public StackPolicy
 {
   public:
-    LruPolicy() { mruFill = true; }
-
     void onFill(std::size_t set, unsigned way, const FillInfo &info) override;
 };
 

@@ -38,6 +38,8 @@ struct DramTiming
     unsigned tWTR = 6;    ///< write-to-read turnaround
     unsigned tBURST = 4;  ///< data burst (8 beats on a 64-bit bus)
     unsigned busRatio = 4;///< core cycles per bus cycle
+
+    bool operator==(const DramTiming &) const = default;
 };
 
 /** Outcome classification of a DRAM access (row-buffer behaviour). */

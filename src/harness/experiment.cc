@@ -100,6 +100,43 @@ configFingerprint(const SystemConfig &cfg)
         << "|sbuf=" << sbuf.buffers << "," << sbuf.depth
         << "|dpc2=" << dpc2.badScore << "," << dpc2.delayCycles
         << "|D=" << cfg.fixedOffset;
+    // The Table 1 parameters enter only when they differ from the
+    // defaults, so every default-timing fingerprint keeps its string
+    // while a changed latency still splits memo keys and refuses a
+    // checkpoint saved under other timing. Cache sizes and ways, MSHR
+    // and fill-queue capacities are left to the checkpoint loaders,
+    // which refuse any other value, so a checkpoint of shrunk caches
+    // (tests/data/smoke.ckpt) keeps its fingerprint too.
+    CacheParams defaultTiming;
+    defaultTiming.dl1Bytes = cfg.caches.dl1Bytes;
+    defaultTiming.dl1Ways = cfg.caches.dl1Ways;
+    defaultTiming.dl1Mshrs = cfg.caches.dl1Mshrs;
+    defaultTiming.l2Bytes = cfg.caches.l2Bytes;
+    defaultTiming.l2Ways = cfg.caches.l2Ways;
+    defaultTiming.l2FillQueue = cfg.caches.l2FillQueue;
+    defaultTiming.l3Bytes = cfg.caches.l3Bytes;
+    defaultTiming.l3Ways = cfg.caches.l3Ways;
+    defaultTiming.l3FillQueue = cfg.caches.l3FillQueue;
+    const CoreParams &core = cfg.core;
+    if (!(core == CoreParams{}))
+        oss << "|core=" << core.robSize << "," << core.dispatchWidth << ","
+            << core.retireWidth << "," << core.loadPorts << ","
+            << core.storePorts << "," << core.storeQueue << ","
+            << core.loadQueue << "," << core.branchPenalty << ","
+            << core.intLatency << "," << core.fpLatency;
+    const CacheParams &c = cfg.caches;
+    if (!(c == defaultTiming))
+        oss << "|caches=" << c.dl1Bytes << "," << c.dl1Ways << ","
+            << c.dl1Latency << "," << c.dl1Mshrs << "," << c.l2Bytes << ","
+            << c.l2Ways << "," << c.l2Latency << "," << c.l2TagLatency
+            << "," << c.l2FillQueue << "," << c.l3Bytes << "," << c.l3Ways
+            << "," << c.l3Latency << "," << c.l3TagLatency << ","
+            << c.l3FillQueue << "," << c.prefetchQueue;
+    const DramTiming &d = cfg.dram;
+    if (!(d == DramTiming{}))
+        oss << "|dram=" << d.tCL << "," << d.tRCD << "," << d.tRP << ","
+            << d.tRAS << "," << d.tCWL << "," << d.tRTP << "," << d.tWR
+            << "," << d.tWTR << "," << d.tBURST << "," << d.busRatio;
     return oss.str();
 }
 

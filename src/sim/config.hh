@@ -121,6 +121,8 @@ struct CoreParams
     unsigned branchPenalty = 12;  ///< minimum redirect penalty
     unsigned intLatency = 1;
     unsigned fpLatency = 4;
+
+    bool operator==(const CoreParams &) const = default;
 };
 
 /** Cache hierarchy latencies/sizes (Table 1). */
@@ -144,6 +146,8 @@ struct CacheParams
     std::size_t l3FillQueue = 32;
 
     std::size_t prefetchQueue = 8;
+
+    bool operator==(const CacheParams &) const = default;
 };
 
 /** Full system configuration. */

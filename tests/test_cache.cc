@@ -176,5 +176,19 @@ TEST(Cache, RejectsBadGeometry)
                  std::invalid_argument);
 }
 
+TEST(Cache, WaysLimitedToOneReplacementWord)
+{
+    // A set's replacement state is one 64-bit word, 4 bits per way.
+    const SetAssocCache sixteen("l3", 64 * 16 * 4, 16,
+                                std::make_unique<LruPolicy>());
+    EXPECT_EQ(sixteen.numWays(), 16u);
+    EXPECT_THROW(SetAssocCache("wide", 64 * 17 * 4, 17,
+                               std::make_unique<LruPolicy>()),
+                 std::invalid_argument);
+    EXPECT_THROW(SetAssocCache("wide", 64 * 24 * 32, 24,
+                               std::make_unique<LruPolicy>()),
+                 std::invalid_argument);
+}
+
 } // namespace
 } // namespace bop

@@ -307,14 +307,19 @@ TEST(CheckpointRefusal, IncompatibleTopologyRejected)
     saver.warmup(500);
     const std::vector<std::uint8_t> bytes = saver.saveCheckpointBytes();
 
-    // Different core count, different page size, different benchmark,
-    // different seed: each changes the topology fingerprint and must
+    // Different core count, page size, benchmark, seed, L2 latency or
+    // DRAM CAS latency: each changes the topology fingerprint and must
     // be refused at byte offset 12 (the fingerprint field) with the
-    // target System untouched.
+    // target System untouched. The two Table 1 timings have no flag or
+    // job-line key, so only a library caller can change them.
     SystemConfig two = baselineConfig(2, PageSize::FourKB);
     SystemConfig big_page = baselineConfig(1, PageSize::FourMB);
     SystemConfig reseeded = one;
     reseeded.seed = 7;
+    SystemConfig slow_l2 = one;
+    slow_l2.caches.l2Latency = 15;
+    SystemConfig slow_cas = one;
+    slow_cas.dram.tCL = 14;
 
     struct Case
     {
@@ -327,6 +332,8 @@ TEST(CheckpointRefusal, IncompatibleTopologyRejected)
         {"page size", "429.mcf", big_page},
         {"benchmark", "470.lbm", one},
         {"seed", "429.mcf", reseeded},
+        {"L2 latency", "429.mcf", slow_l2},
+        {"DRAM tCL", "429.mcf", slow_cas},
     };
     for (const Case &c : cases) {
         System target(c.cfg, makeTraces(c.bench, c.cfg));

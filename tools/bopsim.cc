@@ -121,7 +121,8 @@ main(int argc, char **argv)
     std::uint64_t skip = 0;
     std::uint64_t sample = 0;
     bool serve = false;
-    bool serve_only = false; ///< --journal/--resume/--retries given
+    std::string runner_flag; ///< the first runner flag given, if any
+    std::string single_flag; ///< the first single-run flag given, if any
     RunnerOptions opts;
     JobSpec job;
     FieldsGiven given = 0;
@@ -153,16 +154,18 @@ main(int argc, char **argv)
                     std::printf("%s\n", name.c_str());
                 return 0;
             } else if (opts.parseFlag(OptionReader::Bopsim, argc, argv, i)) {
-                serve_only = serve_only || arg == "--journal" ||
-                             arg == "--resume" || arg == "--retries";
+                if (runner_flag.empty())
+                    runner_flag = arg;
+                continue;
+            } else if (arg == "--serve") {
+                serve = true;
+                continue;
             } else if (arg == "--trace") {
                 trace_file = next_arg(i);
             } else if (arg == "--skip") {
                 whole(i, skip);
             } else if (arg == "--sample") {
                 whole(i, sample);
-            } else if (arg == "--serve") {
-                serve = true;
             } else if (arg == "--no-fast-forward") {
                 job.cfg.fastForward = false;
             } else if (arg == "--save-checkpoint") {
@@ -175,13 +178,11 @@ main(int argc, char **argv)
                 usage(argv[0]);
                 die("unknown option '" + arg + "'");
             }
+            if (single_flag.empty())
+                single_flag = arg;
         }
     } catch (const std::invalid_argument &e) {
         die(e.what());
-    }
-    if (const ConfigField *row = unreadField(job, given)) {
-        die(std::string(row->flag) + " is read only with --prefetcher " +
-            enumName(*row->onlyWith).names[0]);
     }
     // The budgets are also the default of every --serve job line.
     opts.budget = job.budget;
@@ -191,13 +192,18 @@ main(int argc, char **argv)
     const std::uint64_t instr = opts.budget.measure;
 
     if (serve) {
-        if (!workload.empty() || !trace_file.empty())
-            die("--serve takes its workloads from the job stream, not "
-                "--workload/--trace");
-        if (!save_ckpt.empty() || !restore_ckpt.empty())
-            die("--serve jobs opt into checkpointing per line "
-                "(\"checkpoint\": \"share\"), not via "
-                "--save/--restore-checkpoint");
+        // Each job line carries its own design point; the flags give
+        // only the budgets every line defaults to.
+        const auto fields = configFields();
+        for (std::size_t r = 0; r < fields.size(); ++r) {
+            const std::string key = fields[r].key;
+            if (((given >> r) & 1) && key != "warmup" && key != "instr")
+                die(std::string(fields[r].flag) +
+                    " is not read with --serve: each job line sets \"" +
+                    key + "\"");
+        }
+        if (!single_flag.empty())
+            die(single_flag + " is not read with --serve");
         ExperimentRunner runner(opts);
         try {
             runner.openJournals(std::cerr);
@@ -227,9 +233,12 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (serve_only)
-        die("--journal/--resume/--retries apply to the batch service; "
-            "combine them with --serve");
+    if (!runner_flag.empty())
+        die(runner_flag + " is read only with --serve");
+    if (const ConfigField *row = unreadField(job, given)) {
+        die(std::string(row->flag) + " is read only with --prefetcher " +
+            enumName(*row->onlyWith).names[0]);
+    }
     if (workload.empty() == trace_file.empty())
         die("select exactly one of --workload / --trace (see --help)");
     if ((skip || sample) && trace_file.empty())
