@@ -171,4 +171,25 @@ SetAssocCache::findLine(LineAddr line) const
     return ls;
 }
 
+void
+SetAssocCache::serialize(Serializer &s)
+{
+    const std::string table = "cache '" + name + "' ";
+    s.valueVecExact(tags, table + "tags");
+    s.valueVecExact(dirtyBits, table + "dirty bits");
+    s.valueVecExact(prefetchBits, table + "prefetch bits");
+    s.valueVecExact(fillCores, table + "fill cores");
+    if (s.loading()) {
+        for (std::size_t set = 0; set < sets; ++set) {
+            std::uint64_t mask = 0;
+            for (unsigned way = 0; way < ways; ++way) {
+                if (tags[set * ways + way] != invalidTag)
+                    mask |= 1ull << way;
+            }
+            validMask[set] = mask;
+        }
+    }
+    policy->serialize(s);
+}
+
 } // namespace bop

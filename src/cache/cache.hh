@@ -129,23 +129,12 @@ class SetAssocCache
     /** Access to the replacement policy (tests/config). */
     ReplacementPolicy &replacementPolicy() { return *policy; }
 
-    /** Checkpoint the tag-array state and the replacement policy. */
-    void
-    serialize(Serializer &s)
-    {
-        const std::size_t lines = tags.size();
-        s.valueVec(tags);
-        s.valueVec(dirtyBits);
-        s.valueVec(prefetchBits);
-        s.valueVec(fillCores);
-        s.valueVec(validMask);
-        if (s.loading() &&
-            (tags.size() != lines || dirtyBits.size() != lines ||
-             prefetchBits.size() != lines || fillCores.size() != lines ||
-             validMask.size() != sets))
-            s.fail("cache '" + name + "' geometry mismatch");
-        policy->serialize(s);
-    }
+    /**
+     * Checkpoint the tag-array state and the replacement policy. The
+     * valid masks are not stored: a load rebuilds them from the tags
+     * that are not invalidTag.
+     */
+    void serialize(Serializer &s);
 
   private:
     /**

@@ -185,5 +185,44 @@ FillQueue::entry(std::uint32_t id)
     return slots[slotOf(id)];
 }
 
+void
+FillQueue::serialize(Serializer &s)
+{
+    const std::string queue = "fill queue '" + name + "'";
+    s.seqExact(slots, [](Serializer &sr, FillQueueEntry &e) {
+        sr.value(e.valid);
+        sr.value(e.line);
+        sr.value(e.hasData);
+        sr.value(e.readyAt);
+        sr.value(e.isPrefetch);
+        e.meta.serialize(sr);
+        sr.value(e.id);
+    }, queue + " slots");
+    s.valueVec(fifo, capacity, queue + " drain order");
+    s.value(nextId);
+    if (!s.loading())
+        return;
+    std::vector<char> named(capacity, 0);
+    dataEntries = 0;
+    for (const std::uint32_t slot : fifo) {
+        if (slot >= capacity || !slots[slot].valid)
+            s.fail(queue + " drain order names a free slot");
+        if (named[slot]++)
+            s.fail(queue + " drain order names a slot twice");
+        dataEntries += slots[slot].hasData;
+    }
+    // With every named slot valid and named once, this makes the
+    // drain order name exactly the valid slots, which find() and
+    // allocate() scan.
+    std::size_t valid = 0;
+    for (const FillQueueEntry &e : slots)
+        valid += e.valid;
+    if (valid != fifo.size())
+        s.fail(queue + " holds valid slots the drain order does not name");
+    liveEntries = fifo.size();
+    recomputeMinDataReady();
+    ++contentEpoch;
+}
+
 
 } // namespace bop

@@ -128,60 +128,12 @@ class FillQueue
     std::uint64_t epoch() const { return contentEpoch; }
 
     /**
-     * Checkpoint the slots and drain order, including the
-     * incrementally maintained occupancy counts and min-ready gate
-     * (pure functions of the slots, serialized rather than rebuilt so
-     * the restored queue is field-identical) and the id sequence.
+     * Checkpoint the slots, the drain order and the id sequence. The
+     * occupancy counts and the min-ready gate are pure functions of
+     * the slots: a load rebuilds them, after refusing a drain order
+     * that does not name exactly the valid slots.
      */
-    void
-    serialize(Serializer &s)
-    {
-        s.seq(slots, [](Serializer &sr, FillQueueEntry &e) {
-            sr.value(e.valid);
-            sr.value(e.line);
-            sr.value(e.hasData);
-            sr.value(e.readyAt);
-            sr.value(e.isPrefetch);
-            e.meta.serialize(sr);
-            sr.value(e.id);
-        });
-        s.valueVec(fifo);
-        std::uint64_t live64 = liveEntries;
-        std::uint64_t data64 = dataEntries;
-        s.value(live64);
-        s.value(data64);
-        s.value(minDataReady);
-        s.value(nextId);
-        if (s.loading()) {
-            if (slots.size() != capacity || fifo.size() > capacity)
-                s.fail("fill queue '" + name + "' capacity mismatch");
-            if (live64 > capacity || data64 > live64 ||
-                fifo.size() != live64)
-                s.fail("fill queue '" + name +
-                       "' occupancy out of range");
-            std::vector<char> named(capacity, 0);
-            for (const std::uint32_t slot : fifo) {
-                if (slot >= capacity || !slots[slot].valid)
-                    s.fail("fill queue '" + name +
-                           "' drain order names a free slot");
-                if (named[slot]++)
-                    s.fail("fill queue '" + name +
-                           "' drain order names a slot twice");
-            }
-            // With the drain order's length equal to the live count,
-            // this makes it name exactly the valid slots, which find()
-            // and allocate() scan.
-            std::size_t valid = 0;
-            for (const FillQueueEntry &e : slots)
-                valid += e.valid;
-            if (valid != live64)
-                s.fail("fill queue '" + name +
-                       "' live slots disagree with the live count");
-            liveEntries = static_cast<std::size_t>(live64);
-            dataEntries = static_cast<std::size_t>(data64);
-            ++contentEpoch;
-        }
-    }
+    void serialize(Serializer &s);
 
   private:
     std::size_t slotOf(std::uint32_t id) const;

@@ -86,4 +86,28 @@ MshrFile::completeById(std::uint32_t id)
     return std::nullopt;
 }
 
+void
+MshrFile::serialize(Serializer &s)
+{
+    s.seqExact(entries, [](Serializer &sr, MshrEntry &e) {
+        sr.value(e.valid);
+        sr.value(e.line);
+        sr.value(e.prefetchOnly);
+        sr.value(e.storeIntent);
+        sr.value(e.storeWaiters);
+        sr.valueVec(e.waiters);
+        sr.value(e.issuedAt);
+        sr.value(e.id);
+    }, "MSHR file entries");
+    s.value(nextId);
+    if (s.loading()) {
+        live = 0;
+        for (std::size_t slot = 0; slot < entries.size(); ++slot) {
+            lineTags[slot] = entries[slot].valid ? entries[slot].line
+                                                 : freeTag;
+            live += entries[slot].valid;
+        }
+    }
+}
+
 } // namespace bop

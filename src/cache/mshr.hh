@@ -65,34 +65,12 @@ class MshrFile
     /** Complete by id. */
     std::optional<MshrEntry> completeById(std::uint32_t id);
 
-    /** Checkpoint every slot (capacity is configuration). */
-    void
-    serialize(Serializer &s)
-    {
-        const std::size_t capacity = entries.size();
-        s.seq(entries, [](Serializer &sr, MshrEntry &e) {
-            sr.value(e.valid);
-            sr.value(e.line);
-            sr.value(e.prefetchOnly);
-            sr.value(e.storeIntent);
-            sr.value(e.storeWaiters);
-            sr.valueVec(e.waiters);
-            sr.value(e.issuedAt);
-            sr.value(e.id);
-        });
-        s.valueVec(lineTags);
-        std::uint64_t live64 = live;
-        s.value(live64);
-        s.value(nextId);
-        if (s.loading()) {
-            if (entries.size() != capacity ||
-                lineTags.size() != capacity)
-                s.fail("MSHR file capacity mismatch");
-            if (live64 > capacity)
-                s.fail("MSHR live count out of range");
-            live = static_cast<std::size_t>(live64);
-        }
-    }
+    /**
+     * Checkpoint every slot (capacity is configuration). The line tags
+     * and the live count are not stored: a load rebuilds them from the
+     * valid entries.
+     */
+    void serialize(Serializer &s);
 
   private:
     /** Sentinel tag for free slots (no line address reaches ~0). */

@@ -64,7 +64,8 @@ class PrefetchQueue
      */
     Cycle minReadyAt() const { return minReady; }
 
-    /** Checkpoint the queued requests and the min-ready gate. */
+    /** Checkpoint the queued requests; a load rebuilds the min-ready
+     *  gate from them. */
     void
     serialize(Serializer &s)
     {
@@ -72,10 +73,9 @@ class PrefetchQueue
             sr.value(r.line);
             r.meta.serialize(sr);
             sr.value(r.readyAt);
-        });
-        s.value(minReady);
-        if (s.loading() && queue.size() > capacity)
-            s.fail("prefetch queue over capacity");
+        }, capacity, "prefetch queue");
+        if (s.loading())
+            recomputeMinReady();
     }
 
   private:

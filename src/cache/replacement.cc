@@ -17,15 +17,8 @@ constexpr std::uint64_t identityNibbles = 0xfedcba9876543210ull;
 void
 ReplacementPolicy::serialize(Serializer &s)
 {
-    // The layout of Serializer::valueVec, read without resizing: a
-    // count other than the set count is refused before any word moves.
-    std::uint64_t count = words.size();
-    s.value(count);
-    if (s.loading() && count != words.size())
-        s.fail("replacement state holds " + std::to_string(count) +
-               " set words, expected " + std::to_string(words.size()));
-    for (std::uint64_t &word : words) {
-        s.value(word);
+    s.valueVecExact(words, "replacement state set words");
+    for (const std::uint64_t word : words) {
         if (s.loading() && ((word | waysMask()) != ~0ull || !validWord(word)))
             s.fail("replacement word is not a state the policy can reach");
     }

@@ -104,10 +104,7 @@ class PropCounterGroup
     void
     serialize(Serializer &s)
     {
-        const std::size_t n = counters.size();
-        s.valueVec(counters);
-        if (s.loading() && counters.size() != n)
-            s.fail("PropCounterGroup size mismatch");
+        s.valueVecExact(counters, "proportional counters");
     }
 
   private:

@@ -57,23 +57,9 @@ Serializer::value(double &v)
 }
 
 void
-Serializer::valueVec(std::vector<double> &v)
+Serializer::boolVecExact(std::vector<bool> &v, const std::string &what)
 {
-    sizePrefix(v);
-    for (double &e : v)
-        value(e);
-}
-
-void
-Serializer::boolVec(std::vector<bool> &v)
-{
-    std::uint64_t n = v.size();
-    value(n);
-    if (loading()) {
-        if (n > maxElements)
-            fail("implausible element count " + std::to_string(n));
-        v.assign(static_cast<std::size_t>(n), false);
-    }
+    count(v.size(), v.size(), v.size(), what);
     for (std::size_t i = 0; i < v.size(); ++i) {
         std::uint8_t b = v[i] ? 1 : 0;
         value(b);
@@ -98,6 +84,19 @@ Serializer::str(std::string &s)
         for (const char c : s)
             out->push_back(static_cast<std::uint8_t>(c));
     }
+}
+
+std::size_t
+Serializer::count(std::size_t live, std::uint64_t least,
+                  std::uint64_t most, const std::string &what)
+{
+    std::uint64_t n = live;
+    value(n);
+    if (loading() && (n < least || n > most))
+        fail(what + ": " + std::to_string(n) + " stored, " +
+             (least == most ? "expected " : "at most ") +
+             std::to_string(most));
+    return static_cast<std::size_t>(n);
 }
 
 void

@@ -11,7 +11,9 @@
  * their IEEE-754 bit pattern.
  *
  * Load mode is defensive: every read is bounds-checked, element
- * counts are sanity-capped, and failures throw CheckpointError
+ * counts are checked before anything is resized (against a sanity
+ * cap, a queue's capacity, or a fixed table's exact length), and
+ * failures throw CheckpointError
  * carrying the absolute byte offset of the bad data (the caller
  * passes the payload's base offset within the checkpoint file), so a
  * truncated or corrupted checkpoint is rejected with a diagnostic
@@ -107,34 +109,73 @@ class Serializer
     /** Double as its IEEE-754 bit pattern (8 bytes LE). */
     void value(double &v);
 
-    /** Vector of scalars: u64 count, then the elements. */
+    /**
+     * Vector of scalars: u64 count, then the elements. A load refuses
+     * a count above @p most, naming @p what, before it resizes @p v.
+     */
     template <typename T>
     void
-    valueVec(std::vector<T> &v)
+    valueVec(std::vector<T> &v, std::size_t most = maxElements,
+             const std::string &what = "element count")
     {
-        sizePrefix(v);
+        const std::size_t n = count(v.size(), 0, most, what);
+        if (loading())
+            v.resize(n);
         for (T &e : v)
             value(e);
     }
 
-    void valueVec(std::vector<double> &v);
+    /**
+     * valueVec() for a vector whose length the live object fixes (a
+     * table of configured geometry): the same bytes, but a load
+     * refuses a count other than v.size() before it reads anything,
+     * and never resizes.
+     */
+    template <typename T>
+    void
+    valueVecExact(std::vector<T> &v, const std::string &what)
+    {
+        count(v.size(), v.size(), v.size(), what);
+        for (T &e : v)
+            value(e);
+    }
 
-    /** std::vector<bool>: u64 count, then one byte per element. */
-    void boolVec(std::vector<bool> &v);
+    /** std::vector<bool> of fixed length: u64 count, then one byte per
+     *  element; a load refuses a count other than v.size(). */
+    void boolVecExact(std::vector<bool> &v, const std::string &what);
 
     /** String: u64 length, then the bytes. */
     void str(std::string &s);
 
     /**
      * Container of objects: u64 count, then @p each(serializer, elem)
-     * per element. Works for std::vector and std::deque; on load the
-     * container is resized (elements default-constructed) first.
+     * per element. Works for std::vector and std::deque; a load
+     * refuses a count above @p most, naming @p what, then resizes the
+     * container (new elements default-constructed).
      */
     template <typename C, typename F>
     void
-    seq(C &c, F &&each)
+    seq(C &c, F &&each, std::size_t most = maxElements,
+        const std::string &what = "element count")
     {
-        sizePrefix(c);
+        const std::size_t n = count(c.size(), 0, most, what);
+        if (loading())
+            c.resize(n);
+        for (auto &e : c)
+            each(*this, e);
+    }
+
+    /**
+     * seq() for a container whose length the live object fixes: a
+     * load refuses a count other than c.size() before it reads
+     * anything, and never resizes, so each element keeps the fields
+     * its constructor derived and @p each does not visit.
+     */
+    template <typename C, typename F>
+    void
+    seqExact(C &c, F &&each, const std::string &what)
+    {
+        count(c.size(), c.size(), c.size(), what);
         for (auto &e : c)
             each(*this, e);
     }
@@ -180,23 +221,13 @@ class Serializer
         }
     }
 
-    /** Visit a container's size and, on load, validate + resize. */
-    template <typename C>
-    void
-    sizePrefix(C &c)
-    {
-        std::uint64_t n = c.size();
-        value(n);
-        if (loading()) {
-            if (n > maxElements)
-                fail("implausible element count " + std::to_string(n));
-            // resize (not clear+resize): when the count matches the
-            // live container — every fixed-geometry table — existing
-            // elements survive, preserving constructor-derived fields
-            // the visitor deliberately skips.
-            c.resize(static_cast<std::size_t>(n));
-        }
-    }
+    /**
+     * Visit a container's u64 element count (@p live when saving). A
+     * load refuses a count outside [@p least, @p most], naming
+     * @p what, and returns the count read.
+     */
+    std::size_t count(std::size_t live, std::uint64_t least,
+                      std::uint64_t most, const std::string &what);
 
     void putBits(std::uint64_t bits, std::size_t n);
     std::uint64_t getBits(std::size_t n);

@@ -139,24 +139,19 @@ class BestOffsetPrefetcher : public L2Prefetcher
     void
     serialize(Serializer &s) override
     {
-        const std::size_t n = scores.size();
-        s.valueVec(scores);
-        if (s.loading() && scores.size() != n)
-            s.fail("BO score table size mismatch");
+        s.valueVecExact(scores, "BO score table");
         rr.serialize(s);
         rrAny.serialize(s);
         if (cfg.delayQueueEntries > 0) {
             s.seq(delayQueue, [](Serializer &sr, DelayedInsert &d) {
                 sr.value(d.line);
                 sr.value(d.due);
-            });
-            if (s.loading() && delayQueue.size() > cfg.delayQueueEntries)
-                s.fail("BO delay queue over capacity");
+            }, cfg.delayQueueEntries, "BO delay queue");
         }
         std::uint64_t test64 = testIndex;
         s.value(test64);
         if (s.loading()) {
-            if (test64 >= n)
+            if (test64 >= scores.size())
                 s.fail("BO test index out of range");
             testIndex = static_cast<std::size_t>(test64);
         }

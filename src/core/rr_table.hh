@@ -66,12 +66,8 @@ class RrTable
     void
     serialize(Serializer &s)
     {
-        const std::size_t entries = valid.size();
-        s.valueVec(tags);
-        s.boolVec(valid);
-        if (s.loading() &&
-            (tags.size() != entries || valid.size() != entries))
-            s.fail("RR table geometry mismatch");
+        s.valueVecExact(tags, "RR table tags");
+        s.boolVecExact(valid, "RR table valid bits");
     }
 
   private:

@@ -48,13 +48,8 @@ void
 MemoryController::enqueueRead(LineAddr line, const ReqMeta &meta, Cycle now)
 {
     assert(!readQueueFull(meta.core));
-    // The uncore routed this request here, so this controller's id is
-    // the authoritative channel (mapToDram's default fold would record
-    // a stale value on >2-channel chips).
-    DramCoord coord = mapToDram(lineToAddr(line));
-    coord.channel = channelId;
     readQueues[static_cast<std::size_t>(meta.core)].push_back(
-        {line, meta, now, coord});
+        {line, meta, now, coordOf(line)});
     ++pendingReadCount;
 }
 
@@ -62,11 +57,20 @@ void
 MemoryController::enqueueWrite(LineAddr line, CoreId core, Cycle now)
 {
     assert(!writeQueueFull(core));
+    writeQueues[static_cast<std::size_t>(core)].push_back(
+        {line, core, now, coordOf(line)});
+    ++pendingWriteCount;
+}
+
+DramCoord
+MemoryController::coordOf(LineAddr line) const
+{
+    // The uncore routed this request here, so this controller's id is
+    // the authoritative channel (mapToDram's default fold would record
+    // a stale value on >2-channel chips).
     DramCoord coord = mapToDram(lineToAddr(line));
     coord.channel = channelId;
-    writeQueues[static_cast<std::size_t>(core)].push_back(
-        {line, core, now, coord});
-    ++pendingWriteCount;
+    return coord;
 }
 
 std::size_t
@@ -323,6 +327,60 @@ MemoryController::popCompleted(Cycle now)
         }
     }
     return out;
+}
+
+void
+MemoryController::serialize(Serializer &s)
+{
+    timing.serialize(s);
+    for (auto &q : readQueues) {
+        s.seq(q, [this](Serializer &sr, ReadReq &r) {
+            sr.value(r.line);
+            r.meta.serialize(sr);
+            sr.value(r.enqueued);
+            r.coord = coordOf(r.line);
+        }, queueCapacity, "DRAM read queue");
+    }
+    for (auto &q : writeQueues) {
+        s.seq(q, [this](Serializer &sr, WriteReq &w) {
+            sr.value(w.line);
+            sr.value(w.core);
+            sr.value(w.enqueued);
+            w.coord = coordOf(w.line);
+        }, queueCapacity, "DRAM write queue");
+    }
+    fairness.serialize(s);
+    s.value(served);
+    s.value(writeDrainRemaining);
+    s.value(l3FillFull);
+    s.value(lastTicked);
+    s.seq(completedReads, [](Serializer &sr, CompletedRead &c) {
+        sr.value(c.line);
+        c.meta.serialize(sr);
+        sr.value(c.finishCycle);
+    });
+    s.value(chanStats.reads);
+    s.value(chanStats.writes);
+    s.value(chanStats.rowHits);
+    s.value(chanStats.rowMisses);
+    s.value(chanStats.urgentIssues);
+    s.value(chanStats.writeBatches);
+    if (!s.loading())
+        return;
+    if (served < 0 || served >= coreCount())
+        s.fail("DRAM served core out of range");
+    pendingReadCount = 0;
+    for (const auto &q : readQueues)
+        pendingReadCount += q.size();
+    pendingWriteCount = 0;
+    for (const auto &q : writeQueues)
+        pendingWriteCount += q.size();
+    const unsigned ratio = timing.params().busRatio;
+    busPhase = static_cast<unsigned>(lastTicked % ratio);
+    busCycleNum = lastTicked / ratio;
+    minFinishAt = neverCycle;
+    for (const CompletedRead &c : completedReads)
+        minFinishAt = std::min(minFinishAt, c.finishCycle);
 }
 
 } // namespace bop

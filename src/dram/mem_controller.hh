@@ -135,76 +135,13 @@ class MemoryController
 
     /**
      * Checkpoint queues, fairness counters, scheduling mode, bank/bus
-     * timing and completed-but-unclaimed reads. The incrementally
-     * maintained counts and bus-edge bookkeeping are serialized (not
-     * rebuilt) so the restored controller is field-identical.
+     * timing and completed-but-unclaimed reads. A load rebuilds what
+     * is a function of them: the pending counts from the queue
+     * lengths, each request's DRAM coordinates from its line, the
+     * bus-edge counters from lastTicked and the completion gate from
+     * the completed reads.
      */
-    void
-    serialize(Serializer &s)
-    {
-        const std::size_t cores = readQueues.size();
-        timing.serialize(s);
-        for (auto &q : readQueues) {
-            s.seq(q, [](Serializer &sr, ReadReq &r) {
-                sr.value(r.line);
-                r.meta.serialize(sr);
-                sr.value(r.enqueued);
-                sr.value(r.coord.channel);
-                sr.value(r.coord.bank);
-                sr.value(r.coord.rowOffset);
-                sr.value(r.coord.row);
-            });
-            if (s.loading() && q.size() > queueCapacity)
-                s.fail("DRAM read queue over capacity");
-        }
-        for (auto &q : writeQueues) {
-            s.seq(q, [](Serializer &sr, WriteReq &w) {
-                sr.value(w.line);
-                sr.value(w.core);
-                sr.value(w.enqueued);
-                sr.value(w.coord.channel);
-                sr.value(w.coord.bank);
-                sr.value(w.coord.rowOffset);
-                sr.value(w.coord.row);
-            });
-            if (s.loading() && q.size() > queueCapacity)
-                s.fail("DRAM write queue over capacity");
-        }
-        fairness.serialize(s);
-        std::uint64_t reads64 = pendingReadCount;
-        std::uint64_t writes64 = pendingWriteCount;
-        s.value(reads64);
-        s.value(writes64);
-        s.value(served);
-        s.value(writeDrainRemaining);
-        s.value(l3FillFull);
-        s.value(lastTicked);
-        s.value(busPhase);
-        s.value(busCycleNum);
-        s.seq(completedReads, [](Serializer &sr, CompletedRead &c) {
-            sr.value(c.line);
-            c.meta.serialize(sr);
-            sr.value(c.finishCycle);
-        });
-        s.value(minFinishAt);
-        s.value(chanStats.reads);
-        s.value(chanStats.writes);
-        s.value(chanStats.rowHits);
-        s.value(chanStats.rowMisses);
-        s.value(chanStats.urgentIssues);
-        s.value(chanStats.writeBatches);
-        if (s.loading()) {
-            if (readQueues.size() != cores || writeQueues.size() != cores)
-                s.fail("DRAM controller core count mismatch");
-            if (reads64 > cores * queueCapacity ||
-                writes64 > cores * queueCapacity)
-                s.fail("DRAM pending counts out of range");
-            pendingReadCount = static_cast<std::size_t>(reads64);
-            pendingWriteCount = static_cast<std::size_t>(writes64);
-            if (served < 0 || static_cast<std::size_t>(served) >= cores)
-                s.fail("DRAM served core out of range");
-        }
-    }
+    void serialize(Serializer &s);
 
   private:
     struct ReadReq
@@ -230,6 +167,8 @@ class MemoryController
     /** Core with smallest counter among non-empty read queues; -1. */
     CoreId laggingCore() const;
     bool servedHasRowHit() const;
+    /** DRAM coordinates of @p line on this channel. */
+    DramCoord coordOf(LineAddr line) const;
 
     DramChannelTiming timing;
     int channelId;

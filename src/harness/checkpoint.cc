@@ -14,12 +14,14 @@
  * payload is applied to the System, so a truncated, corrupted or
  * mismatched checkpoint is rejected with a CheckpointError naming the
  * offending byte offset and the System is left untouched. Payload
- * decoding (after CRC validation) can still throw — e.g. a
- * semantically impossible field a CRC cannot catch because the file
- * was written by a buggy writer — which aborts mid-apply; callers
- * treat any CheckpointError as "this System is not usable" in that
- * case. The CRC pass makes the common failure modes (truncation, bit
- * rot, wrong file) fail before the first byte is applied.
+ * decoding (after CRC validation) can still throw — a count that
+ * disagrees with the live geometry, or a field a CRC cannot catch
+ * because the file was written by a buggy writer — and then the
+ * sections decoded before it, and part of the refusing one, stay
+ * applied: callers treat any CheckpointError as "this System is not
+ * usable". Values that are functions of other state (occupancy
+ * counts, min-ready gates, DRAM coordinates) are not in the payload;
+ * each loader rebuilds them, so they cannot disagree with it.
  */
 
 #include "harness/checkpoint.hh"

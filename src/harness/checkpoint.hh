@@ -12,7 +12,7 @@
  * specification with a hexdump example is docs/CHECKPOINT_FORMAT.md):
  *
  *   offset 0   8 bytes  magic "BOPCKPT1"
- *   offset 8   u32      format version (currently 1)
+ *   offset 8   u32      format version (currently 3)
  *   offset 12  u64      topology fingerprint
  *   offset 20  u32      section count
  *   then per section:
@@ -25,7 +25,9 @@
  * source positions), "CORE" (per-core state), "HIER" (caches and
  * queues), "DRAM" (memory controllers). The header and every
  * section's CRC are validated before any section is applied, so a
- * corrupted checkpoint can never leave a System partially restored.
+ * truncated, corrupted or mismatched file leaves the System untouched;
+ * a CRC-valid payload that a loader refuses can leave the sections
+ * before it applied.
  *
  * The topology fingerprint hashes configFingerprint() plus the trace
  * names; it deliberately excludes the fast-forward toggle — a
@@ -55,7 +57,7 @@ constexpr char checkpointMagic[8] = {'B', 'O', 'P', 'C', 'K', 'P',
                                      'T', '1'};
 
 /** Current checkpoint format version. */
-constexpr std::uint32_t checkpointVersion = 2;
+constexpr std::uint32_t checkpointVersion = 3;
 
 /** Fixed header size: magic + version + fingerprint + section count. */
 constexpr std::size_t checkpointHeaderBytes = 8 + 4 + 8 + 4;
@@ -63,7 +65,7 @@ constexpr std::size_t checkpointHeaderBytes = 8 + 4 + 8 + 4;
 /** Per-section header size: tag + payload length + CRC. */
 constexpr std::size_t checkpointSectionHeaderBytes = 4 + 8 + 4;
 
-/** Number of sections in a version-1 checkpoint. */
+/** Number of sections in a checkpoint. */
 constexpr std::uint32_t checkpointSectionCount = 5;
 
 /**

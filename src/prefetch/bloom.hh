@@ -46,10 +46,7 @@ class BloomFilter
     void
     serialize(Serializer &s)
     {
-        const std::size_t n = words.size();
-        s.valueVec(words);
-        if (s.loading() && words.size() != n)
-            s.fail("Bloom filter size mismatch");
+        s.valueVecExact(words, "Bloom filter words");
     }
 
   private:

@@ -122,14 +122,13 @@ class FdpPrefetcher : public L2Prefetcher
     void
     serialize(Serializer &s) override
     {
-        const std::size_t n = trackers.size();
-        s.seq(trackers, [](Serializer &sr, Tracker &t) {
+        s.seqExact(trackers, [](Serializer &sr, Tracker &t) {
             sr.value(t.valid);
             sr.value(t.head);
             sr.value(t.direction);
             sr.value(t.confidence);
             sr.value(t.lruStamp);
-        });
+        }, "FDP tracker table");
         s.value(stamp);
         s.value(level);
         s.value(accessesThisInterval);
@@ -143,13 +142,9 @@ class FdpPrefetcher : public L2Prefetcher
         s.value(lastLate);
         s.value(lastPol);
         s.value(intervals);
-        if (s.loading()) {
-            if (trackers.size() != n)
-                s.fail("FDP tracker table size mismatch");
-            if (level < 0 ||
-                static_cast<std::size_t>(level) >= levels().size())
-                s.fail("FDP aggressiveness level out of range");
-        }
+        if (s.loading() &&
+            (level < 0 || static_cast<std::size_t>(level) >= levels().size()))
+            s.fail("FDP aggressiveness level out of range");
     }
 
   private:

@@ -96,18 +96,16 @@ class GhbAcdcPrefetcher : public L2Prefetcher
     void
     serialize(Serializer &s) override
     {
-        const std::size_t hist_n = history.size();
-        const std::size_t index_n = index.size();
-        s.seq(history, [](Serializer &sr, GhbEntry &e) {
+        s.seqExact(history, [](Serializer &sr, GhbEntry &e) {
             sr.value(e.line);
             sr.value(e.prevSerial);
             sr.value(e.hasPrev);
-        });
-        s.seq(index, [](Serializer &sr, IndexEntry &e) {
+        }, "GHB history");
+        s.seqExact(index, [](Serializer &sr, IndexEntry &e) {
             sr.value(e.valid);
             sr.value(e.key);
             sr.value(e.serial);
-        });
+        }, "GHB index table");
         s.value(nextSerial);
         s.value(zoneBits);
         std::uint64_t cand64 = candIdx;
@@ -117,14 +115,12 @@ class GhbAcdcPrefetcher : public L2Prefetcher
         s.value(accessesThisEpoch);
         s.value(scoreThisEpoch);
         s.value(lastScore);
-        s.valueVec(candScores);
+        s.valueVecExact(candScores, "GHB candidate scores");
         s.value(epochs);
         std::vector<LineAddr> pred(predicted.begin(), predicted.end());
         std::sort(pred.begin(), pred.end());
         s.valueVec(pred);
         if (s.loading()) {
-            if (history.size() != hist_n || index.size() != index_n)
-                s.fail("GHB geometry mismatch");
             if (cand64 >= cfg.zoneLineBitsCandidates.size())
                 s.fail("GHB candidate index out of range");
             candIdx = static_cast<std::size_t>(cand64);

@@ -91,9 +91,8 @@ class SandboxPrefetcher : public L2Prefetcher
     void
     serialize(Serializer &s) override
     {
-        const std::size_t n = offsets.size();
-        s.valueVec(scores);
-        s.boolVec(evaluated);
+        s.valueVecExact(scores, "SBP score table");
+        s.boolVecExact(evaluated, "SBP evaluated flags");
         sandbox.serialize(s);
         std::uint64_t cand64 = candIndex;
         s.value(cand64);
@@ -106,9 +105,7 @@ class SandboxPrefetcher : public L2Prefetcher
             sr.value(a.score);
         });
         if (s.loading()) {
-            if (scores.size() != n || evaluated.size() != n)
-                s.fail("SBP score table size mismatch");
-            if (cand64 >= n)
+            if (cand64 >= offsets.size())
                 s.fail("SBP candidate index out of range");
             candIndex = static_cast<std::size_t>(cand64);
         }

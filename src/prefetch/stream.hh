@@ -52,17 +52,14 @@ class StreamPrefetcher : public L2Prefetcher
     void
     serialize(Serializer &s) override
     {
-        const std::size_t n = trackers.size();
-        s.seq(trackers, [](Serializer &sr, Tracker &t) {
+        s.seqExact(trackers, [](Serializer &sr, Tracker &t) {
             sr.value(t.valid);
             sr.value(t.head);
             sr.value(t.direction);
             sr.value(t.confidence);
             sr.value(t.lruStamp);
-        });
+        }, "stream tracker table");
         s.value(stamp);
-        if (s.loading() && trackers.size() != n)
-            s.fail("stream tracker table size mismatch");
     }
 
   private:

@@ -69,21 +69,14 @@ class StreamBufferPrefetcher : public L2Prefetcher
     void
     serialize(Serializer &s) override
     {
-        const std::size_t n = buffers.size();
-        s.seq(buffers, [this](Serializer &sr, Buffer &b) {
+        s.seqExact(buffers, [this](Serializer &sr, Buffer &b) {
             sr.value(b.valid);
-            sr.seq(b.fifo, [](Serializer &sq, LineAddr &l) {
-                sq.value(l);
-            });
+            sr.seq(b.fifo, [](Serializer &sq, LineAddr &l) { sq.value(l); },
+                   static_cast<std::size_t>(cfg.depth), "stream buffer FIFO");
             sr.value(b.nextLine);
             sr.value(b.lruStamp);
-            if (sr.loading() &&
-                b.fifo.size() > static_cast<std::size_t>(cfg.depth))
-                sr.fail("stream buffer FIFO over depth");
-        });
+        }, "stream buffers");
         s.value(stamp);
-        if (s.loading() && buffers.size() != n)
-            s.fail("stream buffer count mismatch");
     }
 
   private:

@@ -67,24 +67,20 @@ class StridePrefetcher
     void
     serialize(Serializer &s)
     {
-        const std::size_t entries = table.size();
-        s.seq(table, [](Serializer &sr, Entry &e) {
+        s.seqExact(table, [](Serializer &sr, Entry &e) {
             sr.value(e.lastAddr);
             sr.value(e.stride);
             sr.value(e.confidence);
             sr.value(e.lruStamp);
-        });
-        s.valueVec(pcTags);
-        s.valueVec(filter);
+        }, "stride table");
+        s.valueVecExact(pcTags, "stride table PC tags");
+        // The recent-prefetch ring grows on demand up to its capacity,
+        // and its head only advances once it is full.
+        s.valueVec(filter, cfg.filterEntries, "stride filter");
         std::uint64_t head64 = filterHead;
         s.value(head64);
         s.value(stamp);
         if (s.loading()) {
-            // The recent-prefetch ring grows on demand up to its
-            // capacity, and its head only advances once it is full.
-            if (table.size() != entries || pcTags.size() != entries ||
-                filter.size() > cfg.filterEntries)
-                s.fail("stride table geometry mismatch");
             const bool ringFull = cfg.filterEntries > 0 &&
                                   filter.size() == cfg.filterEntries;
             if (ringFull ? head64 >= cfg.filterEntries : head64 != 0)

@@ -51,13 +51,13 @@ class TagePredictor
     void
     serialize(Serializer &s)
     {
-        s.valueVec(bimodal);
+        s.valueVecExact(bimodal, "TAGE bimodal table");
         for (auto &table : tables) {
-            s.seq(table, [](Serializer &sr, TaggedEntry &e) {
+            s.seqExact(table, [](Serializer &sr, TaggedEntry &e) {
                 sr.value(e.tag);
                 sr.value(e.ctr);
                 sr.value(e.useful);
-            });
+            }, "TAGE tagged table");
         }
         s.value(ghist);
         rng.serialize(s);

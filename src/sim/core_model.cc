@@ -460,7 +460,7 @@ CoreModel::serialize(Serializer &s, Cycle now)
         settle(now);
     const std::size_t rob_size = rob.size();
     predictor.serialize(s);
-    s.seq(rob, [](Serializer &sr, RobEntry &e) {
+    s.seqExact(rob, [](Serializer &sr, RobEntry &e) {
         sr.value(e.valid);
         sr.value(e.kind);
         sr.value(e.done);
@@ -473,18 +473,16 @@ CoreModel::serialize(Serializer &s, Cycle now)
         sr.value(e.depGen);
         sr.value(e.issued);
         sr.value(e.mispredict);
-    });
+    }, "ROB");
     s.value(robHead);
     s.value(robTail);
-    std::uint64_t rob_count = robCount;
-    s.value(rob_count);
     s.value(genCounter);
     auto wait_ref = [](Serializer &sr, WaitRef &w) {
         sr.value(w.idx);
         sr.value(w.seq);
     };
-    s.seq(readyQ, wait_ref);
-    s.seq(blockedQ, wait_ref);
+    s.seq(readyQ, wait_ref, rob_size, "ready list");
+    s.seq(blockedQ, wait_ref, rob_size, "blocked list");
     s.value(waitSeq);
     s.value(holdValid);
     holdInstr.serialize(s);
@@ -494,28 +492,25 @@ CoreModel::serialize(Serializer &s, Cycle now)
     s.value(lastLoadGen);
     s.value(loadsThisCycle);
     s.value(storesThisCycle);
-    std::uint64_t loads64 = loadsInFlight;
     std::uint64_t stores64 = pendingStores;
-    s.value(loads64);
     s.value(stores64);
     s.value(retiredCount);
     s.value(branches);
     s.value(mispredicts);
     if (s.loading()) {
-        if (rob.size() != rob_size)
-            s.fail("ROB size mismatch");
-        if (rob_count > rob_size || robHead >= rob_size ||
-            robTail >= rob_size)
-            s.fail("ROB occupancy out of range");
-        if (readyQ.size() > rob_size || blockedQ.size() > rob_size)
-            s.fail("waiting-list length out of range");
+        if (robHead >= rob_size || robTail >= rob_size)
+            s.fail("ROB head or tail out of range");
         for (const WaitRef &w : readyQ) {
             if (w.idx >= rob_size)
                 s.fail("ready-list entry out of range");
         }
         rebuildBlockedRuns(s);
-        robCount = static_cast<std::size_t>(rob_count);
-        loadsInFlight = static_cast<std::size_t>(loads64);
+        robCount = 0;
+        loadsInFlight = 0;
+        for (const RobEntry &e : rob) {
+            robCount += e.valid;
+            loadsInFlight += e.valid && e.kind == InstrKind::Load;
+        }
         pendingStores = static_cast<std::size_t>(stores64);
         settledThrough = now;
         readyAfterTick = !readyQ.empty();

@@ -1015,7 +1015,6 @@ MemHierarchy::serialize(Serializer &s)
     l3Cache.serialize(s);
     l3Fill.serialize(s);
 
-    const std::size_t channels = toL3.size();
     for (auto &q : toL3)
         s.seq(q, pending_req);
     s.value(toL3Seq);
@@ -1027,8 +1026,6 @@ MemHierarchy::serialize(Serializer &s)
     s.value(lastTicked);
     stats.serialize(s);
     if (s.loading()) {
-        if (toL3.size() != channels)
-            s.fail("L3 demand shard count mismatch");
         horizonStaleFlag = true;
         uncoreHorizonDirty = true;
         for (auto &cs : sides)

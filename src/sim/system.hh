@@ -86,8 +86,11 @@ class System
      * Restore state saved by saveCheckpoint(). The System must have
      * been constructed with the same topology/config fingerprint and
      * the same traces; throws CheckpointError (with the offending byte
-     * offset) on any mismatch, truncation or corruption — the system
-     * is not modified unless the whole checkpoint validates.
+     * offset) on any mismatch, truncation or corruption. The container
+     * (header, section framing, CRCs) is checked before any section
+     * applies, so those refusals leave the System untouched; a payload
+     * that a loader refuses can leave earlier sections applied, and
+     * such a System must be discarded.
      */
     void restoreCheckpoint(const std::string &path);
 

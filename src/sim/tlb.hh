@@ -44,13 +44,9 @@ class Tlb
     void
     serialize(Serializer &s)
     {
-        const std::size_t entries = vpns.size();
-        s.valueVec(vpns);
-        s.valueVec(stamps);
+        s.valueVecExact(vpns, "TLB tags");
+        s.valueVecExact(stamps, "TLB stamps");
         s.value(clock);
-        if (s.loading() &&
-            (vpns.size() != entries || stamps.size() != entries))
-            s.fail("TLB geometry mismatch");
     }
 
   private:

@@ -127,9 +127,8 @@ class SyntheticTrace : public TraceSource
     void
     serialize(Serializer &s) override
     {
-        const std::size_t n = streams.size();
         rng.serialize(s);
-        s.seq(streams, [](Serializer &sr, StreamState &st) {
+        s.seqExact(streams, [](Serializer &sr, StreamState &st) {
             sr.value(st.cursor);
             sr.value(st.chase);
             sr.value(st.chasePrev);
@@ -147,11 +146,9 @@ class SyntheticTrace : public TraceSource
                     sr.fail("reuse ring position out of range");
                 st.recentPos = static_cast<std::size_t>(pos64);
             }
-        });
+        }, "synthetic trace streams");
         s.value(loopCounter);
         s.value(opPc);
-        if (s.loading() && streams.size() != n)
-            s.fail("synthetic trace stream count mismatch");
     }
 
   private:

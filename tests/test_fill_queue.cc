@@ -519,52 +519,45 @@ TEST(FillQueue, CorruptRestoreRefused)
     FillQueue wrong_cap("t", 8);
     EXPECT_THROW(loadQueue(wrong_cap, bytes), CheckpointError);
 
-    // The stream ends with live count, data count, min-ready (u64
-    // each) and the next id (u32).
-    const std::size_t live_at = bytes.size() - 4 - 3 * 8;
-    for (const std::uint64_t bad_live : {5ull, 1ull, 3ull}) {
-        std::vector<std::uint8_t> corrupt = bytes;
-        std::memcpy(&corrupt[live_at], &bad_live, sizeof bad_live);
-        FillQueue q("t", 4);
-        EXPECT_THROW(loadQueue(q, corrupt), CheckpointError)
-            << "live count " << bad_live;
-    }
-    std::vector<std::uint8_t> corrupt = bytes;
-    const std::uint64_t bad_data = 3;
-    std::memcpy(&corrupt[live_at + 8], &bad_data, sizeof bad_data);
-    FillQueue q("t", 4);
-    EXPECT_THROW(loadQueue(q, corrupt), CheckpointError)
-        << "more data entries than live ones";
-
-    // Slots that disagree with the counts: slots 0 and 1 live, slot 2
-    // freed (its line stays in the slot).
+    // The occupancy counts and the min-ready gate are rebuilt from the
+    // slots, so only slots that disagree with the drain order remain
+    // to refuse: slots 0 and 1 live, slot 2 freed (its line stays in
+    // the slot).
     constexpr LineAddr freed_line = 0x0a0b0c0d0e0f0102ull;
     FillQueue holes("t", 4);
     holes.allocate(1, {}, false);
     holes.allocate(2, {}, false);
     holes.release(holes.allocate(freed_line, {}, false));
     const std::vector<std::uint8_t> good = saveQueue(holes);
-    const std::size_t good_live_at = good.size() - 4 - 3 * 8;
     {
         FillQueue ok("t", 4);
         EXPECT_NO_THROW(loadQueue(ok, good));
     }
 
     // A slot is serialized as its valid byte, then its line.
-    corrupt = good;
+    std::vector<std::uint8_t> corrupt = good;
     corrupt[offsetOf(good, freed_line) - 1] = 1;
     FillQueue b("t", 4);
     EXPECT_THROW(loadQueue(b, corrupt), CheckpointError)
-        << "more valid slots than the live count and drain order name";
+        << "a valid slot the drain order does not name";
 
-    // The drain order (u32 slot indices) ends right before the live
-    // count: name slot 0 twice instead of slots 0 and 1.
+    // The drain order (u32 slot indices) ends right before the next id
+    // (u32): name slot 0 twice instead of slots 0 and 1.
+    const std::size_t last_slot_at = good.size() - 4 - 4;
     corrupt = good;
     const std::uint32_t slot0 = 0;
-    std::memcpy(&corrupt[good_live_at - 4], &slot0, 4);
+    std::memcpy(&corrupt[last_slot_at], &slot0, 4);
     FillQueue c("t", 4);
     EXPECT_THROW(loadQueue(c, corrupt), CheckpointError)
         << "a drain order naming one slot twice";
+
+    // Name the freed slot 2 instead of slot 1.
+    corrupt = good;
+    const std::uint32_t slot2 = 2;
+    std::memcpy(&corrupt[last_slot_at], &slot2, 4);
+    FillQueue d("t", 4);
+    EXPECT_THROW(loadQueue(d, corrupt), CheckpointError)
+        << "a drain order naming a free slot";
 }
 
 } // namespace
