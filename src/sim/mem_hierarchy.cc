@@ -677,6 +677,8 @@ MemHierarchy::drainOneL3Fill(Cycle now)
             controller(channelOf(victim.line))
                 .enqueueWrite(victim.line, victim.core, now);
         }
+    } else if (entry.meta.type == ReqType::Writeback) {
+        l3Cache.access(line, true, false); // write hit: mark it dirty
     }
 
     if (entry.meta.needL2) {
@@ -750,6 +752,9 @@ MemHierarchy::drainL2Fill(CoreSide &cs, Cycle now)
                 if (entry.isPrefetch && c0)
                     ++stats.l2PrefFills;
             }
+        } else if (entry.meta.type == ReqType::Writeback) {
+            // Another path filled the line while the writeback waited.
+            cs.l2.access(entry.line, true, false);
         }
 
         if (entry.meta.needL1)

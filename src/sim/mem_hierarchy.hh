@@ -32,6 +32,16 @@
  * requests have lowest priority into the L3 and can be cancelled any
  * time (oldest-first when the 8-entry prefetch queue overflows).
  *
+ * Writebacks: a dirty victim of the DL1 or the L2 travels to the next
+ * level through that level's fill queue. If the line is already
+ * resident when the writeback drains (or, for the L2, when it
+ * arrives), the writeback is a write hit: it marks the line dirty and
+ * updates replacement state as a hit does. Under 5P a hit moves the
+ * line to MRU and counts as no miss, so a writeback hit changes no
+ * insertion-policy or core miss counter; under DRRIP it zeroes the
+ * line's RRPV and leaves PSEL alone. Only a writeback whose line is
+ * absent is inserted, dirty.
+ *
  * Deadlock freedom: fill queues keep two slots in reserve that pure
  * "waiting" allocations may not use, dirty victims of the L2 drain into
  * an unbounded (in practice tiny) writeback buffer, and the memory
@@ -128,6 +138,7 @@ class MemHierarchy : public CoreMemInterface
     // -- component access (tests, examples) ---------------------------------
     SetAssocCache &dl1(CoreId core) { return side(core).dl1; }
     SetAssocCache &l2(CoreId core) { return side(core).l2; }
+    SetAssocCache &l3() { return l3Cache; }
     L2Prefetcher &l2Prefetcher(CoreId core) { return *side(core).l2pf; }
     MemoryController &controller(int channel)
     {

@@ -126,6 +126,49 @@ TEST(Hierarchy, WritebacksReachDram)
         << "streaming stores must generate DRAM writebacks";
 }
 
+TEST(Hierarchy, WritebackHitInL3MarksTheLineDirty)
+{
+    // A store stream over 256KB: every line is filled clean into the
+    // L3 (LRU, large enough to keep them all) and the 64KB L2, dirtied
+    // in the DL1, and evicted dirty from the L2 while the L3 still
+    // holds it. That writeback must leave the L3 copy dirty, or the
+    // store is lost.
+    const std::uint64_t region = 256 << 10;
+    SystemConfig cfg = cfg1core(L2PrefetcherKind::None);
+    cfg.l3Policy = L3PolicyKind::Lru;
+    cfg.dl1StridePrefetcher = false;
+    cfg.caches.l2Bytes = 64 * 1024;
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    traces.push_back(seqTrace(region, 64, 1.0));
+    System sys(cfg, std::move(traces));
+    sys.run(0, 30000);
+    for (int i = 0; i < 20000 && !sys.hierarchy().quiescent(); ++i)
+        sys.hierarchy().tick(sys.currentCycle() + static_cast<Cycle>(i));
+    ASSERT_TRUE(sys.hierarchy().quiescent());
+
+    // The same stream's store addresses, translated as core 0's are.
+    const std::unique_ptr<TraceSource> stream =
+        seqTrace(region, 64, 1.0);
+    const VirtualMemory vm(cfg.pageSize, 0, cfg.seed);
+    MemHierarchy &h = sys.hierarchy();
+    std::size_t only_in_l3 = 0;
+    std::size_t clean = 0;
+    for (int n = 0; n < 20000; ++n) {
+        const TraceInstr in = stream->next();
+        if (in.kind != InstrKind::Store)
+            continue;
+        const LineAddr line = lineOf(vm.translate(in.vaddr));
+        if (h.dl1(0).probe(line) || h.l2(0).probe(line))
+            continue;
+        const std::optional<CacheLineState> l3 = h.l3().findLine(line);
+        ASSERT_TRUE(l3) << "the L3 keeps every line of the stream";
+        ++only_in_l3;
+        clean += !l3->dirty;
+    }
+    EXPECT_GT(only_in_l3, 1000u);
+    EXPECT_EQ(clean, 0u) << "stored lines written back to a clean L3 copy";
+}
+
 TEST(Hierarchy, StridedPatternBenefitsFromBo)
 {
     // Line stride 4: next-line covers nothing, BO should find offset 4
