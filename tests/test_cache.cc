@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "cache/cache.hh"
+#include "round_trip.hh"
 
 namespace bop
 {
@@ -188,6 +189,47 @@ TEST(Cache, WaysLimitedToOneReplacementWord)
     EXPECT_THROW(SetAssocCache("wide", 64 * 24 * 32, 24,
                                std::make_unique<LruPolicy>()),
                  std::invalid_argument);
+}
+
+TEST(Cache, RestoreRebuildsValidWays)
+{
+    // 4 sets x 4 ways. Set 0 is full; set 1 has a hole left by an
+    // invalidation, so its next fill must take that way.
+    SetAssocCache c = makeCache(1024, 4);
+    for (LineAddr l = 0; l < 16; l += 4)
+        c.insert(l, {});
+    c.access(0, true);
+    for (LineAddr l = 1; l < 16; l += 4)
+        c.insert(l, {});
+    c.invalidate(5);
+    const std::vector<std::uint8_t> bytes = saveBytes(c);
+
+    SetAssocCache restored = makeCache(1024, 4);
+    loadBytes(restored, bytes);
+    for (LineAddr l = 0; l < 20; ++l)
+        EXPECT_EQ(restored.probe(l), c.probe(l)) << "line " << l;
+    const CacheVictim full = restored.peekVictim(16);
+    EXPECT_TRUE(full.valid);
+    EXPECT_EQ(full.line, c.peekVictim(16).line);
+    EXPECT_EQ(full.line, 4u) << "line 0 was touched after the fills";
+    EXPECT_FALSE(restored.peekVictim(17).valid) << "the hole is free";
+    EXPECT_FALSE(restored.insert(17, {}).valid);
+    EXPECT_EQ(restored.findLine(17)->line, 17u);
+    EXPECT_TRUE(restored.findLine(0)->dirty);
+}
+
+TEST(Cache, RestoreRefusesAnotherTagCountWithoutResizing)
+{
+    SetAssocCache small = makeCache(1024, 4);
+    small.insert(3, {});
+    const std::vector<std::uint8_t> before = saveBytes(small);
+    SetAssocCache large = makeCache(2048, 4);
+    EXPECT_THROW(loadBytes(small, saveBytes(large)), CheckpointError);
+    EXPECT_EQ(saveBytes(small), before)
+        << "a refused load leaves the tag array as it was";
+    EXPECT_TRUE(small.probe(3));
+    small.insert(15, {});
+    EXPECT_TRUE(small.probe(15)) << "the last set still works";
 }
 
 } // namespace

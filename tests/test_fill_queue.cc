@@ -14,6 +14,7 @@
 #include "cache/fill_queue.hh"
 #include "common/rng.hh"
 #include "common/serializer.hh"
+#include "round_trip.hh"
 
 namespace bop
 {
@@ -442,23 +443,6 @@ TEST(FillQueue, EpochAdvancesOnlyOnContentChanges)
 // Checkpoint round trip
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint8_t>
-saveQueue(FillQueue &fq)
-{
-    std::vector<std::uint8_t> bytes;
-    Serializer s(bytes);
-    fq.serialize(s);
-    return bytes;
-}
-
-void
-loadQueue(FillQueue &fq, const std::vector<std::uint8_t> &bytes)
-{
-    Serializer s(bytes.data(), bytes.size(), 0);
-    fq.serialize(s);
-    s.finish("fill queue");
-}
-
 TEST(FillQueue, SerializeRoundTripFindsSameEntries)
 {
     FillQueue fq("t", 6);
@@ -470,15 +454,20 @@ TEST(FillQueue, SerializeRoundTripFindsSameEntries)
     const auto d = fq.allocate(12, {}, false);
     fq.release(a); // frees slot 0; line 10 now lives only in slot 2
     fq.fillData(d, 9);
-    const std::vector<std::uint8_t> bytes = saveQueue(fq);
+    const std::vector<std::uint8_t> bytes = saveBytes(fq);
 
     FillQueue restored("t", 6);
     const std::uint64_t before = restored.epoch();
-    loadQueue(restored, bytes);
+    loadBytes(restored, bytes);
     EXPECT_GT(restored.epoch(), before) << "a load changes the contents";
 
+    // The occupancy counts and the min-ready gate are rebuilt.
     EXPECT_EQ(restored.size(), fq.size());
     EXPECT_EQ(restored.minReadyAt(), fq.minReadyAt());
+    EXPECT_EQ(restored.minReadyAt(), 4u);
+    EXPECT_EQ(restored.canAllocateWaiting(), fq.canAllocateWaiting());
+    EXPECT_EQ(idOrZero(restored.peekReady(3)), 0u);
+    EXPECT_EQ(idOrZero(restored.peekReady(9)), b);
     for (const LineAddr l : {10, 11, 12, 13})
         EXPECT_EQ(idOrZero(restored.find(l)), idOrZero(fq.find(l)))
             << "line " << l;
@@ -488,7 +477,7 @@ TEST(FillQueue, SerializeRoundTripFindsSameEntries)
     }
     EXPECT_EQ(restored.find(10)->id, c);
     EXPECT_THROW(restored.entry(a), std::logic_error);
-    EXPECT_EQ(saveQueue(restored), bytes) << "re-save is byte-identical";
+    EXPECT_EQ(saveBytes(restored), bytes) << "re-save is byte-identical";
 
     // The restored queue keeps working: the freed slot 0 is reused and
     // becomes the lowest-index match for a duplicate of line 10.
@@ -514,10 +503,10 @@ TEST(FillQueue, CorruptRestoreRefused)
     FillQueue fq("t", 4);
     fq.allocate(1, {}, false);
     fq.allocateWithData(2, {}, false, 3);
-    const std::vector<std::uint8_t> bytes = saveQueue(fq);
+    const std::vector<std::uint8_t> bytes = saveBytes(fq);
 
     FillQueue wrong_cap("t", 8);
-    EXPECT_THROW(loadQueue(wrong_cap, bytes), CheckpointError);
+    EXPECT_THROW(loadBytes(wrong_cap, bytes), CheckpointError);
 
     // The occupancy counts and the min-ready gate are rebuilt from the
     // slots, so only slots that disagree with the drain order remain
@@ -528,17 +517,17 @@ TEST(FillQueue, CorruptRestoreRefused)
     holes.allocate(1, {}, false);
     holes.allocate(2, {}, false);
     holes.release(holes.allocate(freed_line, {}, false));
-    const std::vector<std::uint8_t> good = saveQueue(holes);
+    const std::vector<std::uint8_t> good = saveBytes(holes);
     {
         FillQueue ok("t", 4);
-        EXPECT_NO_THROW(loadQueue(ok, good));
+        EXPECT_NO_THROW(loadBytes(ok, good));
     }
 
     // A slot is serialized as its valid byte, then its line.
     std::vector<std::uint8_t> corrupt = good;
     corrupt[offsetOf(good, freed_line) - 1] = 1;
     FillQueue b("t", 4);
-    EXPECT_THROW(loadQueue(b, corrupt), CheckpointError)
+    EXPECT_THROW(loadBytes(b, corrupt), CheckpointError)
         << "a valid slot the drain order does not name";
 
     // The drain order (u32 slot indices) ends right before the next id
@@ -548,7 +537,7 @@ TEST(FillQueue, CorruptRestoreRefused)
     const std::uint32_t slot0 = 0;
     std::memcpy(&corrupt[last_slot_at], &slot0, 4);
     FillQueue c("t", 4);
-    EXPECT_THROW(loadQueue(c, corrupt), CheckpointError)
+    EXPECT_THROW(loadBytes(c, corrupt), CheckpointError)
         << "a drain order naming one slot twice";
 
     // Name the freed slot 2 instead of slot 1.
@@ -556,7 +545,7 @@ TEST(FillQueue, CorruptRestoreRefused)
     const std::uint32_t slot2 = 2;
     std::memcpy(&corrupt[last_slot_at], &slot2, 4);
     FillQueue d("t", 4);
-    EXPECT_THROW(loadQueue(d, corrupt), CheckpointError)
+    EXPECT_THROW(loadBytes(d, corrupt), CheckpointError)
         << "a drain order naming a free slot";
 }
 

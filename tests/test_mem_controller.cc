@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "dram/mem_controller.hh"
+#include "round_trip.hh"
 
 namespace bop
 {
@@ -169,6 +170,60 @@ TEST(MemController, UrgentModeRequiresFillQueueSpace)
     }
     EXPECT_EQ(mc.stats().reads, 1u);
     EXPECT_EQ(mc.stats().urgentIssues, 0u);
+}
+
+TEST(MemController, RestoreRebuildsDerivedState)
+{
+    // Two cores' reads and writes, ticked until some reads finished
+    // unclaimed and others still wait, then saved off a bus edge.
+    MemoryController mc(DramTiming{}, 1, 2);
+    for (std::uint32_t i = 0; i < 6; ++i) {
+        mc.enqueueRead(lineWithRow(i % 3, i), meta(i % 2), 0);
+        mc.enqueueWrite(lineWithRow(9 + i, i), i % 2, 0);
+    }
+    const unsigned ratio = DramTiming{}.busRatio;
+    Cycle now = 0;
+    while (mc.stats().reads < 3 && now < 10000)
+        mc.tick(now++);
+    while ((now - 1) % ratio == 0)
+        mc.tick(now++); // save off a bus edge
+    const Cycle saved_at = now - 1;
+    ASSERT_TRUE(mc.hasCompletedReads());
+    ASSERT_GT(mc.readQueueSize(0) + mc.readQueueSize(1), 0u);
+    const std::vector<std::uint8_t> bytes = saveBytes(mc);
+
+    MemoryController restored(DramTiming{}, 1, 2);
+    loadBytes(restored, bytes);
+    EXPECT_EQ(restored.nextCompletionAt(), mc.nextCompletionAt());
+    EXPECT_NE(restored.nextCompletionAt(), neverCycle);
+    EXPECT_EQ(restored.anyPending(), mc.anyPending());
+    EXPECT_EQ(restored.nextEventAt(saved_at), mc.nextEventAt(saved_at));
+    for (std::uint32_t i = 0; i < 6; ++i) {
+        const LineAddr line = lineWithRow(i % 3, i);
+        EXPECT_EQ(restored.readQueueContains(line),
+                  mc.readQueueContains(line))
+            << "read " << i;
+    }
+    EXPECT_EQ(saveBytes(restored), bytes);
+
+    // Run both on: the rebuilt bus edges, row coordinates and counts
+    // must schedule and complete exactly as the original does.
+    std::vector<LineAddr> a, b;
+    for (; now < saved_at + 5000; ++now) {
+        mc.tick(now);
+        restored.tick(now);
+        for (const CompletedRead &r : mc.popCompleted(now))
+            a.push_back(r.line);
+        for (const CompletedRead &r : restored.popCompleted(now))
+            b.push_back(r.line);
+        ASSERT_EQ(restored.nextEventAt(now), mc.nextEventAt(now)) << now;
+    }
+    EXPECT_EQ(a.size(), 6u);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(restored.stats().writes, 6u);
+    EXPECT_FALSE(restored.anyPending());
+    EXPECT_EQ(saveBytes(restored), saveBytes(mc))
+        << "same bank, bus and row-buffer state";
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/mshr.hh"
+#include "round_trip.hh"
 
 namespace bop
 {
@@ -81,6 +82,38 @@ TEST(Mshr, StoreWaitersResetOnReuse)
     m.allocate(2, false, 0);
     EXPECT_EQ(m.find(2)->storeWaiters, 0);
     EXPECT_FALSE(m.find(2)->storeIntent);
+}
+
+TEST(Mshr, RestoreRebuildsTagsAndLiveCount)
+{
+    MshrFile m(4);
+    m.allocate(100, false, 5);
+    const std::uint32_t freed = m.allocate(200, true, 6);
+    m.allocate(300, false, 7);
+    m.completeById(freed); // slot 1 free, its line left behind
+    m.find(100)->waiters.push_back(3);
+    const std::vector<std::uint8_t> bytes = saveBytes(m);
+
+    MshrFile restored(4);
+    loadBytes(restored, bytes);
+    EXPECT_EQ(restored.size(), 2u);
+    EXPECT_FALSE(restored.full());
+    ASSERT_NE(restored.find(100), nullptr);
+    EXPECT_EQ(restored.find(100)->waiters, std::vector<std::uint32_t>{3});
+    EXPECT_EQ(restored.find(200), nullptr) << "a free slot holds no line";
+    ASSERT_NE(restored.find(300), nullptr);
+    EXPECT_EQ(saveBytes(restored), bytes);
+
+    // The rebuilt count gates allocation: two more fill the file.
+    restored.allocate(400, false, 8);
+    restored.allocate(500, false, 8);
+    EXPECT_TRUE(restored.full());
+    EXPECT_EQ(restored.complete(300)->issuedAt, 7u);
+    EXPECT_EQ(restored.size(), 3u);
+
+    MshrFile other(8);
+    EXPECT_THROW(loadBytes(other, bytes), CheckpointError);
+    EXPECT_EQ(other.size(), 0u);
 }
 
 } // namespace

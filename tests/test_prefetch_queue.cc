@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/prefetch_queue.hh"
+#include "round_trip.hh"
 
 namespace bop
 {
@@ -74,6 +75,34 @@ TEST(PrefetchQueue, PeekThenPopFront)
     q.popFront(0);
     EXPECT_EQ(q.size(), 1u);
     EXPECT_TRUE(q.contains(1));
+}
+
+TEST(PrefetchQueue, RestoreRebuildsMinReady)
+{
+    PrefetchQueue q(4);
+    q.insert(req(10, 7));
+    q.insert(req(11, 3));
+    q.insert(req(12, 9));
+    ASSERT_EQ(q.popReady(3)->line, 11u);
+    const std::vector<std::uint8_t> bytes = saveBytes(q);
+
+    PrefetchQueue restored(4);
+    loadBytes(restored, bytes);
+    EXPECT_EQ(restored.size(), q.size());
+    EXPECT_EQ(restored.minReadyAt(), q.minReadyAt());
+    EXPECT_EQ(restored.minReadyAt(), 7u);
+    EXPECT_EQ(restored.peekReady(6), nullptr);
+    EXPECT_TRUE(restored.contains(12));
+    EXPECT_EQ(saveBytes(restored), bytes);
+    EXPECT_EQ(restored.popReady(9)->line, 10u);
+    EXPECT_EQ(restored.minReadyAt(), 9u);
+
+    // More requests than the capacity are refused before the queue
+    // takes them.
+    PrefetchQueue small(1);
+    EXPECT_THROW(loadBytes(small, bytes), CheckpointError);
+    EXPECT_EQ(small.size(), 0u);
+    EXPECT_EQ(small.minReadyAt(), neverCycle);
 }
 
 } // namespace

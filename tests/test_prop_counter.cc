@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/prop_counter.hh"
+#include "round_trip.hh"
 
 namespace bop
 {
@@ -116,6 +117,21 @@ TEST(PropCounter, HalvingPreservesRatiosAtAnySize)
         g.increment(5); // crosses CMAX, halving everything
     EXPECT_GT(g.value(5), g.value(6));
     EXPECT_GT(g.value(6), g.value(0));
+}
+
+TEST(PropCounter, RestoreRefusesAnotherCountWithoutResizing)
+{
+    PropCounterGroup four(4, 7);
+    four.increment(3);
+    PropCounterGroup eight(8, 7);
+    eight.increment(7);
+    EXPECT_THROW(loadBytes(eight, saveBytes(four)), CheckpointError);
+    ASSERT_EQ(eight.size(), 8u) << "a refused load keeps the geometry";
+    EXPECT_EQ(eight.value(7), 1u);
+
+    PropCounterGroup copy(4, 7);
+    loadBytes(copy, saveBytes(four));
+    EXPECT_EQ(copy.value(3), 1u);
 }
 
 } // namespace
