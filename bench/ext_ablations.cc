@@ -1,6 +1,7 @@
 /**
  * @file
- * Extension ablations beyond the paper's figures (DESIGN.md Sec. 5):
+ * Extension ablations beyond the paper's figures (docs/WORKLOADS.md,
+ * "Other substitutions"):
  *
  *  - BO degree-2 (best + second-best offset, the Sec. 4.3 discussion):
  *    the paper predicts extra requests without a filter may not pay.

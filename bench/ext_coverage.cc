@@ -91,8 +91,9 @@ main(int argc, char **argv)
                  "with very low timeliness\non the sequential "
                  "streamers (410/437/462), and BO's timeliness "
                  "column\nis decisively higher there — the paper's "
-                 "thesis. Two workload\nartifacts to note (DESIGN.md "
-                 "Sec. 1): the synthetic 433.milc/470.lbm\ntouch only "
+                 "thesis. Two workload\nartifacts to note "
+                 "(docs/WORKLOADS.md, \"Known artifacts\"): the "
+                 "synthetic\n433.milc/470.lbm touch only "
                  "every 32nd/5th line, so next-line coverage measures "
                  "0 here\nwhere the paper quotes ~0.75 (real milc/lbm "
                  "touch neighbouring lines);\nthe offset-response "

@@ -14,10 +14,10 @@
  *    prefetching are designed to win — this is where the published
  *    chain is expected to reproduce;
  *  - over all 29 benchmarks, which on this substrate is dominated by
- *    the synthetic pointer-chasers' pollution sensitivity (DESIGN.md
- *    Sec. 4b: next-line hurts them far more than real CPU2006
- *    irregulars, dragging every always-on prefetcher's full-GM below
- *    the selective ones').
+ *    the synthetic pointer-chasers' pollution sensitivity
+ *    (docs/WORKLOADS.md, "Known artifacts": next-line hurts them far
+ *    more than real CPU2006 irregulars, dragging every always-on
+ *    prefetcher's full-GM below the selective ones').
  *
  * Unlike the figure benches (which keep the paper's next-line
  * reference), zoo speedups are relative to *no L2 prefetching*: on
@@ -124,8 +124,8 @@ main(int argc, char **argv)
     make_table(streamingBenchmarks()).print(std::cout);
 
     std::cout << "\nGM over all 29 benchmarks (pointer-chase pollution "
-                 "artifact\nincluded — see DESIGN.md Sec. 4b before "
-                 "comparing rows):\n";
+                 "artifact\nincluded — see docs/WORKLOADS.md, \"Known "
+                 "artifacts\", before comparing rows):\n";
     prefetch(benchmarkNames());
     make_table(benchmarkNames()).print(std::cout);
 

@@ -10,7 +10,8 @@
  * line into the cache and the buffer fetches one more line to stay
  * full. Multiple buffers capture interleaved streams.
  *
- * Substitution note (DESIGN.md): our substrate prefetches into the L2
+ * Substitution note (docs/WORKLOADS.md, "Other substitutions"): our
+ * substrate prefetches into the L2
  * proper rather than into separate buffer storage — the L2's prefetch
  * bits already measure pollution, and the paper's own L2 prefetchers
  * all fill the cache directly. The FIFO state here therefore tracks

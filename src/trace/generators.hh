@@ -11,7 +11,7 @@
  * of the paper's workloads (Sec. 3 examples, Sec. 6 / Fig. 8 analysis):
  * that structure — not the exact instruction semantics — is what offset
  * prefetchers respond to. See workloads.cc for the 29 benchmark specs
- * and the substitution notes in DESIGN.md.
+ * and docs/WORKLOADS.md for what each keeps of its namesake.
  */
 
 #ifndef BOP_TRACE_GENERATORS_HH

@@ -14,7 +14,8 @@
  *                   (peaks at k*5, secondary at k*5+3)
  *   462.libquantum  long sequential streams, bandwidth-bound
  *
- * See DESIGN.md for the substitution rationale.
+ * See docs/WORKLOADS.md for the substitution rationale, the
+ * calibration targets and the known artifacts.
  */
 
 #ifndef BOP_TRACE_WORKLOADS_HH

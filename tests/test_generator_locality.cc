@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the workload-generator locality mechanisms added during
- * calibration (DESIGN.md §3b): temporal-reuse rings, per-field PCs,
+ * calibration (docs/WORKLOADS.md, "Locality mechanisms"):
+ * temporal-reuse rings, per-field PCs,
  * sub-element accesses, and pointer-chase allocation locality.
  */
 

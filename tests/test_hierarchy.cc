@@ -24,7 +24,8 @@ seqTrace(std::uint64_t region = 32ull << 20, std::int64_t step = 8,
     w.memFraction = 0.5;
     w.branchFraction = 0.0;
     // Address-generation dependences bound the core's spontaneous MLP,
-    // which is what leaves prefetchers room to matter (see DESIGN.md).
+    // which is what leaves prefetchers room to matter (see
+    // docs/WORKLOADS.md, "Locality mechanisms").
     w.depFraction = 0.3;
     StreamSpec s;
     s.regionBytes = region;
