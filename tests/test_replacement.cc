@@ -13,6 +13,7 @@
 #include "cache/policy_5p.hh"
 #include "cache/replacement.hh"
 #include "common/serializer.hh"
+#include "round_trip.hh"
 
 namespace bop
 {
@@ -77,23 +78,6 @@ TEST(StackPolicy, ResetRestoresIdentityOrder)
 // (the element count of a retired byte-array layout).
 std::size_t wordAt(std::size_t set) { return 8 + 8 * set; }
 
-std::vector<std::uint8_t>
-saveState(ReplacementPolicy &policy)
-{
-    std::vector<std::uint8_t> bytes;
-    Serializer s(bytes);
-    policy.serialize(s);
-    return bytes;
-}
-
-void
-loadState(ReplacementPolicy &policy, const std::vector<std::uint8_t> &bytes)
-{
-    Serializer s(bytes.data(), bytes.size(), 0);
-    policy.serialize(s);
-    s.finish("replacement policy");
-}
-
 /** @p bytes with the little-endian u64 at @p at replaced by @p value. */
 std::vector<std::uint8_t>
 withU64(std::vector<std::uint8_t> bytes, std::size_t at, std::uint64_t value)
@@ -111,7 +95,7 @@ TEST(ReplacementRestore, RoundTripKeepsState)
     saved.onFill(3, 2, {});
     LruPolicy restored;
     restored.reset(4, 8);
-    loadState(restored, saveState(saved));
+    loadBytes(restored, saveBytes(saved));
     for (unsigned w = 0; w < 8; ++w) {
         EXPECT_EQ(restored.positionOf(1, w), saved.positionOf(1, w));
         EXPECT_EQ(restored.positionOf(3, w), saved.positionOf(3, w));
@@ -120,7 +104,7 @@ TEST(ReplacementRestore, RoundTripKeepsState)
     LruPolicy sixteen;
     sixteen.reset(2, 16);
     sixteen.onHit(0, 15);
-    loadState(sixteen, saveState(sixteen));
+    loadBytes(sixteen, saveBytes(sixteen));
     EXPECT_EQ(sixteen.positionOf(0, 15), 0u);
 }
 
@@ -132,22 +116,22 @@ TEST(ReplacementRestore, WordCountMustBeTheSetCount)
     three.reset(3, 8);
     LruPolicy four;
     four.reset(4, 8);
-    EXPECT_THROW(loadState(four, saveState(three)), CheckpointError);
-    EXPECT_THROW(loadState(three, saveState(four)), CheckpointError);
+    EXPECT_THROW(loadBytes(four, saveBytes(three)), CheckpointError);
+    EXPECT_THROW(loadBytes(three, saveBytes(four)), CheckpointError);
 
     // A nonzero byte-array count (with its byte) is state for more than
     // 16 ways, which no cache has.
     std::vector<std::uint8_t> bytes =
-        withU64(saveState(four), wordAt(4), 1);
+        withU64(saveBytes(four), wordAt(4), 1);
     bytes.push_back(0);
-    EXPECT_THROW(loadState(four, bytes), CheckpointError);
+    EXPECT_THROW(loadBytes(four, bytes), CheckpointError);
 }
 
 TEST(ReplacementRestore, StackWordMustBeAPermutation)
 {
     LruPolicy lru;
     lru.reset(4, 8);
-    const std::vector<std::uint8_t> bytes = saveState(lru);
+    const std::vector<std::uint8_t> bytes = saveBytes(lru);
     const std::uint64_t filler = 0xffffffff00000000ull;
     const std::uint64_t bad[] = {
         filler | 0x76543211, // way 1 twice, way 0 missing
@@ -156,18 +140,18 @@ TEST(ReplacementRestore, StackWordMustBeAPermutation)
         0,
     };
     for (const std::uint64_t word : bad) {
-        EXPECT_THROW(loadState(lru, withU64(bytes, wordAt(2), word)),
+        EXPECT_THROW(loadBytes(lru, withU64(bytes, wordAt(2), word)),
                      CheckpointError)
             << std::hex << word;
     }
     // The same check guards 5P, which keeps the same recency stacks.
     Policy5P p5;
     p5.reset(4, 8);
-    EXPECT_THROW(loadState(p5, withU64(saveState(p5), wordAt(0),
+    EXPECT_THROW(loadBytes(p5, withU64(saveBytes(p5), wordAt(0),
                                        filler | 0x76543211)),
                  CheckpointError);
     // Restoring a valid word still works after the refusals.
-    loadState(lru, withU64(bytes, wordAt(2), filler | 0x01234567));
+    loadBytes(lru, withU64(bytes, wordAt(2), filler | 0x01234567));
     EXPECT_EQ(lru.victim(2), 0u);
 }
 
@@ -175,17 +159,17 @@ TEST(ReplacementRestore, DrripWordMustHoldTwoBitRrpvs)
 {
     DrripPolicy drrip;
     drrip.reset(4, 8);
-    const std::vector<std::uint8_t> bytes = saveState(drrip);
+    const std::vector<std::uint8_t> bytes = saveBytes(drrip);
     const std::uint64_t filler = 0xffffffff00000000ull;
-    EXPECT_THROW(loadState(drrip, withU64(bytes, wordAt(1),
+    EXPECT_THROW(loadBytes(drrip, withU64(bytes, wordAt(1),
                                           filler | 0x33333334)),
                  CheckpointError)
         << "an RRPV above 3";
-    EXPECT_THROW(loadState(drrip, withU64(bytes, wordAt(1),
+    EXPECT_THROW(loadBytes(drrip, withU64(bytes, wordAt(1),
                                           0xf0ffffff33333333)),
                  CheckpointError)
         << "a filler nibble that is not 0xF";
-    loadState(drrip, withU64(bytes, wordAt(1), filler | 0x01230132));
+    loadBytes(drrip, withU64(bytes, wordAt(1), filler | 0x01230132));
     EXPECT_EQ(drrip.victim(1), 1u) << "lowest-index way at RRPV 3";
 }
 
