@@ -224,5 +224,4 @@ FillQueue::serialize(Serializer &s)
     ++contentEpoch;
 }
 
-
 } // namespace bop

@@ -11,14 +11,14 @@
  * full. Multiple buffers capture interleaved streams.
  *
  * Substitution note (docs/WORKLOADS.md, "Other substitutions"): our
- * substrate prefetches into the L2
- * proper rather than into separate buffer storage — the L2's prefetch
- * bits already measure pollution, and the paper's own L2 prefetchers
- * all fill the cache directly. The FIFO state here therefore tracks
- * *what each buffer has requested*, steering allocation and top-up
- * exactly like the original, while the blocks themselves live in the
- * L2. Jouppi's "incremented" addresses are ascending only; allocation
- * stops at page boundaries like every L2 prefetcher in this study.
+ * substrate prefetches into the L2 proper rather than into separate
+ * buffer storage — the L2's prefetch bits already measure pollution,
+ * and the paper's own L2 prefetchers all fill the cache directly. The
+ * FIFO state here therefore tracks *what each buffer has requested*,
+ * steering allocation and top-up exactly like the original, while the
+ * blocks themselves live in the L2. Jouppi's "incremented" addresses
+ * are ascending only; allocation stops at page boundaries like every
+ * L2 prefetcher in this study.
  */
 
 #ifndef BOP_PREFETCH_STREAM_BUFFER_HH

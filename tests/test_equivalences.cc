@@ -92,9 +92,9 @@ TEST(Equivalences, SeedChangesExecutionButNotValidity)
 TEST(Equivalences, PrewarmOnlyAffectsColdStart)
 {
     // Pre-warming fills the L3 with placeholder lines
-    // (docs/WORKLOADS.md, "L3 pre-warming"); on a small
-    // cache-resident workload that never contends
-    // for the L3, steady-state IPC must converge to the same value.
+    // (docs/WORKLOADS.md, "L3 pre-warming"); on a small cache-resident
+    // workload that never contends for the L3, steady-state IPC must
+    // converge to the same value.
     SystemConfig warm = baselineConfig(1, PageSize::FourKB);
     SystemConfig cold = warm;
     cold.prewarmL3 = false;

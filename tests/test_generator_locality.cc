@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the workload-generator locality mechanisms added during
- * calibration (docs/WORKLOADS.md, "Locality mechanisms"):
- * temporal-reuse rings, per-field PCs,
- * sub-element accesses, and pointer-chase allocation locality.
+ * calibration (docs/WORKLOADS.md, "Locality mechanisms"): temporal-
+ * reuse rings, per-field PCs, sub-element accesses, and pointer-chase
+ * allocation locality.
  */
 
 #include <gtest/gtest.h>

@@ -8,7 +8,8 @@
 # starts with "/" is the tail of a path built at run time and is
 # skipped.
 if(NOT ROOT)
-    message(FATAL_ERROR "usage: cmake -DROOT=<repo> -P ${CMAKE_SCRIPT_MODE_FILE}")
+    message(FATAL_ERROR
+        "usage: cmake -DROOT=<repo> -P ${CMAKE_SCRIPT_MODE_FILE}")
 endif()
 
 set(patterns "${ROOT}/CMakeLists.txt")
