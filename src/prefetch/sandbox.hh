@@ -103,7 +103,8 @@ class SandboxPrefetcher : public L2Prefetcher
             sr.value(a.offset);
             sr.value(a.degree);
             sr.value(a.score);
-        });
+        }, static_cast<std::size_t>(cfg.maxActiveOffsets),
+              "SBP active offsets");
         if (s.loading()) {
             if (cand64 >= offsets.size())
                 s.fail("SBP candidate index out of range");
