@@ -130,6 +130,16 @@ SetAssocCache::insert(LineAddr line, const CacheFill &fill)
     return victim;
 }
 
+CacheFillResult
+SetAssocCache::fill(LineAddr line, const CacheFill &how)
+{
+    if (!probe(line))
+        return {true, insert(line, how)};
+    if (how.markDirty)
+        access(line, true, false);
+    return {};
+}
+
 CacheVictim
 SetAssocCache::peekVictim(LineAddr line) const
 {

@@ -76,6 +76,13 @@ struct CacheFill
     bool markDirty = false;    ///< e.g. writeback fills
 };
 
+/** Outcome of SetAssocCache::fill. */
+struct CacheFillResult
+{
+    bool inserted = false; ///< the line was absent and is now resident
+    CacheVictim victim;    ///< what the insertion evicted, if anything
+};
+
 /** Set-associative, write-back, non-inclusive cache tag array. */
 class SetAssocCache
 {
@@ -108,6 +115,15 @@ class SetAssocCache
      * so the caller can generate a writeback.
      */
     CacheVictim insert(LineAddr line, const CacheFill &fill);
+
+    /**
+     * Write a block arriving from a fill or writeback path, with the
+     * mandatory tag check first (paper Sec. 5.4: another path may have
+     * filled the line meanwhile). An absent line is inserted. A
+     * resident line takes a write hit, access(line, true, false), when
+     * @p how marks it dirty, and is left untouched otherwise.
+     */
+    CacheFillResult fill(LineAddr line, const CacheFill &how);
 
     /**
      * Predict what insert() would evict, without changing any state

@@ -158,7 +158,6 @@ MemHierarchy::coreLoad(CoreId core, Addr vaddr, Addr pc,
 {
     horizonStaleFlag = true;
     CoreSide &cs = side(core);
-    cs.horizonDirty = true;
     const LineAddr line = lineOf(cs.vmem.translate(vaddr));
 
     // Structural check first so a Retry has no side effects. Only a
@@ -207,7 +206,7 @@ MemHierarchy::coreLoad(CoreId core, Addr vaddr, Addr pc,
 
     if ((!res.hit || res.prefetchedHit) && cs.stride) {
         if (auto target = cs.stride->onAccess(pc, vaddr))
-            issueL1Prefetch(cs, pc, *target, now);
+            issueL1Prefetch(cs, *target, now);
     }
     return out;
 }
@@ -217,7 +216,6 @@ MemHierarchy::coreStore(CoreId core, Addr vaddr, Addr pc, Cycle now)
 {
     horizonStaleFlag = true;
     CoreSide &cs = side(core);
-    cs.horizonDirty = true;
     const LineAddr line = lineOf(cs.vmem.translate(vaddr));
 
     if (cs.mshr.full() && !cs.dl1.probe(line) && !cs.mshr.find(line))
@@ -264,7 +262,7 @@ MemHierarchy::coreStore(CoreId core, Addr vaddr, Addr pc, Cycle now)
 
     if ((!res.hit || res.prefetchedHit) && cs.stride) {
         if (auto target = cs.stride->onAccess(pc, vaddr))
-            issueL1Prefetch(cs, pc, *target, now);
+            issueL1Prefetch(cs, *target, now);
     }
     return out;
 }
@@ -278,9 +276,8 @@ MemHierarchy::retireMemOp(CoreId core, Addr pc, Addr vaddr)
 }
 
 void
-MemHierarchy::issueL1Prefetch(CoreSide &cs, Addr pc, Addr vaddr, Cycle now)
+MemHierarchy::issueL1Prefetch(CoreSide &cs, Addr vaddr, Cycle now)
 {
-    (void)pc;
     const bool c0 = cs.id == 0;
 
     // Sec. 5.5: the prefetch address goes through the TLB2; a miss
@@ -342,7 +339,6 @@ MemHierarchy::triggerL2Prefetcher(CoreSide &cs, const L2AccessEvent &ev)
         meta.prefetchOffset = cs.l2pf->currentOffset();
         meta.birth = ev.cycle;
 
-        cs.horizonDirty = true;
         const bool cancelled =
             cs.prefetchQueue.insert({target, meta, ev.cycle + 1});
         if (c0) {
@@ -361,7 +357,6 @@ MemHierarchy::processToL2(CoreSide &cs, Cycle now)
         PendingReq &req = cs.toL2.front();
         if (req.readyAt > now)
             break;
-        cs.horizonDirty = true;
 
         // Fill-queue CAM: an in-flight block absorbs this request.
         if (FillQueueEntry *e = cs.l2Fill.find(req.line)) {
@@ -413,8 +408,6 @@ MemHierarchy::processToL2(CoreSide &cs, Cycle now)
 void
 MemHierarchy::processWbToL2(CoreSide &cs, Cycle now)
 {
-    if (!cs.wbToL2.empty())
-        cs.horizonDirty = true;
     for (unsigned n = 0; n < wbPerCycle && !cs.wbToL2.empty(); ++n) {
         const LineAddr line = cs.wbToL2.front();
         const CacheAccessResult res = cs.l2.access(line, true, false);
@@ -486,7 +479,6 @@ MemHierarchy::processToL3(Cycle now)
                 e->meta.l1PrefetchBit = req.meta.l1PrefetchBit;
                 // The demand's reserved L2 fill entry is dropped; the
                 // promoted block allocates its own on arrival.
-                cs.horizonDirty = true;
                 cs.l2Fill.release(req.meta.l2FillId);
                 if (e->meta.wasL2Prefetch)
                     cs.l2pf->onLatePromotion(req.line, now);
@@ -525,7 +517,6 @@ MemHierarchy::processToL3(Cycle now)
             ++stats.l3Accesses;
 
         if (will_hit) {
-            cs.horizonDirty = true;
             cs.l2Fill.fillData(req.meta.l2FillId,
                                now + cfg.caches.l3Latency);
         } else {
@@ -533,7 +524,6 @@ MemHierarchy::processToL3(Cycle now)
                 ++stats.l3Misses;
             // Sec. 5.4: on an L3 miss the L2 fill entry is released and
             // the request becomes an L1/L2/L3 miss.
-            cs.horizonDirty = true;
             cs.l2Fill.release(req.meta.l2FillId);
             ReqMeta meta = req.meta;
             meta.l2FillId = invalidMshr;
@@ -578,7 +568,6 @@ MemHierarchy::processPrefetchQueues(Cycle now)
                 cs.pfBlocked.matches(req->line, l3Fill.epoch());
             if (!known_miss && l3Fill.find(req->line)) {
                 // Already being fetched: redundant prefetch.
-                cs.horizonDirty = true;
                 cs.prefetchQueue.popFront(now);
                 if (c0)
                     ++stats.l2PrefDropped;
@@ -593,7 +582,6 @@ MemHierarchy::processPrefetchQueues(Cycle now)
                 if (cs.l2Fill.full())
                     continue; // leave in queue, retry
                 l3Cache.access(req->line, false, false);
-                cs.horizonDirty = true;
                 cs.l2Fill.allocateWithData(req->line, req->meta, true,
                                            now + cfg.caches.l3Latency);
                 cs.prefetchQueue.popFront(now);
@@ -612,7 +600,6 @@ MemHierarchy::processPrefetchQueues(Cycle now)
                 l3Fill.entry(meta.l3FillId).meta = meta;
                 controller(ch).enqueueRead(req->line, meta,
                                            now + cfg.caches.l3TagLatency);
-                cs.horizonDirty = true;
                 cs.prefetchQueue.popFront(now);
                 issued = true;
             }
@@ -653,8 +640,7 @@ MemHierarchy::drainOneL3Fill(Cycle now)
     if (e->meta.needL2 && cs.l2Fill.full())
         return false; // forwarding target full: stall
 
-    const bool will_insert = !l3Cache.probe(line);
-    if (will_insert) {
+    if (!l3Cache.probe(line)) {
         const CacheVictim victim = l3Cache.peekVictim(line);
         if (victim.valid && victim.dirty &&
             controller(channelOf(victim.line))
@@ -666,23 +652,17 @@ MemHierarchy::drainOneL3Fill(Cycle now)
     const FillQueueEntry entry = *e;
     l3Fill.removeById(e->id);
 
-    if (will_insert) {
-        CacheFill fill;
-        fill.core = entry.meta.core;
-        fill.demand = !entry.isPrefetch &&
-                      entry.meta.type != ReqType::Writeback;
-        fill.markDirty = entry.meta.type == ReqType::Writeback;
-        const CacheVictim victim = l3Cache.insert(line, fill);
-        if (victim.valid && victim.dirty) {
-            controller(channelOf(victim.line))
-                .enqueueWrite(victim.line, victim.core, now);
-        }
-    } else if (entry.meta.type == ReqType::Writeback) {
-        l3Cache.access(line, true, false); // write hit: mark it dirty
+    CacheFill fill;
+    fill.core = entry.meta.core;
+    fill.demand = !entry.isPrefetch && entry.meta.type != ReqType::Writeback;
+    fill.markDirty = entry.meta.type == ReqType::Writeback;
+    const CacheVictim victim = l3Cache.fill(line, fill).victim;
+    if (victim.valid && victim.dirty) {
+        controller(channelOf(victim.line))
+            .enqueueWrite(victim.line, victim.core, now);
     }
 
     if (entry.meta.needL2) {
-        cs.horizonDirty = true;
         cs.l2Fill.allocateWithData(line, entry.meta, entry.isPrefetch,
                                    now + 1);
     }
@@ -712,7 +692,6 @@ void
 MemHierarchy::deliverToDl1(CoreSide &cs, LineAddr line, const ReqMeta &meta,
                            Cycle at)
 {
-    cs.horizonDirty = true;
     cs.dl1Due.push_back({line, meta, at});
 }
 
@@ -724,19 +703,17 @@ MemHierarchy::drainL2Fill(CoreSide &cs, Cycle now)
         auto popped = cs.l2Fill.popReady(now);
         if (!popped)
             return;
-        cs.horizonDirty = true;
         FillQueueEntry &entry = *popped;
 
-        // Mandatory tag check before inserting (Sec. 5.4): redundant
-        // prefetch paths may have filled the line already.
-        if (!cs.l2.probe(entry.line)) {
-            CacheFill fill;
-            fill.core = entry.meta.core;
-            fill.demand = !entry.isPrefetch &&
-                          entry.meta.type != ReqType::Writeback;
-            fill.markPrefetch = entry.isPrefetch;
-            fill.markDirty = entry.meta.type == ReqType::Writeback;
-            const CacheVictim victim = cs.l2.insert(entry.line, fill);
+        CacheFill fill;
+        fill.core = entry.meta.core;
+        fill.demand = !entry.isPrefetch &&
+                      entry.meta.type != ReqType::Writeback;
+        fill.markPrefetch = entry.isPrefetch;
+        fill.markDirty = entry.meta.type == ReqType::Writeback;
+        const CacheFillResult res = cs.l2.fill(entry.line, fill);
+        if (res.inserted) {
+            const CacheVictim &victim = res.victim;
             if (victim.valid && victim.dirty)
                 wbToL3.push_back({victim.line, entry.meta.core});
             if (victim.valid) {
@@ -752,9 +729,6 @@ MemHierarchy::drainL2Fill(CoreSide &cs, Cycle now)
                 if (entry.isPrefetch && c0)
                     ++stats.l2PrefFills;
             }
-        } else if (entry.meta.type == ReqType::Writeback) {
-            // Another path filled the line while the writeback waited.
-            cs.l2.access(entry.line, true, false);
         }
 
         if (entry.meta.needL1)
@@ -772,7 +746,6 @@ MemHierarchy::processDl1Deliveries(CoreSide &cs, Cycle now)
             cs.dl1Due[keep++] = d;
             continue;
         }
-        cs.horizonDirty = true;
 
         // A side only ever holds deliveries for its own core.
         assert(d.meta.core == cs.id);
@@ -780,18 +753,14 @@ MemHierarchy::processDl1Deliveries(CoreSide &cs, Cycle now)
         const bool store_intent = m && m->storeIntent;
         const bool prefetch_only = m && m->prefetchOnly;
 
-        if (!cs.dl1.probe(d.line)) {
-            CacheFill fill;
-            fill.core = d.meta.core;
-            fill.demand = !prefetch_only;
-            fill.markPrefetch = d.meta.l1PrefetchBit && prefetch_only;
-            fill.markDirty = store_intent;
-            const CacheVictim victim = cs.dl1.insert(d.line, fill);
-            if (victim.valid && victim.dirty)
-                cs.wbToL2.push_back(victim.line);
-        } else if (store_intent) {
-            cs.dl1.access(d.line, true, false);
-        }
+        CacheFill fill;
+        fill.core = d.meta.core;
+        fill.demand = !prefetch_only;
+        fill.markPrefetch = d.meta.l1PrefetchBit && prefetch_only;
+        fill.markDirty = store_intent;
+        const CacheVictim victim = cs.dl1.fill(d.line, fill).victim;
+        if (victim.valid && victim.dirty)
+            cs.wbToL2.push_back(victim.line);
 
         if (m) {
             CoreModel *core = cores[static_cast<std::size_t>(d.meta.core)];
@@ -812,7 +781,6 @@ void
 MemHierarchy::tick(Cycle now)
 {
     horizonStaleFlag = true;
-    uncoreHorizonDirty = true;
     // Jump-safety for the one piece of per-tick state that advances
     // even when the uncore is idle: processPrefetchQueues moves the
     // round-robin pointer by exactly one on every tick that issues
@@ -865,71 +833,36 @@ MemHierarchy::nextEventAt(Cycle now) const
         ev = std::min(ev, std::max(next, at));
     };
 
-    // Per-side horizon sub-cache: each side's contribution is the min
-    // over its time-gated sources, kept in ABSOLUTE cycles (0 = "due
-    // whenever ticked", an unconditionally draining writeback;
-    // neverCycle = idle) so it stays valid as `now` advances. A side
-    // recomputes only when some stage actually mutated it
-    // (horizonDirty); untouched sides fold the cached value and skip
-    // their queue scans entirely. (The sides are held by pointer, so
-    // this const query may refresh the cache fields.)
     for (const auto &sd : sides) {
-        if (sd->horizonDirty) {
-            Cycle raw = neverCycle;
-            // DL1 dirty victims drain unconditionally while queued.
-            if (!sd->wbToL2.empty()) {
-                raw = 0;
-            } else {
-                // The DL1-miss path is strict FIFO: only the front
-                // gates.
-                if (!sd->toL2.empty())
-                    raw = std::min(raw, sd->toL2.front().readyAt);
-                // Fill-queue entries carrying data insert at their
-                // readyAt; data-less entries wait on downstream
-                // components' events.
-                raw = std::min(raw, sd->l2Fill.minReadyAt());
-                raw = std::min(raw, sd->prefetchQueue.minReadyAt());
-                for (const Dl1Delivery &d : sd->dl1Due)
-                    raw = std::min(raw, d.at);
-            }
-            sd->rawHorizon = raw;
-            sd->horizonDirty = false;
-        }
-        fold(sd->rawHorizon);
+        // DL1 dirty victims drain unconditionally while queued.
+        if (!sd->wbToL2.empty())
+            return next;
+        // The DL1-miss path is strict FIFO: only the front gates.
+        if (!sd->toL2.empty())
+            fold(sd->toL2.front().readyAt);
+        // Fill-queue entries carrying data insert at their readyAt;
+        // data-less entries wait on downstream components' events.
+        fold(sd->l2Fill.minReadyAt());
+        fold(sd->prefetchQueue.minReadyAt());
+        for (const Dl1Delivery &d : sd->dl1Due)
+            fold(d.at);
         if (ev == next)
             return next;
     }
 
-    // The uncore part (L3 queues, L3 fill queue, controllers) changes
-    // only inside tick(): the core-side entry points touch their own
-    // side alone. So it is computed once per tick, in absolute cycles
-    // like rawHorizon, and reused by the queries a core access causes
-    // before the next tick. A controller's bus-edge horizon depends on
-    // `now` only through the first edge after it, which a query before
-    // the cached horizon cannot pass; a later query would only see a
-    // later edge, so the cached value is never less conservative.
-    if (uncoreHorizonDirty) {
-        Cycle raw = neverCycle;
-        // L2 dirty victims into the L3 drain unconditionally.
-        if (!wbToL3.empty()) {
-            raw = 0;
-        } else {
-            // Sharded L3 demand queues: served in global arrival
-            // order, and arrival order implies readyAt order within a
-            // shard, so the shard heads bound the next serviceable
-            // request.
-            for (const auto &q : toL3) {
-                if (!q.empty())
-                    raw = std::min(raw, q.front().readyAt);
-            }
-            raw = std::min(raw, l3Fill.minReadyAt());
-            for (const auto &mc : mcs)
-                raw = std::min(raw, mc->nextEventAt(now));
-        }
-        uncoreHorizon = raw;
-        uncoreHorizonDirty = false;
+    // L2 dirty victims into the L3 drain unconditionally.
+    if (!wbToL3.empty())
+        return next;
+    // Sharded L3 demand queues: served in global arrival order, and
+    // arrival order implies readyAt order within a shard, so the shard
+    // heads bound the next serviceable request.
+    for (const auto &q : toL3) {
+        if (!q.empty())
+            fold(q.front().readyAt);
     }
-    fold(uncoreHorizon);
+    fold(l3Fill.minReadyAt());
+    for (const auto &mc : mcs)
+        fold(mc->nextEventAt(now));
     return ev;
 }
 
@@ -1013,8 +946,6 @@ MemHierarchy::serialize(Serializer &s)
             d.meta.serialize(sr);
             sr.value(d.at);
         });
-        if (s.loading())
-            cs.horizonDirty = true;
     }
 
     l3Cache.serialize(s);
@@ -1032,7 +963,6 @@ MemHierarchy::serialize(Serializer &s)
     stats.serialize(s);
     if (s.loading()) {
         horizonStaleFlag = true;
-        uncoreHorizonDirty = true;
         for (auto &cs : sides)
             cs->pfBlocked = {};
         std::fill(toL3Blocked.begin(), toL3Blocked.end(), BlockedMiss{});

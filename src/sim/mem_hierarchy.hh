@@ -108,7 +108,8 @@ class MemHierarchy : public CoreMemInterface
      * not purely time-gated (writeback buffers, a blocked-but-due
      * head) conservatively reports now + 1. Contract: ticking the
      * hierarchy at any cycle strictly between @p now and the returned
-     * horizon would change no state.
+     * horizon would change no state. Computed from the queues on every
+     * call; System caches the result until horizonStale().
      */
     Cycle nextEventAt(Cycle now) const;
 
@@ -126,8 +127,8 @@ class MemHierarchy : public CoreMemInterface
     /**
      * Checkpoint every core side (caches, MSHRs, queues, prefetchers,
      * TLBs), the L3 with its fill queue and replacement state, the
-     * inter-level queues and the cumulative stats. The cached horizons
-     * are marked stale on restore.
+     * inter-level queues and the cumulative stats. A restore marks the
+     * horizon stale.
      * DRAM controller state is a separate section: serializeDram().
      */
     void serialize(Serializer &s);
@@ -172,8 +173,8 @@ class MemHierarchy : public CoreMemInterface
      * tags change only in drainOneL3Fill, right after it removes a
      * fill-queue entry (which advances the epoch), so while line and
      * epoch both match, both answers stand and a retry pays only for
-     * its gate checks. Host-side only, like uncoreHorizonDirty: never
-     * serialized, reset on restore.
+     * its gate checks. The memo is host-side state that no simulated
+     * result depends on: never serialized, reset on restore.
      */
     struct BlockedMiss
     {
@@ -208,16 +209,6 @@ class MemHierarchy : public CoreMemInterface
         std::deque<LineAddr> wbToL2;     ///< DL1 dirty victims
         std::deque<Dl1Delivery> dl1Due;  ///< blocks headed into the DL1
         BlockedMiss pfBlocked;           ///< prefetch-queue head memo
-
-        /**
-         * Horizon sub-cache: min over this side's time-gated sources
-         * (0 = due now, neverCycle = none), recomputed by nextEventAt
-         * only when a stage actually mutated the side. Saves the
-         * full per-side queue scans on the many calls where only one
-         * or two sides moved.
-         */
-        Cycle rawHorizon = 0;
-        bool horizonDirty = true;
     };
 
     // -- per-cycle stages ---------------------------------------------------
@@ -233,7 +224,7 @@ class MemHierarchy : public CoreMemInterface
 
     // -- helpers -------------------------------------------------------------
     void triggerL2Prefetcher(CoreSide &cs, const L2AccessEvent &ev);
-    void issueL1Prefetch(CoreSide &cs, Addr pc, Addr vaddr, Cycle now);
+    void issueL1Prefetch(CoreSide &cs, Addr vaddr, Cycle now);
     void deliverToDl1(CoreSide &cs, LineAddr line, const ReqMeta &meta,
                       Cycle at);
     int channelOf(LineAddr line) const;
@@ -258,10 +249,6 @@ class MemHierarchy : public CoreMemInterface
     unsigned prefetchRr = 0;   ///< round-robin over cores' prefetch queues
     Cycle lastTicked = 0;      ///< gap detection (fast-forward catch-up)
     bool horizonStaleFlag = true; ///< see horizonStale()
-    /** nextEventAt's uncore sub-cache (absolute cycles, like
-     *  CoreSide::rawHorizon), recomputed after each tick(). */
-    mutable Cycle uncoreHorizon = 0;
-    mutable bool uncoreHorizonDirty = true;
     RunStats stats;            ///< cumulative core-0 + chip counters
     std::vector<char> chanStalled; ///< per-channel scratch (processToL3)
     std::vector<BlockedMiss> toL3Blocked; ///< per-channel toL3 head memo

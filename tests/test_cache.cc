@@ -142,6 +142,66 @@ TEST(Cache, PeekVictimReportsNoEvictionWithInvalidWays)
     EXPECT_FALSE(c.peekVictim(4).valid);
 }
 
+TEST(Cache, FillInsertsAnAbsentLineAndReportsItsVictim)
+{
+    auto c = makeCache(64 * 2, 2); // 1 set, 2 ways
+    CacheFill dirty;
+    dirty.markDirty = true;
+    EXPECT_TRUE(c.fill(0, dirty).inserted);
+    const CacheFillResult second = c.fill(1, {});
+    EXPECT_TRUE(second.inserted);
+    EXPECT_FALSE(second.victim.valid) << "an invalid way was free";
+
+    CacheFill prefetch;
+    prefetch.markPrefetch = true;
+    const CacheFillResult third = c.fill(2, prefetch);
+    EXPECT_TRUE(third.inserted);
+    EXPECT_TRUE(third.victim.valid);
+    EXPECT_EQ(third.victim.line, 0u) << "LRU victim is the oldest line";
+    EXPECT_TRUE(third.victim.dirty);
+    EXPECT_TRUE(c.findLine(2)->prefetchBit);
+    EXPECT_FALSE(c.probe(0));
+}
+
+TEST(Cache, DirtyFillOfAResidentLineIsAWriteHit)
+{
+    auto c = makeCache(64 * 2, 2); // 1 set, 2 ways
+    CacheFill prefetch;
+    prefetch.markPrefetch = true;
+    c.insert(0, prefetch);
+    c.insert(1, {});
+    ASSERT_EQ(c.peekVictim(2).line, 0u);
+
+    CacheFill writeback;
+    writeback.markDirty = true;
+    const CacheFillResult res = c.fill(0, writeback);
+    EXPECT_FALSE(res.inserted);
+    EXPECT_FALSE(res.victim.valid);
+    const std::optional<CacheLineState> ls = c.findLine(0);
+    ASSERT_TRUE(ls.has_value());
+    EXPECT_TRUE(ls->dirty);
+    EXPECT_TRUE(ls->prefetchBit) << "a write hit is not a core request";
+    EXPECT_EQ(c.peekVictim(2).line, 1u)
+        << "the hit updated the replacement state";
+}
+
+TEST(Cache, CleanFillOfAResidentLineChangesNothing)
+{
+    auto c = makeCache(64 * 2, 2); // 1 set, 2 ways
+    c.insert(0, {});
+    c.insert(1, {});
+    const std::vector<std::uint8_t> before = saveBytes(c);
+
+    CacheFill prefetch;
+    prefetch.core = 3;
+    prefetch.demand = false;
+    prefetch.markPrefetch = true;
+    const CacheFillResult res = c.fill(0, prefetch);
+    EXPECT_FALSE(res.inserted);
+    EXPECT_FALSE(res.victim.valid);
+    EXPECT_EQ(saveBytes(c), before);
+}
+
 TEST(Cache, InvalidateRemovesLine)
 {
     auto c = makeCache();

@@ -12,7 +12,8 @@
  *  - horizon soundness: single-stepping a reference (fast-forward off)
  *    system, the published nextEventCycle() must never claim a jump
  *    across a cycle in which observable state then changes (every
- *    skipped cycle up to the horizon is checked);
+ *    skipped cycle up to the horizon is checked), and the System's
+ *    cached horizon is never later than a fresh one;
  *  - per-component contracts: MemoryController::nextEventAt against
  *    brute-force single-stepping, and the min-readyAt gates of
  *    FillQueue / PrefetchQueue that feed the hierarchy horizon.
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -204,6 +206,53 @@ TEST(FastForwardSoundness, LoadsWaitingOnAFutureProducer)
     SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
     cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
     expectHorizonSound(cfg, "433.milc", 12000);
+}
+
+/**
+ * Step @p bench with fast-forward on and, before every step, compare
+ * the System's cached horizon with one computed fresh from every core
+ * and the hierarchy under the clamp nextEventCycle() applies. The
+ * cache is refreshed only through the stale flags, so a flag that a
+ * state change failed to set shows up here as a cached horizon later
+ * than the fresh one: a jump over an event.
+ */
+void
+expectCachedHorizonNeverLate(SystemConfig cfg, const std::string &bench,
+                             std::uint64_t instrs)
+{
+    cfg.fastForward = true;
+    System sys(cfg, makeTraces(bench, cfg));
+    std::uint64_t jumps = 0;
+    while (sys.core(0).retired() < instrs) {
+        const Cycle now = sys.currentCycle();
+        const Cycle cached = sys.nextEventCycle();
+        Cycle fresh = sys.hierarchy().nextEventAt(now);
+        for (int c = 0; c < sys.coreCount(); ++c)
+            fresh = std::min(fresh, sys.core(c).nextEventAt(now));
+        fresh = fresh <= now + 1
+                    ? now + 1
+                    : std::min(fresh, now + System::watchdogCycles + 1);
+        ASSERT_LE(cached, fresh) << "horizon cached before cycle " << now;
+        if (cached > now + 1)
+            ++jumps;
+        sys.step();
+    }
+    // BOP_DISABLE_FASTFORWARD ticks every cycle, but the cache is
+    // still refreshed and checked before each of them.
+    if (sys.fastForwardEnabled())
+        EXPECT_GT(jumps, 0u) << "the run must exercise some jumps";
+}
+
+TEST(FastForwardSoundness, CachedHorizonNeverLaterThanFresh)
+{
+    SystemConfig one = baselineConfig(1, PageSize::FourKB);
+    one.l2Prefetcher = L2PrefetcherKind::BestOffset;
+    expectCachedHorizonNeverLate(one, "429.mcf", 12000);
+    // Four pointer chasers saturate the L3 fill queue, so the uncore
+    // spends stretches blocked with requests waiting at every level.
+    SystemConfig four = baselineConfig(4, PageSize::FourKB);
+    four.l2Prefetcher = L2PrefetcherKind::BestOffset;
+    expectCachedHorizonNeverLate(four, "429.mcf", 12000);
 }
 
 // ---------------------------------------------------------------------------
