@@ -40,7 +40,8 @@
  * line to MRU and counts as no miss, so a writeback hit changes no
  * insertion-policy or core miss counter; under DRRIP it zeroes the
  * line's RRPV and leaves PSEL alone. Only a writeback whose line is
- * absent is inserted, dirty.
+ * absent is inserted, dirty. The fill stages apply this rule, and the
+ * tag check before every fill, through SetAssocCache::fill.
  *
  * Deadlock freedom: fill queues keep two slots in reserve that pure
  * "waiting" allocations may not use, dirty victims of the L2 drain into
