@@ -384,8 +384,8 @@ MemHierarchy::processToL2(CoreSide &cs, Cycle now)
         if (res.hit) {
             if (res.prefetchedHit && c0)
                 ++stats.l2PrefetchedHits;
-            deliverToDl1(cs, req.line, req.meta,
-                         now + cfg.caches.l2Latency);
+            cs.dl1Due.push_back(
+                {req.line, req.meta, now + cfg.caches.l2Latency});
         } else {
             if (c0)
                 ++stats.l2Misses;
@@ -689,13 +689,6 @@ MemHierarchy::processWbToL3(Cycle now)
 // ---------------------------------------------------------------------------
 
 void
-MemHierarchy::deliverToDl1(CoreSide &cs, LineAddr line, const ReqMeta &meta,
-                           Cycle at)
-{
-    cs.dl1Due.push_back({line, meta, at});
-}
-
-void
 MemHierarchy::drainL2Fill(CoreSide &cs, Cycle now)
 {
     const bool c0 = cs.id == 0;
@@ -732,7 +725,7 @@ MemHierarchy::drainL2Fill(CoreSide &cs, Cycle now)
         }
 
         if (entry.meta.needL1)
-            deliverToDl1(cs, entry.line, entry.meta, now + 1);
+            cs.dl1Due.push_back({entry.line, entry.meta, now + 1});
     }
 }
 

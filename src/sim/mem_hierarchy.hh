@@ -226,8 +226,6 @@ class MemHierarchy : public CoreMemInterface
     // -- helpers -------------------------------------------------------------
     void triggerL2Prefetcher(CoreSide &cs, const L2AccessEvent &ev);
     void issueL1Prefetch(CoreSide &cs, Addr vaddr, Cycle now);
-    void deliverToDl1(CoreSide &cs, LineAddr line, const ReqMeta &meta,
-                      Cycle at);
     int channelOf(LineAddr line) const;
 
     CoreSide &side(CoreId core)
