@@ -249,19 +249,9 @@ void
 MemoryController::tick(Cycle now)
 {
     const unsigned ratio = timing.params().busRatio;
-    if (now == lastTicked + 1) {
-        if (++busPhase >= ratio) {
-            busPhase = 0;
-            ++busCycleNum;
-        }
-    } else {
-        busPhase = static_cast<unsigned>(now % ratio);
-        busCycleNum = now / ratio;
-    }
-    lastTicked = now;
-    if (busPhase != 0)
+    if (now % ratio != 0)
         return;
-    const BusCycle bc = busCycleNum;
+    const BusCycle bc = now / ratio;
 
     // Idle gate: with nothing queued and no drain batch open,
     // scheduleStep cannot issue or change state — skip it.
@@ -298,10 +288,8 @@ MemoryController::nextEventAt(Cycle now) const
         writeDrainRemaining > 0) {
         const unsigned ratio = timing.params().busRatio;
         const BusCycle window = 2 * timing.params().tBURST;
-        // First edge strictly after now. tick() keeps busCycleNum at
-        // lastTicked / ratio, which spares the division in the usual
-        // query: the hierarchy's, right after its tick.
-        BusCycle bc = (now == lastTicked ? busCycleNum : now / ratio) + 1;
+        // First edge strictly after now.
+        BusCycle bc = now / ratio + 1;
         if (timing.busFreeAt() > window)
             bc = std::max(bc, timing.busFreeAt() - window);
         ev = std::min(ev, bc * ratio);
@@ -352,8 +340,6 @@ MemoryController::serialize(Serializer &s)
     fairness.serialize(s);
     s.value(served);
     s.value(writeDrainRemaining);
-    s.value(l3FillFull);
-    s.value(lastTicked);
     s.seq(completedReads, [](Serializer &sr, CompletedRead &c) {
         sr.value(c.line);
         c.meta.serialize(sr);
@@ -375,9 +361,6 @@ MemoryController::serialize(Serializer &s)
     pendingWriteCount = 0;
     for (const auto &q : writeQueues)
         pendingWriteCount += q.size();
-    const unsigned ratio = timing.params().busRatio;
-    busPhase = static_cast<unsigned>(lastTicked % ratio);
-    busCycleNum = lastTicked / ratio;
     minFinishAt = neverCycle;
     for (const CompletedRead &c : completedReads)
         minFinishAt = std::min(minFinishAt, c.finishCycle);

@@ -89,7 +89,8 @@ class MemoryController
     void enqueueRead(LineAddr line, const ReqMeta &meta, Cycle now);
     void enqueueWrite(LineAddr line, CoreId core, Cycle now);
 
-    /** Urgent mode needs to know whether the L3 fill queue has room. */
+    /** Urgent mode needs to know whether the L3 fill queue has room;
+     *  the caller sets it before every tick(), so it is not saved. */
     void setL3FillQueueFull(bool full) { l3FillFull = full; }
 
     // -- scheduling --------------------------------------------------------
@@ -137,9 +138,8 @@ class MemoryController
      * Checkpoint queues, fairness counters, scheduling mode, bank/bus
      * timing and completed-but-unclaimed reads. A load rebuilds what
      * is a function of them: the pending counts from the queue
-     * lengths, each request's DRAM coordinates from its line, the
-     * bus-edge counters from lastTicked and the completion gate from
-     * the completed reads.
+     * lengths, each request's DRAM coordinates from its line and the
+     * completion gate from the completed reads.
      */
     void serialize(Serializer &s);
 
@@ -180,16 +180,6 @@ class MemoryController
     CoreId served = 0;
     int writeDrainRemaining = 0;
     bool l3FillFull = false;
-    Cycle lastTicked = 0;
-    /**
-     * Bus-edge bookkeeping: tick() runs every core cycle and the
-     * core/bus ratio is a runtime value, so deriving the bus cycle with
-     * divisions every call is measurable. The counters advance
-     * incrementally while calls stay contiguous (the simulator's case)
-     * and fall back to the exact divide on any gap.
-     */
-    unsigned busPhase = 0;
-    BusCycle busCycleNum = 0;
     std::vector<CompletedRead> completedReads;
     Cycle minFinishAt = neverCycle; ///< min finishCycle in completedReads
     DramChannelStats chanStats;

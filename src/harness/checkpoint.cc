@@ -206,8 +206,9 @@ checkpointFingerprint(System &sys)
     // splitmix64 chain over the config fingerprint string and the
     // trace names. The fast-forward toggle is a host-side speed knob
     // under the determinism contract and is deliberately absent
-    // (configFingerprint's describe() excludes it), so a checkpoint
-    // restores across it.
+    // (configFingerprint's describe() excludes it): a skipped tick
+    // leaves no trace in the saved state, so the bytes do not depend
+    // on it and a checkpoint restores across it.
     std::uint64_t h = 0x424f50434b505431ull; // "BOPCKPT1"
     auto mix = [&h](const std::string &str) {
         for (const char c : str)
@@ -237,11 +238,11 @@ System::saveCheckpointBytes()
     { // CORE: per-core ROB, waiting lists, predictor, counters.
         Serializer s(payloads[2]);
         for (auto &c : cores)
-            c->serialize(s, now);
+            c->serialize(s);
     }
     { // HIER: caches, queues, prefetchers, TLBs, policy state.
         Serializer s(payloads[3]);
-        hier.serialize(s);
+        hier.serialize(s, now);
     }
     { // DRAM: memory controller bus/bank/queue state.
         Serializer s(payloads[4]);
@@ -302,12 +303,12 @@ System::restoreCheckpointBytes(const std::vector<std::uint8_t> &bytes)
     { // CORE
         Serializer s = loader(2);
         for (auto &c : cores)
-            c->serialize(s, now);
+            c->serialize(s);
         s.finish("CORE section");
     }
     { // HIER
         Serializer s = loader(3);
-        hier.serialize(s);
+        hier.serialize(s, now);
         s.finish("HIER section");
     }
     { // DRAM
@@ -315,12 +316,6 @@ System::restoreCheckpointBytes(const std::vector<std::uint8_t> &bytes)
         hier.serializeDram(s);
         s.finish("DRAM section");
     }
-
-    // Drop every cached horizon for recomputation under the restored
-    // clock.
-    for (auto &h : coreHorizon)
-        h = 0;
-    hierHorizon = 0;
 }
 
 void

@@ -57,7 +57,7 @@ constexpr char checkpointMagic[8] = {'B', 'O', 'P', 'C', 'K', 'P',
                                      'T', '1'};
 
 /** Current checkpoint format version. */
-constexpr std::uint32_t checkpointVersion = 3;
+constexpr std::uint32_t checkpointVersion = 4;
 
 /** Fixed header size: magic + version + fingerprint + section count. */
 constexpr std::size_t checkpointHeaderBytes = 8 + 4 + 8 + 4;

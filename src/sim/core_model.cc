@@ -185,6 +185,22 @@ CoreModel::dispatchOne(const TraceInstr &instr, Cycle now)
 {
     assert(robCount < params.robSize);
 
+    // Structural refusals come before the ROB slot or a generation
+    // stamp is touched, so a refused dispatch changes no state and a
+    // tick that only retries it is the no-op nextEventAt promises.
+    StoreOutcome store;
+    if (instr.kind == InstrKind::Load) {
+        if (loadsInFlight >= params.loadQueue)
+            return false; // load queue full: dispatch stalls
+    } else if (instr.kind == InstrKind::Store) {
+        if (pendingStores >= params.storeQueue ||
+            storesThisCycle >= params.storePorts)
+            return false; // store queue/port full: dispatch stalls
+        store = mem.coreStore(coreId, instr.vaddr, instr.pc, now);
+        if (!store.accepted)
+            return false; // MSHRs full: dispatch stalls
+    }
+
     const std::uint32_t idx = robTail;
     RobEntry &e = rob[idx];
     e = RobEntry{};
@@ -226,10 +242,6 @@ CoreModel::dispatchOne(const TraceInstr &instr, Cycle now)
       }
 
       case InstrKind::Load: {
-        if (loadsInFlight >= params.loadQueue) {
-            e.valid = false;
-            return false; // load queue full: dispatch stalls
-        }
         ++loadsInFlight;
         if (dep_pending) {
             block(idx);
@@ -255,21 +267,8 @@ CoreModel::dispatchOne(const TraceInstr &instr, Cycle now)
       }
 
       case InstrKind::Store: {
-        if (pendingStores >= params.storeQueue ||
-            storesThisCycle >= params.storePorts) {
-            --genCounter;
-            e.valid = false;
-            return false; // store queue/port full: dispatch stalls
-        }
-        const StoreOutcome out =
-            mem.coreStore(coreId, instr.vaddr, instr.pc, now);
-        if (!out.accepted) {
-            --genCounter;
-            e.valid = false;
-            return false; // MSHRs full: dispatch stalls
-        }
         ++storesThisCycle;
-        if (!out.completedNow)
+        if (!store.completedNow)
             ++pendingStores;
         // Stores retire without waiting for the write to complete.
         e.done = true;
@@ -371,35 +370,8 @@ CoreModel::holdBlocked() const
 }
 
 void
-CoreModel::settle(Cycle through)
-{
-    if (through <= settledThrough)
-        return;
-    if (readyAfterTick) {
-        // The skipped ticks each reset the port counters and, once
-        // fetch was no longer redirect-stalled, retried the held
-        // instruction against its full queue. A refused load keeps
-        // the generation stamp it drew (a store returns it), and the
-        // last refusal leaves the instruction in the ROB tail slot.
-        loadsThisCycle = 0;
-        storesThisCycle = 0;
-        const Cycle first = std::max(settledThrough + 1, fetchStallUntil);
-        if (first <= through && holdBlocked() && !stalledOnBranchDep &&
-            robCount < params.robSize) {
-            if (holdInstr.kind == InstrKind::Load)
-                genCounter += through - first;
-            const bool dispatched = dispatchOne(holdInstr, through);
-            assert(!dispatched);
-            (void)dispatched;
-        }
-    }
-    settledThrough = through;
-}
-
-void
 CoreModel::tick(Cycle now)
 {
-    settle(now - 1);
     horizonStaleFlag = true;
     loadsThisCycle = 0;
     storesThisCycle = 0;
@@ -426,14 +398,11 @@ CoreModel::tick(Cycle now)
             break; // structural stall: retry the held instruction
         holdValid = false;
     }
-    settledThrough = now;
-    readyAfterTick = !readyQ.empty();
 }
 
 void
 CoreModel::loadCompleted(std::uint32_t rob_tag, Cycle when)
 {
-    settle(when);
     RobEntry &e = rob[rob_tag];
     assert(e.valid && e.kind == InstrKind::Load && e.issued);
     e.done = true;
@@ -445,19 +414,16 @@ CoreModel::loadCompleted(std::uint32_t rob_tag, Cycle when)
 }
 
 void
-CoreModel::storeCompleted(int count, Cycle when)
+CoreModel::storeCompleted(int count)
 {
-    settle(when);
     assert(pendingStores >= static_cast<std::size_t>(count));
     pendingStores -= static_cast<std::size_t>(count);
     horizonStaleFlag = true;
 }
 
 void
-CoreModel::serialize(Serializer &s, Cycle now)
+CoreModel::serialize(Serializer &s)
 {
-    if (!s.loading())
-        settle(now);
     const std::size_t rob_size = rob.size();
     predictor.serialize(s);
     s.seqExact(rob, [](Serializer &sr, RobEntry &e) {
@@ -490,8 +456,6 @@ CoreModel::serialize(Serializer &s, Cycle now)
     s.value(stalledOnBranchDep);
     s.value(lastLoadIdx);
     s.value(lastLoadGen);
-    s.value(loadsThisCycle);
-    s.value(storesThisCycle);
     std::uint64_t stores64 = pendingStores;
     s.value(stores64);
     s.value(retiredCount);
@@ -500,8 +464,10 @@ CoreModel::serialize(Serializer &s, Cycle now)
     if (s.loading()) {
         if (robHead >= rob_size || robTail >= rob_size)
             s.fail("ROB head or tail out of range");
+        if (lastLoadIdx >= rob_size)
+            s.fail("last-load index out of range");
         for (const WaitRef &w : readyQ) {
-            if (w.idx >= rob_size)
+            if (w.idx >= rob_size || rob[w.idx].depIdx >= rob_size)
                 s.fail("ready-list entry out of range");
         }
         rebuildBlockedRuns(s);
@@ -512,8 +478,6 @@ CoreModel::serialize(Serializer &s, Cycle now)
             loadsInFlight += e.valid && e.kind == InstrKind::Load;
         }
         pendingStores = static_cast<std::size_t>(stores64);
-        settledThrough = now;
-        readyAfterTick = !readyQ.empty();
         // The cached event horizon is a pure function of the restored
         // state; force its recomputation rather than trusting a value
         // captured under the saving System's clock.

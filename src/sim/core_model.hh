@@ -93,9 +93,8 @@ class CoreModel
     /** Hierarchy callback: a pending load's data arrived. */
     void loadCompleted(std::uint32_t rob_tag, Cycle when);
 
-    /** Hierarchy callback: store-queue slots freed by a fill at
-     *  cycle @p when. */
-    void storeCompleted(int count, Cycle when);
+    /** Hierarchy callback: a fill freed @p count store-queue slots. */
+    void storeCompleted(int count);
 
     // -- observability -----------------------------------------------------
     std::uint64_t retired() const { return retiredCount; }
@@ -106,13 +105,14 @@ class CoreModel
 
     /**
      * Checkpoint the full core state: ROB, waiting lists, dispatch
-     * hold, port/queue occupancy, counters and the branch predictor.
-     * The issueWaiting scratch buffers are empty between ticks and the
-     * cached horizon is marked stale on restore instead of saved.
-     * @p now is the System clock: a save first settles the ticks
-     * skipped through it (see settle()), a restore resumes from it.
+     * hold, store-queue occupancy, counters and the branch predictor.
+     * The port counters are not saved (tick() zeroes them before any
+     * use), the issueWaiting scratch buffers are empty between ticks
+     * and the cached horizon is marked stale on restore instead of
+     * saved. A skipped tick changes none of this, so the bytes do not
+     * depend on fast-forward.
      */
-    void serialize(Serializer &s, Cycle now);
+    void serialize(Serializer &s);
 
   private:
     struct RobEntry
@@ -171,18 +171,6 @@ class CoreModel
     /** The held instruction is a load or store facing a full queue,
      *  which only retirement or a storeCompleted() can drain. */
     bool holdBlocked() const;
-    /**
-     * Account for the ticks through @p through that nextEventAt
-     * skipped for ready loads waiting on a future producer. Checkpoint
-     * bytes are those of a core ticked every cycle while its readyQ is
-     * non-empty. Such ticks change no simulated result but leave
-     * bookkeeping: zeroed port counters and, for a held instruction
-     * facing its full queue, one refused dispatch per tick (a load's
-     * refusal consumes a generation stamp and fills the ROB tail
-     * slot). settle() replays it. It runs before anything else changes
-     * the core: at the next tick, a hierarchy callback, or a save.
-     */
-    void settle(Cycle through);
     void issueWaiting(Cycle now);
     void retire(Cycle now);
     /** True when the dependence of @p e has resolved; sets dep time. */
@@ -228,7 +216,7 @@ class CoreModel
     std::uint32_t lastLoadIdx = 0;
     std::uint64_t lastLoadGen = 0;   ///< 0: no live previous load
 
-    unsigned loadsThisCycle = 0;
+    unsigned loadsThisCycle = 0;   ///< ports used this tick (not saved)
     unsigned storesThisCycle = 0;
     std::size_t loadsInFlight = 0;   ///< load-queue occupancy
     std::size_t pendingStores = 0;   ///< store-queue occupancy
@@ -239,9 +227,6 @@ class CoreModel
 
     /** Set by tick() and the hierarchy callbacks; see horizonStale(). */
     bool horizonStaleFlag = true;
-
-    Cycle settledThrough = 0;    ///< last cycle ticked or settled
-    bool readyAfterTick = false; ///< readyQ non-empty at settledThrough
 };
 
 } // namespace bop

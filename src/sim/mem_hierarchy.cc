@@ -760,7 +760,7 @@ MemHierarchy::processDl1Deliveries(CoreSide &cs, Cycle now)
             for (const std::uint32_t tag : m->waiters)
                 core->loadCompleted(tag, now);
             if (m->storeWaiters > 0)
-                core->storeCompleted(m->storeWaiters, now);
+                core->storeCompleted(m->storeWaiters);
         }
     }
     cs.dl1Due.resize(keep);
@@ -910,7 +910,7 @@ MemHierarchy::quiescent() const
 }
 
 void
-MemHierarchy::serialize(Serializer &s)
+MemHierarchy::serialize(Serializer &s, Cycle now)
 {
     auto pending_req = [](Serializer &sr, PendingReq &r) {
         sr.value(r.line);
@@ -951,10 +951,20 @@ MemHierarchy::serialize(Serializer &s)
         sr.value(wb.first);
         sr.value(wb.second);
     });
-    s.value(prefetchRr);
-    s.value(lastTicked);
+    // Save the pointer as ticking every cycle through @p now would
+    // leave it, applying the catch-up tick() makes for skipped idle
+    // ticks; a restore resumes from @p now.
+    const unsigned active = static_cast<unsigned>(cfg.activeCores);
+    unsigned rr = prefetchRr;
+    if (!s.loading())
+        rr = static_cast<unsigned>((rr + (now - lastTicked)) % active);
+    s.value(rr);
     stats.serialize(s);
     if (s.loading()) {
+        if (rr >= active)
+            s.fail("prefetch round-robin pointer out of range");
+        prefetchRr = rr;
+        lastTicked = now;
         horizonStaleFlag = true;
         for (auto &cs : sides)
             cs->pfBlocked = {};

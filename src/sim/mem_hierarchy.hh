@@ -128,11 +128,13 @@ class MemHierarchy : public CoreMemInterface
     /**
      * Checkpoint every core side (caches, MSHRs, queues, prefetchers,
      * TLBs), the L3 with its fill queue and replacement state, the
-     * inter-level queues and the cumulative stats. A restore marks the
-     * horizon stale.
+     * inter-level queues and the cumulative stats. @p now is the
+     * System clock: the prefetch round-robin pointer is saved as the
+     * idle ticks skipped through it would leave it, and a restore
+     * resumes from it and marks the horizon stale.
      * DRAM controller state is a separate section: serializeDram().
      */
-    void serialize(Serializer &s);
+    void serialize(Serializer &s, Cycle now);
 
     /** Checkpoint all memory controllers (bus, banks, queues). */
     void serializeDram(Serializer &s);
@@ -246,7 +248,7 @@ class MemHierarchy : public CoreMemInterface
 
     std::vector<CoreModel *> cores;
     unsigned prefetchRr = 0;   ///< round-robin over cores' prefetch queues
-    Cycle lastTicked = 0;      ///< gap detection (fast-forward catch-up)
+    Cycle lastTicked = 0;      ///< fast-forward catch-up (not saved)
     bool horizonStaleFlag = true; ///< see horizonStale()
     RunStats stats;            ///< cumulative core-0 + chip counters
     std::vector<char> chanStalled; ///< per-channel scratch (processToL3)

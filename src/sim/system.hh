@@ -152,7 +152,8 @@ class System
      * cached value stays valid until its horizonStale() flag reports a
      * state change: its own tick, or a cross-component callback
      * (loadCompleted/storeCompleted into a core, coreLoad/coreStore
-     * into the uncore). nextEventCycle() refreshes stale entries;
+     * into the uncore), or a checkpoint restore, whose component
+     * loaders set the flags. nextEventCycle() refreshes stale entries;
      * step() then ticks only the components whose horizon is due —
      * skipping a tick before a component's horizon is exactly the
      * no-op the horizon contract guarantees it would have been.

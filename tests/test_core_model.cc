@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <vector>
 
+#include "common/serializer.hh"
 #include "sim/core_model.hh"
 
 namespace bop
@@ -295,10 +298,126 @@ TEST(CoreModel, StoreQueueBackpressure)
     for (Cycle now = 1; now <= 100; ++now)
         core.tick(now);
     EXPECT_LE(mem.stores, 4) << "store queue must throttle at 4";
-    core.storeCompleted(mem.stores, 100);
+    core.storeCompleted(mem.stores);
     for (Cycle now = 101; now <= 120; ++now)
         core.tick(now);
     EXPECT_GT(mem.stores, 4);
+}
+
+std::vector<std::uint8_t>
+saved(CoreModel &core)
+{
+    std::vector<std::uint8_t> bytes;
+    Serializer s(bytes);
+    core.serialize(s);
+    return bytes;
+}
+
+TEST(CoreModel, RefusedDispatchLeavesNoTrace)
+{
+    // A held load facing a full load queue is retried every tick until
+    // a completion drains the queue. The refusal must touch neither
+    // the ROB tail slot nor the generation counter: fast-forward skips
+    // these ticks, and a checkpoint must not depend on that.
+    CoreParams params;
+    params.loadQueue = 2;
+    ScriptTrace trace({load(0x1000), load(0x2000), load(0x3000)});
+    MockMem mem;
+    mem.hit_latency = 0; // Pending mode: the queue stays full
+    CoreModel core(0, params, trace, mem);
+    core.tick(1);
+    ASSERT_EQ(mem.pending.size(), 2u);
+    const std::vector<std::uint8_t> after_first = saved(core);
+    for (Cycle now = 2; now <= 10; ++now) {
+        core.tick(now);
+        EXPECT_TRUE(saved(core) == after_first) << "tick " << now;
+    }
+    EXPECT_EQ(core.robOccupancy(), 2u);
+}
+
+/** Store @p v little-endian at @p at. */
+void
+putU32(std::vector<std::uint8_t> &bytes, std::size_t at, std::uint32_t v)
+{
+    for (std::size_t i = 0; i < 4; ++i)
+        bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+std::uint32_t
+getU32(const std::vector<std::uint8_t> &bytes, std::size_t at)
+{
+    std::uint32_t v = 0;
+    for (std::size_t i = 0; i < 4; ++i)
+        v |= static_cast<std::uint32_t>(bytes[at + i]) << (8 * i);
+    return v;
+}
+
+/** Load @p bytes into a fresh core; throws what the loader throws. */
+void
+restoreFresh(const std::vector<std::uint8_t> &bytes)
+{
+    ScriptTrace trace({});
+    MockMem mem;
+    CoreModel core(0, CoreParams{}, trace, mem);
+    Serializer s(bytes.data(), bytes.size(), 0);
+    core.serialize(s);
+    s.finish("core");
+}
+
+/**
+ * A core with a dependent load woken into the ready list: its producer
+ * (ROB slot 0) completed, the dependent (slot 1, @p dep_vaddr) waits
+ * to issue at the next tick. Returns the saved bytes.
+ */
+std::vector<std::uint8_t>
+wokenDependentBytes(Addr dep_vaddr)
+{
+    ScriptTrace trace({load(0x1000), load(dep_vaddr, true)});
+    MockMem mem;
+    mem.hit_latency = 0;
+    CoreModel core(0, CoreParams{}, trace, mem);
+    core.tick(1);
+    EXPECT_EQ(mem.pending.size(), 1u) << "only the producer issued";
+    core.loadCompleted(mem.pending.front().tag, 5);
+    return saved(core);
+}
+
+TEST(CoreModel, RestoreRefusesLastLoadIndexPastTheRob)
+{
+    // dispatchOne reads rob[lastLoadIdx] for the next dependent load.
+    std::vector<std::uint8_t> bytes = wokenDependentBytes(0x2000);
+    // lastLoadIdx is the u32 before lastLoadGen and the four u64
+    // counters that end the payload.
+    const std::size_t at = bytes.size() - 4 - 5 * 8;
+    ASSERT_EQ(getU32(bytes, at), 1u) << "the dependent was the last load";
+    EXPECT_NO_THROW(restoreFresh(bytes));
+    putU32(bytes, at, CoreParams{}.robSize);
+    EXPECT_THROW(restoreFresh(bytes), CheckpointError);
+}
+
+TEST(CoreModel, RestoreRefusesReadyEntryDependenceOutOfRange)
+{
+    // depResolved reads rob[depIdx] for every ready-list entry still
+    // waiting on its producer.
+    const Addr dep_vaddr = 0x5eed0000abcdull;
+    std::vector<std::uint8_t> bytes = wokenDependentBytes(dep_vaddr);
+    // Find the dependent's ROB entry by its pc and vaddr; gen and
+    // waitingDep follow, then depIdx.
+    std::vector<std::uint8_t> pattern;
+    for (const Addr v : {Addr{0x1000}, dep_vaddr}) {
+        for (std::size_t i = 0; i < 8; ++i)
+            pattern.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+    const auto it = std::search(bytes.begin(), bytes.end(),
+                                pattern.begin(), pattern.end());
+    ASSERT_NE(it, bytes.end());
+    const std::size_t entry = static_cast<std::size_t>(it - bytes.begin());
+    ASSERT_EQ(bytes[entry + 24], 1u) << "waitingDep";
+    const std::size_t dep_at = entry + 25;
+    ASSERT_EQ(getU32(bytes, dep_at), 0u) << "depIdx: the producer's slot";
+    EXPECT_NO_THROW(restoreFresh(bytes));
+    putU32(bytes, dep_at, CoreParams{}.robSize);
+    EXPECT_THROW(restoreFresh(bytes), CheckpointError);
 }
 
 } // namespace

@@ -11,9 +11,9 @@
  *    counts with fast-forward on and off;
  *  - horizon soundness: single-stepping a reference (fast-forward off)
  *    system, the published nextEventCycle() must never claim a jump
- *    across a cycle in which observable state then changes (every
- *    skipped cycle up to the horizon is checked), and the System's
- *    cached horizon is never later than a fresh one;
+ *    across a cycle in which observable state or a core's saved bytes
+ *    then change (every skipped cycle up to the horizon is checked),
+ *    and the System's cached horizon is never later than a fresh one;
  *  - per-component contracts: MemoryController::nextEventAt against
  *    brute-force single-stepping, and the min-readyAt gates of
  *    FillQueue / PrefetchQueue that feed the hierarchy horizon.
@@ -27,6 +27,7 @@
 
 #include "cache/fill_queue.hh"
 #include "cache/prefetch_queue.hh"
+#include "common/serializer.hh"
 #include "dram/mem_controller.hh"
 #include "harness/experiment.hh"
 #include "sim/system.hh"
@@ -150,6 +151,17 @@ observableState(System &sys)
     return v;
 }
 
+/** Every core's checkpoint bytes: all of its state a save keeps. */
+std::vector<std::uint8_t>
+coreBytes(System &sys)
+{
+    std::vector<std::uint8_t> bytes;
+    Serializer s(bytes);
+    for (int c = 0; c < sys.coreCount(); ++c)
+        sys.core(c).serialize(s);
+    return bytes;
+}
+
 void
 expectHorizonSound(SystemConfig cfg, const std::string &bench,
                    std::uint64_t instrs)
@@ -162,7 +174,11 @@ expectHorizonSound(SystemConfig cfg, const std::string &bench,
         const Cycle horizon = sys.nextEventCycle();
         ASSERT_GT(horizon, now);
         const auto before = observableState(sys);
-        // Every cycle the horizon jumps over must be a no-op tick.
+        const auto cores_before =
+            horizon > now + 1 ? coreBytes(sys) : std::vector<std::uint8_t>{};
+        // Every cycle the horizon jumps over must be a no-op tick, down
+        // to the cores' saved bytes (a skipped tick is no checkpoint
+        // event either).
         while (sys.currentCycle() + 1 < horizon) {
             sys.step();
             ++skipped;
@@ -170,6 +186,10 @@ expectHorizonSound(SystemConfig cfg, const std::string &bench,
                 << "horizon computed at cycle " << now << " claimed the "
                 << "next event at " << horizon << ", but the tick at "
                 << sys.currentCycle() << " changed observable state";
+            ASSERT_TRUE(cores_before == coreBytes(sys))
+                << "horizon computed at cycle " << now << " claimed the "
+                << "next event at " << horizon << ", but the tick at "
+                << sys.currentCycle() << " changed a core's saved state";
         }
         sys.step(); // the horizon tick itself may act
     }

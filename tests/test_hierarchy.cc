@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/serializer.hh"
 #include "harness/experiment.hh"
 #include "sim/system.hh"
 #include "trace/generators.hh"
@@ -253,6 +256,41 @@ TEST(Hierarchy, DeadlockDetectorFires)
     traces.push_back(seqTrace());
     System sys(cfg1core(), std::move(traces));
     EXPECT_NO_THROW(sys.run(1000, 5000));
+}
+
+TEST(Hierarchy, RestoreRefusesPrefetchPointerPastTheCores)
+{
+    // processPrefetchQueues wraps prefetchRr + i by one core count
+    // only, so a pointer at or past it would index past the core sides
+    // on the first tick after the restore.
+    SystemConfig cfg = cfg1core();
+    cfg.activeCores = 2;
+    System saver(cfg, makeTraces("462.libquantum", cfg));
+    std::vector<std::uint8_t> bytes;
+    {
+        Serializer s(bytes);
+        saver.hierarchy().serialize(s, saver.currentCycle());
+    }
+    std::vector<std::uint8_t> stats_bytes;
+    {
+        Serializer s(stats_bytes);
+        RunStats stats;
+        stats.serialize(s);
+    }
+    // The pointer is the u32 before the cumulative stats.
+    const std::size_t rr_at = bytes.size() - stats_bytes.size() - 4;
+    const auto restore_with = [&](std::uint32_t rr) {
+        std::vector<std::uint8_t> b = bytes;
+        for (std::size_t i = 0; i < 4; ++i)
+            b[rr_at + i] = static_cast<std::uint8_t>(rr >> (8 * i));
+        System target(cfg, makeTraces("462.libquantum", cfg));
+        Serializer s(b.data(), b.size(), 0);
+        target.hierarchy().serialize(s, 0);
+        s.finish("HIER");
+    };
+    EXPECT_NO_THROW(restore_with(1));
+    EXPECT_THROW(restore_with(2), CheckpointError);
+    EXPECT_THROW(restore_with(0xffffffffu), CheckpointError);
 }
 
 } // namespace

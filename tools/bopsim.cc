@@ -82,9 +82,6 @@ usage(const char *argv0)
            "                      uninterrupted run's\n"
            "\n"
            "run control:\n"
-           "  --no-fast-forward   tick every cycle (reference engine; the\n"
-           "                      simulated stats are bit-identical either\n"
-           "                      way — also BOP_DISABLE_FASTFORWARD=1)\n"
            "  --json PATH         write a machine-readable run record\n"
            "\n"
            "runner options (for --serve):\n";
@@ -166,8 +163,6 @@ main(int argc, char **argv)
                 whole(i, skip);
             } else if (arg == "--sample") {
                 whole(i, sample);
-            } else if (arg == "--no-fast-forward") {
-                job.cfg.fastForward = false;
             } else if (arg == "--save-checkpoint") {
                 save_ckpt = next_arg(i);
             } else if (arg == "--restore-checkpoint") {
