@@ -1,5 +1,6 @@
 #include "cache/fill_queue.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -125,23 +126,38 @@ FillQueue::find(LineAddr line) const
     return const_cast<FillQueue *>(this)->find(line);
 }
 
+FillQueue::ReadyHead
+FillQueue::readyHead(Cycle now) const
+{
+    ReadyHead head;
+    if (minDataReady > now) {
+        head.earlierReadyAt = minDataReady;
+        return head;
+    }
+    for (const std::uint32_t s : fifo) {
+        const FillQueueEntry &slot = slots[s];
+        if (!slot.hasData)
+            continue;
+        if (slot.readyAt <= now) {
+            head.entry = &slot;
+            return head;
+        }
+        head.earlierReadyAt = std::min(head.earlierReadyAt, slot.readyAt);
+    }
+    assert(false && "minDataReady names a ready entry");
+    return head;
+}
+
 FillQueueEntry *
 FillQueue::peekReady(Cycle now)
 {
-    if (dataEntries == 0)
-        return nullptr;
-    for (const std::uint32_t s : fifo) {
-        FillQueueEntry &slot = slots[s];
-        if (slot.hasData && slot.readyAt <= now)
-            return &slot;
-    }
-    return nullptr;
+    return const_cast<FillQueueEntry *>(readyHead(now).entry);
 }
 
 std::optional<FillQueueEntry>
 FillQueue::popReady(Cycle now)
 {
-    if (dataEntries == 0)
+    if (minDataReady > now)
         return std::nullopt;
     for (auto it = fifo.begin(); it != fifo.end(); ++it) {
         FillQueueEntry &slot = slots[*it];

@@ -102,11 +102,36 @@ class FillQueue
      */
     FillQueueEntry *peekReady(Cycle now);
 
+    /** The oldest entry ready at some cycle, and what can overtake it. */
+    struct ReadyHead
+    {
+        /** The entry peekReady() returns; nullptr if none is ready. */
+        const FillQueueEntry *entry = nullptr;
+        /**
+         * Smallest readyAt among the data entries older than @ref entry
+         * in drain order (every data entry when none is ready): the
+         * first later cycle at which the drain could pick another head.
+         */
+        Cycle earlierReadyAt = neverCycle;
+    };
+
+    /** peekReady() at @p now, with the readiness of the entries ahead. */
+    ReadyHead readyHead(Cycle now) const;
+
     /** Remove a specific (peeked) entry. */
     void removeById(std::uint32_t id) { release(id); }
 
     /** Entry lookup by id (must be live). */
     FillQueueEntry &entry(std::uint32_t id);
+
+    /** Call @p f on every live entry, in drain order. */
+    template <typename F>
+    void
+    forEachLive(F f) const
+    {
+        for (const std::uint32_t s : fifo)
+            f(slots[s]);
+    }
 
     /**
      * Smallest readyAt among entries that carry data (neverCycle when
@@ -147,13 +172,14 @@ class FillQueue
     std::string name;
     std::size_t capacity;
     std::size_t liveEntries = 0;
-    /**
-     * Live entries whose data has arrived. The ready-drain scans run
-     * every cycle and on most cycles no entry carries data yet; this
-     * count lets them bail before touching the fifo at all.
-     */
+    /** Live entries whose data has arrived. */
     std::size_t dataEntries = 0;
-    Cycle minDataReady = neverCycle; ///< min readyAt over data entries
+    /**
+     * Min readyAt over data entries. The ready-drain scans run every
+     * cycle, and on most cycles no entry is ready yet; this gate lets
+     * them bail before touching the fifo at all.
+     */
+    Cycle minDataReady = neverCycle;
     std::uint32_t nextId = 1;
     std::uint64_t contentEpoch = 0; ///< see epoch()
     std::vector<FillQueueEntry> slots;

@@ -53,6 +53,22 @@ class PrefetchQueue
     /** Remove the oldest ready request (after a successful peek). */
     void popFront(Cycle now);
 
+    /** Call @p f on every queued request, oldest first. */
+    template <typename F>
+    void
+    forEach(F f) const
+    {
+        for (const PrefetchRequest &r : queue)
+            f(r);
+    }
+
+    /** The oldest request, ready or not; nullptr when empty. */
+    const PrefetchRequest *
+    front() const
+    {
+        return queue.empty() ? nullptr : &queue.front();
+    }
+
     std::size_t size() const { return queue.size(); }
     bool empty() const { return queue.empty(); }
     std::size_t cap() const { return capacity; }

@@ -297,6 +297,21 @@ MemoryController::nextEventAt(Cycle now) const
     return ev;
 }
 
+bool
+MemoryController::holdsCoreFrom(CoreId core) const
+{
+    for (std::size_t c = static_cast<std::size_t>(core);
+         c < readQueues.size(); ++c) {
+        if (!readQueues[c].empty() || !writeQueues[c].empty())
+            return true;
+    }
+    for (const CompletedRead &r : completedReads) {
+        if (r.meta.core >= core)
+            return true;
+    }
+    return false;
+}
+
 std::vector<CompletedRead>
 MemoryController::popCompleted(Cycle now)
 {
@@ -355,6 +370,22 @@ MemoryController::serialize(Serializer &s)
         return;
     if (served < 0 || served >= coreCount())
         s.fail("DRAM served core out of range");
+    // Each request sits in its own core's queue; a completed read
+    // names a core the hierarchy hands it back to.
+    for (std::size_t c = 0; c < readQueues.size(); ++c) {
+        for (const ReadReq &r : readQueues[c]) {
+            if (r.meta.core != static_cast<CoreId>(c))
+                s.fail("DRAM read queue holds another core's request");
+        }
+        for (const WriteReq &w : writeQueues[c]) {
+            if (w.core != static_cast<CoreId>(c))
+                s.fail("DRAM write queue holds another core's request");
+        }
+    }
+    for (const CompletedRead &c : completedReads) {
+        if (c.meta.core < 0 || c.meta.core >= coreCount())
+            s.fail("DRAM completed read names a core out of range");
+    }
     pendingReadCount = 0;
     for (const auto &q : readQueues)
         pendingReadCount += q.size();

@@ -133,6 +133,9 @@ class MemoryController
     std::size_t readQueueSize(CoreId core) const;
     std::size_t writeQueueSize(CoreId core) const;
     bool anyPending() const;
+    /** True when a queued or completed request names a core at or
+     *  past @p core (restore checks). */
+    bool holdsCoreFrom(CoreId core) const;
 
     /**
      * Checkpoint queues, fairness counters, scheduling mode, bank/bus

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <string>
 
 #include "cache/drrip.hh"
 #include "cache/policy_5p.hh"
@@ -628,27 +629,28 @@ MemHierarchy::drainDramCompletions(Cycle now)
 }
 
 bool
+MemHierarchy::l3FillStalled(const FillQueueEntry &e) const
+{
+    if (e.meta.needL2 && side(e.meta.core).l2Fill.full())
+        return true; // forwarding target full
+    if (l3Cache.probe(e.line))
+        return false;
+    const CacheVictim victim = l3Cache.peekVictim(e.line);
+    // A dirty victim needs room in its DRAM write queue.
+    return victim.valid && victim.dirty &&
+           mcs[static_cast<std::size_t>(channelOf(victim.line))]
+               ->writeQueueFull(victim.core);
+}
+
+bool
 MemHierarchy::drainOneL3Fill(Cycle now)
 {
     FillQueueEntry *e = l3Fill.peekReady(now);
-    if (!e)
+    if (!e || l3FillStalled(*e))
         return false;
 
     const LineAddr line = e->line;
     CoreSide &cs = side(e->meta.core);
-
-    if (e->meta.needL2 && cs.l2Fill.full())
-        return false; // forwarding target full: stall
-
-    if (!l3Cache.probe(line)) {
-        const CacheVictim victim = l3Cache.peekVictim(line);
-        if (victim.valid && victim.dirty &&
-            controller(channelOf(victim.line))
-                .writeQueueFull(victim.core)) {
-            return false; // cannot sink the dirty victim: stall
-        }
-    }
-
     const FillQueueEntry entry = *e;
     l3Fill.removeById(e->id);
 
@@ -775,12 +777,13 @@ MemHierarchy::tick(Cycle now)
 {
     horizonStaleFlag = true;
     // Jump-safety for the one piece of per-tick state that advances
-    // even when the uncore is idle: processPrefetchQueues moves the
-    // round-robin pointer by exactly one on every tick that issues
-    // nothing. A fast-forwarded stretch is by construction a run of
-    // such ticks (no prefetch-queue entry was ready anywhere in it),
-    // so catching the pointer up by the gap keeps the arbitration
-    // order bit-identical to single-stepping.
+    // even when the uncore does nothing: processPrefetchQueues moves
+    // the round-robin pointer by exactly one on every tick that issues
+    // no prefetch. A fast-forwarded stretch is by construction a run
+    // of such ticks: in it each prefetch queue is either not ready or
+    // headed by a known miss that the full L3 fill queue refuses (see
+    // nextEventAt), so catching the pointer up by the gap keeps the
+    // arbitration order bit-identical to single-stepping.
     if (now > lastTicked + 1) {
         const Cycle gap = now - lastTicked - 1;
         const unsigned active = static_cast<unsigned>(cfg.activeCores);
@@ -826,6 +829,15 @@ MemHierarchy::nextEventAt(Cycle now) const
         ev = std::min(ev, std::max(next, at));
     };
 
+    // A full L3 fill queue refuses, at its first gate, every request
+    // that needs an entry. A due head whose blocked-miss memo matches
+    // the current epoch needs one (both its lookups missed), so its
+    // stage stays a no-op until an entry leaves the queue, which only
+    // the L3 fill drain (folded below) does. Such a head adds no
+    // event.
+    const bool l3_full = l3Fill.full();
+    const std::uint64_t epoch = l3Fill.epoch();
+
     for (const auto &sd : sides) {
         // DL1 dirty victims drain unconditionally while queued.
         if (!sd->wbToL2.empty())
@@ -836,24 +848,43 @@ MemHierarchy::nextEventAt(Cycle now) const
         // Fill-queue entries carrying data insert at their readyAt;
         // data-less entries wait on downstream components' events.
         fold(sd->l2Fill.minReadyAt());
-        fold(sd->prefetchQueue.minReadyAt());
+        // The prefetch stage takes each queue's oldest ready request,
+        // so a ready front is the one it retries on every tick.
+        const PrefetchRequest *pf = sd->prefetchQueue.front();
+        if (!(l3_full && pf && pf->readyAt <= now &&
+              sd->pfBlocked.matches(pf->line, epoch)))
+            fold(sd->prefetchQueue.minReadyAt());
         for (const Dl1Delivery &d : sd->dl1Due)
             fold(d.at);
         if (ev == next)
             return next;
     }
 
-    // L2 dirty victims into the L3 drain unconditionally.
-    if (!wbToL3.empty())
+    // L2 dirty victims into the L3 drain while the fill queue has room.
+    if (!wbToL3.empty() && !l3_full)
         return next;
-    // Sharded L3 demand queues: served in global arrival order, and
-    // arrival order implies readyAt order within a shard, so the shard
-    // heads bound the next serviceable request.
-    for (const auto &q : toL3) {
-        if (!q.empty())
-            fold(q.front().readyAt);
+    // Sharded L3 demand queues: the stage serves the globally oldest
+    // head (by seq) first and does nothing until it is due, nor while
+    // the fill queue refuses it.
+    const PendingReq *oldest = nullptr;
+    std::size_t oldest_ch = 0;
+    for (std::size_t ch = 0; ch < toL3.size(); ++ch) {
+        if (!toL3[ch].empty() &&
+            (!oldest || toL3[ch].front().seq < oldest->seq)) {
+            oldest = &toL3[ch].front();
+            oldest_ch = ch;
+        }
     }
-    fold(l3Fill.minReadyAt());
+    if (oldest && !(l3_full && oldest->readyAt <= now &&
+                    toL3Blocked[oldest_ch].matches(oldest->line, epoch)))
+        fold(oldest->readyAt);
+    // The L3 fill drain takes the oldest ready entry only. A stalled
+    // one waits for room that only a folded event makes, unless an
+    // older entry's data comes due first and is drained ahead of it.
+    const FillQueue::ReadyHead head = l3Fill.readyHead(now);
+    if (head.entry && !l3FillStalled(*head.entry))
+        return next;
+    fold(head.earlierReadyAt);
     for (const auto &mc : mcs)
         fold(mc->nextEventAt(now));
     return ev;
@@ -909,6 +940,24 @@ MemHierarchy::quiescent() const
     return true;
 }
 
+bool
+MemHierarchy::l3EntryBlocked(Cycle now) const
+{
+    if (!l3Fill.full())
+        return false;
+    if (!wbToL3.empty())
+        return true;
+    for (const auto &q : toL3) {
+        if (!q.empty() && q.front().readyAt <= now)
+            return true;
+    }
+    for (const auto &sd : sides) {
+        if (sd->prefetchQueue.minReadyAt() <= now)
+            return true;
+    }
+    return false;
+}
+
 void
 MemHierarchy::serialize(Serializer &s, Cycle now)
 {
@@ -952,8 +1001,9 @@ MemHierarchy::serialize(Serializer &s, Cycle now)
         sr.value(wb.second);
     });
     // Save the pointer as ticking every cycle through @p now would
-    // leave it, applying the catch-up tick() makes for skipped idle
-    // ticks; a restore resumes from @p now.
+    // leave it: each tick skipped since the last one issues no
+    // prefetch and moves it by one, the catch-up tick() applies. A
+    // restore resumes from @p now.
     const unsigned active = static_cast<unsigned>(cfg.activeCores);
     unsigned rr = prefetchRr;
     if (!s.loading())
@@ -966,6 +1016,7 @@ MemHierarchy::serialize(Serializer &s, Cycle now)
         prefetchRr = rr;
         lastTicked = now;
         horizonStaleFlag = true;
+        checkRequestCores(s);
         for (auto &cs : sides)
             cs->pfBlocked = {};
         std::fill(toL3Blocked.begin(), toL3Blocked.end(), BlockedMiss{});
@@ -973,10 +1024,58 @@ MemHierarchy::serialize(Serializer &s, Cycle now)
 }
 
 void
+MemHierarchy::checkRequestCores(const Serializer &s) const
+{
+    // The stages index sides and cores by a request's core unchecked:
+    // a per-side queue holds its own core's requests only, and every
+    // shared queue names an active core.
+    const auto own = [&](const ReqMeta &m, const CoreSide &cs,
+                         const char *queue) {
+        if (m.core != cs.id) {
+            s.fail(std::string(queue) + " of core " +
+                   std::to_string(cs.id) + " holds a request of core " +
+                   std::to_string(m.core));
+        }
+    };
+    const auto active = [&](CoreId core, const char *queue) {
+        if (core < 0 || core >= cfg.activeCores) {
+            s.fail(std::string(queue) + " holds a request of core " +
+                   std::to_string(core) + ", past the " +
+                   std::to_string(cfg.activeCores) + " active cores");
+        }
+    };
+    for (const auto &sp : sides) {
+        const CoreSide &cs = *sp;
+        for (const PendingReq &r : cs.toL2)
+            own(r.meta, cs, "DL1 miss queue");
+        for (const Dl1Delivery &d : cs.dl1Due)
+            own(d.meta, cs, "DL1 delivery queue");
+        cs.l2Fill.forEachLive([&](const FillQueueEntry &e) {
+            own(e.meta, cs, "L2 fill queue");
+        });
+        cs.prefetchQueue.forEach([&](const PrefetchRequest &r) {
+            own(r.meta, cs, "prefetch queue");
+        });
+    }
+    for (const auto &q : toL3) {
+        for (const PendingReq &r : q)
+            active(r.meta.core, "L3 demand queue");
+    }
+    l3Fill.forEachLive([&](const FillQueueEntry &e) {
+        active(e.meta.core, "L3 fill queue");
+    });
+    for (const auto &wb : wbToL3)
+        active(wb.second, "L2 writeback queue");
+}
+
+void
 MemHierarchy::serializeDram(Serializer &s)
 {
-    for (auto &mc : mcs)
+    for (auto &mc : mcs) {
         mc->serialize(s);
+        if (s.loading() && mc->holdsCoreFrom(cfg.activeCores))
+            s.fail("DRAM controller holds a request of an inactive core");
+    }
 }
 
 } // namespace bop

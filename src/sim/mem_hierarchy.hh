@@ -107,7 +107,12 @@ class MemHierarchy : public CoreMemInterface
      * with data, prefetch queues, DL1 deliveries, the inter-level
      * request queues) report their min-readyAt; anything occupied but
      * not purely time-gated (writeback buffers, a blocked-but-due
-     * head) conservatively reports now + 1. Contract: ticking the
+     * head) conservatively reports now + 1. The exceptions are
+     * sources a blocked uncore provably holds back: while the L3 fill
+     * queue is full, a due demand or prefetch head already known to
+     * miss, and the L2 writebacks into the L3; and an L3 fill drain
+     * stalled on a full L2 fill queue or DRAM write queue. Those wait
+     * for the events that unblock them. Contract: ticking the
      * hierarchy at any cycle strictly between @p now and the returned
      * horizon would change no state. Computed from the queues on every
      * call; System caches the result until horizonStale().
@@ -125,13 +130,20 @@ class MemHierarchy : public CoreMemInterface
     /** True when no request is in flight anywhere (tests). */
     bool quiescent() const;
 
+    /** True when the L3 fill queue is full while a request is due to
+     *  enter the L3: an L2 miss or prefetch ready at @p now, or an L2
+     *  dirty victim (tests). */
+    bool l3EntryBlocked(Cycle now) const;
+
     /**
      * Checkpoint every core side (caches, MSHRs, queues, prefetchers,
      * TLBs), the L3 with its fill queue and replacement state, the
      * inter-level queues and the cumulative stats. @p now is the
      * System clock: the prefetch round-robin pointer is saved as the
-     * idle ticks skipped through it would leave it, and a restore
-     * resumes from it and marks the horizon stale.
+     * ticks skipped through it (none issues a prefetch) would leave
+     * it, and a restore resumes from it and marks the horizon stale.
+     * A load refuses a queued request that names a core its queue
+     * cannot hold: past the active cores, or another core's side.
      * DRAM controller state is a separate section: serializeDram().
      */
     void serialize(Serializer &s, Cycle now);
@@ -221,6 +233,9 @@ class MemHierarchy : public CoreMemInterface
     void processPrefetchQueues(Cycle now);
     void drainDramCompletions(Cycle now);
     bool drainOneL3Fill(Cycle now);
+    /** The L3 fill drain cannot insert @p e now: its L2 fill queue or
+     *  its dirty victim's DRAM write queue is full. */
+    bool l3FillStalled(const FillQueueEntry &e) const;
     void processWbToL3(Cycle now);
     void drainL2Fill(CoreSide &cs, Cycle now);
     void processDl1Deliveries(CoreSide &cs, Cycle now);
@@ -231,6 +246,10 @@ class MemHierarchy : public CoreMemInterface
     int channelOf(LineAddr line) const;
 
     CoreSide &side(CoreId core)
+    {
+        return *sides[static_cast<std::size_t>(core)];
+    }
+    const CoreSide &side(CoreId core) const
     {
         return *sides[static_cast<std::size_t>(core)];
     }
@@ -276,6 +295,8 @@ class MemHierarchy : public CoreMemInterface
     }
 
     bool anyToL3() const;
+    /** Refuse loaded requests whose core their queue cannot hold. */
+    void checkRequestCores(const Serializer &s) const;
 };
 
 } // namespace bop

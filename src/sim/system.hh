@@ -101,7 +101,8 @@ class System
      * Advance the whole system to the next cycle in which anything can
      * happen. With fast-forward enabled (the default) that is the
      * event-horizon minimum over all components — the clock may jump
-     * by more than one cycle over provably idle stretches, with
+     * by more than one cycle over stretches in which provably no
+     * component acts (idle, or refused by a blocked uncore), with
      * bit-identical simulated statistics; with it disabled (config or
      * BOP_DISABLE_FASTFORWARD) exactly one cycle.
      */

@@ -162,9 +162,15 @@ coreBytes(System &sys)
     return bytes;
 }
 
+/**
+ * @param blocked_jumps if set, receives the number of steps that began
+ *        with a request due at a full L3 fill queue and the hierarchy's
+ *        own horizon past the next cycle
+ */
 void
 expectHorizonSound(SystemConfig cfg, const std::string &bench,
-                   std::uint64_t instrs)
+                   std::uint64_t instrs,
+                   std::uint64_t *blocked_jumps = nullptr)
 {
     cfg.fastForward = false; // brute-force reference stepping
     System sys(cfg, makeTraces(bench, cfg));
@@ -173,6 +179,9 @@ expectHorizonSound(SystemConfig cfg, const std::string &bench,
         const Cycle now = sys.currentCycle();
         const Cycle horizon = sys.nextEventCycle();
         ASSERT_GT(horizon, now);
+        if (blocked_jumps && sys.hierarchy().l3EntryBlocked(now) &&
+            sys.hierarchy().nextEventAt(now) > now + 1)
+            ++*blocked_jumps;
         const auto before = observableState(sys);
         const auto cores_before =
             horizon > now + 1 ? coreBytes(sys) : std::vector<std::uint8_t>{};
@@ -217,6 +226,20 @@ TEST(FastForwardSoundness, LongReadyListStreaming)
     SystemConfig cfg = baselineConfig(1, PageSize::FourKB);
     cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
     expectHorizonSound(cfg, "410.bwaves", 12000);
+}
+
+TEST(FastForwardSoundness, BlockedUncore)
+{
+    // Four pointer chasers keep the L3 fill queue full for long
+    // stretches in which a refused demand or prefetch head, an L2
+    // writeback or a stalled L3 fill drain is all that is due; the
+    // hierarchy horizon must jump over those ticks, and soundly.
+    SystemConfig cfg = baselineConfig(4, PageSize::FourKB);
+    cfg.l2Prefetcher = L2PrefetcherKind::BestOffset;
+    std::uint64_t blocked_jumps = 0;
+    expectHorizonSound(cfg, "429.mcf", 4000, &blocked_jumps);
+    EXPECT_GT(blocked_jumps, 0u)
+        << "no step jumped over a request refused by a full L3 fill queue";
 }
 
 TEST(FastForwardSoundness, LoadsWaitingOnAFutureProducer)

@@ -222,6 +222,24 @@ class RefFillQueue
         return 0;
     }
 
+    /**
+     * Smallest readyAt among the data entries ahead of the oldest one
+     * ready at @p now (among all data entries when none is ready).
+     */
+    Cycle
+    earlierReadyAt(Cycle now) const
+    {
+        Cycle m = neverCycle;
+        for (const std::size_t s : order) {
+            if (!slots[s].hasData)
+                continue;
+            if (slots[s].readyAt <= now)
+                break;
+            m = std::min(m, slots[s].readyAt);
+        }
+        return m;
+    }
+
     Cycle
     minReadyAt() const
     {
@@ -347,6 +365,9 @@ TEST(FillQueue, RandomizedMatchesReference)
             EXPECT_EQ(fq.full(), ref.full());
             EXPECT_EQ(fq.minReadyAt(), ref.minReadyAt());
             EXPECT_EQ(idOrZero(fq.peekReady(now)), ref.peekReady(now));
+            const FillQueue::ReadyHead head = fq.readyHead(now);
+            EXPECT_EQ(idOrZero(head.entry), ref.peekReady(now));
+            EXPECT_EQ(head.earlierReadyAt, ref.earlierReadyAt(now));
             for (LineAddr l = 0; l <= lines; ++l) {
                 const std::uint32_t want = ref.find(l);
                 const FillQueueEntry *got = fq.find(l);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/serializer.hh"
@@ -291,6 +292,174 @@ TEST(Hierarchy, RestoreRefusesPrefetchPointerPastTheCores)
     EXPECT_NO_THROW(restore_with(1));
     EXPECT_THROW(restore_with(2), CheckpointError);
     EXPECT_THROW(restore_with(0xffffffffu), CheckpointError);
+}
+
+/**
+ * Offset of every saved demand-read metadata of core 0 in @p bytes
+ * whose birth cycle is @p birth. ReqMeta saves core, type and needL1
+ * first and birth last; matching both ends skips other fields that
+ * hold the same cycle (the MSHR's issue cycle).
+ */
+std::vector<std::size_t>
+metaCoreOffsets(const std::vector<std::uint8_t> &bytes, Cycle birth)
+{
+    std::vector<std::uint8_t> meta;
+    {
+        Serializer s(meta);
+        ReqMeta m;
+        m.needL1 = true;
+        m.birth = birth;
+        m.serialize(s);
+    }
+    const auto head = static_cast<std::ptrdiff_t>(sizeof(CoreId) + 2);
+    const auto birth_at =
+        static_cast<std::ptrdiff_t>(meta.size() - sizeof(Cycle));
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i + meta.size() <= bytes.size(); ++i) {
+        const auto at = bytes.begin() + static_cast<std::ptrdiff_t>(i);
+        if (std::equal(meta.begin(), meta.begin() + head, at) &&
+            std::equal(meta.begin() + birth_at, meta.end(), at + birth_at))
+            out.push_back(i);
+    }
+    return out;
+}
+
+/**
+ * A 2-core hierarchy (of a 4-core chip) with one demand miss of core 0
+ * issued at a distinctive cycle and no prefetcher, stepped stage by
+ * stage so the tests can save it while the request sits in each queue
+ * and restore the bytes with the request's core rewritten.
+ */
+class RequestCoreRestore : public ::testing::Test
+{
+  protected:
+    static constexpr Cycle birth = 0x5eed0000abcdull;
+
+    RequestCoreRestore()
+    {
+        cfg = cfg1core(L2PrefetcherKind::None);
+        cfg.dl1StridePrefetcher = false;
+        cfg.activeCores = 2;
+        cfg.numCores = 4;
+        sys = std::make_unique<System>(cfg,
+                                       makeTraces("462.libquantum", cfg));
+        now = birth;
+        const LoadOutcome out =
+            hier().coreLoad(0, 0x7a5000, 0x400000, 0, now);
+        EXPECT_EQ(out.kind, LoadOutcome::Kind::Pending);
+    }
+
+    MemHierarchy &hier() { return sys->hierarchy(); }
+
+    /** Tick until @p pred holds, for at most 1000 cycles. */
+    template <typename P>
+    void
+    tickUntil(P pred)
+    {
+        for (int i = 0; i < 1000 && !pred(); ++i)
+            hier().tick(++now);
+        ASSERT_TRUE(pred()) << "the request never reached the stage";
+    }
+
+    std::size_t
+    dramReads()
+    {
+        std::size_t n = 0;
+        for (int ch = 0; ch < hier().channelCount(); ++ch)
+            n += hier().controller(ch).readQueueSize(0);
+        return n;
+    }
+
+    std::vector<std::uint8_t>
+    save(bool dram)
+    {
+        std::vector<std::uint8_t> bytes;
+        Serializer s(bytes);
+        if (dram)
+            hier().serializeDram(s);
+        else
+            hier().serialize(s, now);
+        return bytes;
+    }
+
+    /** Restore @p bytes with the core field at @p at set to @p core. */
+    void
+    restoreWith(std::vector<std::uint8_t> bytes, bool dram, std::size_t at,
+                CoreId core)
+    {
+        for (std::size_t i = 0; i < sizeof(CoreId); ++i)
+            bytes[at + i] = static_cast<std::uint8_t>(
+                static_cast<std::uint32_t>(core) >> (8 * i));
+        System target(cfg, makeTraces("462.libquantum", cfg));
+        Serializer s(bytes.data(), bytes.size(), 0);
+        if (dram)
+            target.hierarchy().serializeDram(s);
+        else
+            target.hierarchy().serialize(s, now);
+        s.finish("HIER");
+    }
+
+    SystemConfig cfg;
+    std::unique_ptr<System> sys;
+    Cycle now = 0;
+};
+
+TEST_F(RequestCoreRestore, RefusesAnotherCoresRequestInASideQueue)
+{
+    // processDl1Deliveries wakes cores[meta.core]: a side's queue must
+    // hold its own core's requests only.
+    const std::vector<std::uint8_t> bytes = save(false);
+    const std::vector<std::size_t> at = metaCoreOffsets(bytes, birth);
+    ASSERT_EQ(at.size(), 1u) << "the miss waits in core 0's DL1 queue";
+    EXPECT_NO_THROW(restoreWith(bytes, false, at[0], 0));
+    EXPECT_THROW(restoreWith(bytes, false, at[0], 1), CheckpointError);
+    EXPECT_THROW(restoreWith(bytes, false, at[0], 2), CheckpointError);
+}
+
+TEST_F(RequestCoreRestore, RefusesL3RequestPastTheActiveCores)
+{
+    // processToL3 and drainOneL3Fill index the core sides by
+    // meta.core, so the shared L3 queues may name active cores only.
+    tickUntil([&] { return metaCoreOffsets(save(false), birth).size() == 2; });
+    const std::vector<std::uint8_t> queued = save(false);
+    const std::vector<std::size_t> at = metaCoreOffsets(queued, birth);
+    // The first copy is core 0's waiting L2 fill entry, the second the
+    // request in the L3 demand queue.
+    EXPECT_THROW(restoreWith(queued, false, at[0], 1), CheckpointError);
+    EXPECT_NO_THROW(restoreWith(queued, false, at[1], 1));
+    EXPECT_THROW(restoreWith(queued, false, at[1], 2), CheckpointError);
+    EXPECT_THROW(restoreWith(queued, false, at[1], -1), CheckpointError);
+
+    // After the L3 miss, the live copy is the L3 fill entry (the first
+    // is core 0's released L2 fill slot) and the DRAM read.
+    tickUntil([&] { return dramReads() == 1; });
+    const std::vector<std::uint8_t> missed = save(false);
+    const std::vector<std::size_t> fill = metaCoreOffsets(missed, birth);
+    ASSERT_EQ(fill.size(), 2u);
+    EXPECT_NO_THROW(restoreWith(missed, false, fill[1], 1));
+    EXPECT_THROW(restoreWith(missed, false, fill[1], 2), CheckpointError);
+}
+
+TEST_F(RequestCoreRestore, RefusesDramRequestOfAnotherOrInactiveCore)
+{
+    tickUntil([&] { return dramReads() == 1; });
+    const std::vector<std::uint8_t> queued = save(true);
+    const std::vector<std::size_t> at = metaCoreOffsets(queued, birth);
+    ASSERT_EQ(at.size(), 1u);
+    EXPECT_NO_THROW(restoreWith(queued, true, at[0], 0));
+    // A read sits in its own core's queue.
+    EXPECT_THROW(restoreWith(queued, true, at[0], 1), CheckpointError);
+    EXPECT_THROW(restoreWith(queued, true, at[0], 3), CheckpointError);
+
+    // A completed read names a core the hierarchy hands it back to:
+    // one of the chip's 4 is not enough, it must be active.
+    tickUntil([&] { return dramReads() == 0; });
+    const std::vector<std::uint8_t> done = save(true);
+    const std::vector<std::size_t> read = metaCoreOffsets(done, birth);
+    ASSERT_EQ(read.size(), 1u);
+    EXPECT_NO_THROW(restoreWith(done, true, read[0], 1));
+    EXPECT_THROW(restoreWith(done, true, read[0], 3), CheckpointError);
+    EXPECT_THROW(restoreWith(done, true, read[0], 4), CheckpointError);
 }
 
 } // namespace
